@@ -5,8 +5,7 @@
  *
  *   - repro/core/search.py      _FastSearchRun._dfs_lds2/_dfs_dds2,
  *                               _chain2/_chain2_slow, _leaf2,
- *                               _prune_child2, _chain_allowance,
- *                               _check_budget
+ *                               _prune_child2, _check_budget
  *   - repro/core/profile.py     SearchProfile.place/unplace (and the
  *                               place_run_fold fusion: the association-
  *                               order contract makes one fused scalar
@@ -16,9 +15,6 @@
  *                               wait = start - submit
  *                               e    = wait - omega   (added iff > 0)
  *                               s    = (wait + den) / den
- *   - repro/core/parallel_search.py  _ShardRun._run_shard_delta (the
- *                               shard-mode entry: seeded incumbent, no
- *                               first-leaf exemption, path replay)
  *
  * The pure-python engines remain the source of truth: this file holds
  * no semantics of its own, only a transcription.  Every float operation
@@ -28,9 +24,8 @@
  * the Hypothesis engine-conformance fuzzer in tests/.
  *
  * Deliberately unsupported (the Python wrapper falls back to the fast
- * engine): wall-clock deadlines (poll cadence), custom evaluators,
- * the runtime sanitizer (needs per-mutation Python checks), and the
- * shard blackboard (poll/publish callbacks).
+ * engine): wall-clock deadlines (poll cadence), custom evaluators and
+ * the runtime sanitizer (needs per-mutation Python checks).
  *
  * One structural liberty, invisible in results: where _chain2 brackets
  * a batch with checkpoint()/rollback() (array snapshot, no undo
@@ -95,7 +90,6 @@ typedef struct {
     double b_exc;
     double b_slow;
     int best_valid;
-    int has_order;
 
     /* search parameters */
     double now;
@@ -103,7 +97,6 @@ typedef struct {
     long long node_limit; /* -1 == None */
     int prune;
     int lds;
-    int first_leaf_exempt;
     int record_anytime;
 
     /* counters */
@@ -244,12 +237,12 @@ ck_unplace(Search *s)
 }
 
 /* ------------------------------------------------------------------ */
-/* Budget machinery (_check_budget / _chain_allowance)                 */
+/* Budget machinery (_check_budget, and _chain2's batch clamp)         */
 /* ------------------------------------------------------------------ */
 static inline int
 ck_check_budget(Search *s)
 {
-    if (s->first_leaf_exempt && s->leaves_evaluated == 0)
+    if (s->leaves_evaluated == 0)
         return CK_OK; /* the heuristic schedule always completes */
     if (s->node_limit >= 0 && s->nodes_visited >= s->node_limit)
         return CK_STOP;
@@ -261,7 +254,7 @@ ck_chain_allowance(Search *s, Py_ssize_t m)
 {
     if (s->node_limit < 0)
         return m;
-    if (s->first_leaf_exempt && s->leaves_evaluated == 0)
+    if (s->leaves_evaluated == 0)
         return m;
     long long left = s->node_limit - s->nodes_visited;
     if (left >= (long long)m)
@@ -282,7 +275,6 @@ ck_leaf2(Search *s, double exc, double slow, Py_ssize_t d)
         s->improved_after_first = 1;
     }
     s->best_valid = 1;
-    s->has_order = 1;
     s->b_exc = exc;
     s->b_slow = slow;
     s->best_d = d;
@@ -513,8 +505,7 @@ ck_dfs_dds2(Search *s, Py_ssize_t m, Py_ssize_t iteration, Py_ssize_t level,
 }
 
 /* ------------------------------------------------------------------ */
-/* Drivers: full run (_SearchRunBase.run) and shard replay             */
-/* (_ShardRun._run_shard_delta)                                        */
+/* Driver: the full run (_SearchRunBase.run)                           */
 /* ------------------------------------------------------------------ */
 static int
 ck_run_full(Search *s)
@@ -539,85 +530,6 @@ ck_run_full(Search *s)
         }
     }
     return CK_OK;
-}
-
-static int
-ck_run_shard(Search *s, Py_ssize_t iteration, const Py_ssize_t *path,
-             Py_ssize_t path_len, Py_ssize_t counted)
-{
-    Py_ssize_t *nxt = s->nxt;
-    Py_ssize_t *prv = s->prv;
-    Py_ssize_t n = s->n;
-    Py_ssize_t k_left = iteration; /* LDS: discrepancy budget on the path */
-    Py_ssize_t level = 1;          /* DDS: 1-based tree level */
-    double exc = 0.0;
-    double slow = 0.0;
-    Py_ssize_t free_replay = path_len - counted;
-    Py_ssize_t placed = 0;
-    int pruned = 0;
-    int stopped = 0;
-    int rc = CK_OK;
-
-    for (Py_ssize_t depth = 0; depth < path_len; depth++) {
-        Py_ssize_t pos = path[depth];
-        if (depth >= free_replay) {
-            if (ck_check_budget(s)) {
-                stopped = 1;
-                break;
-            }
-            s->nodes_visited++;
-        }
-        Py_ssize_t i = nxt[s->head];
-        for (Py_ssize_t q = 0; q < pos; q++)
-            i = nxt[i];
-        Py_ssize_t pi = prv[i];
-        Py_ssize_t ni = nxt[i];
-        nxt[pi] = ni;
-        prv[ni] = pi;
-        double start = ck_place(s, s->jnodes[i], s->rt[i]);
-        s->path_i[depth] = i;
-        s->path_s[depth] = start;
-        placed++;
-        double wait = start - s->submit[i];
-        double e = wait - s->omega;
-        if (e > 0.0)
-            exc += e;
-        double den = s->denom[i];
-        slow += (wait + den) / den;
-        if (s->lds) {
-            if (pos)
-                k_left--;
-        }
-        else {
-            level++;
-        }
-        if (s->prune && ck_prune_child2(s, exc, slow, n - depth - 1)) {
-            pruned = 1;
-            break;
-        }
-    }
-    if (!pruned && !stopped) {
-        Py_ssize_t d = path_len;
-        if (s->lds)
-            rc = ck_dfs_lds2(s, n - d, k_left, exc, slow, d);
-        else
-            rc = ck_dfs_dds2(s, n - d, iteration, level, exc, slow, d);
-    }
-    if (stopped || rc == CK_STOP) {
-        s->limit_hit = 1;
-        if (rc == CK_STOP)
-            rc = CK_OK;
-    }
-    /* Unwind the replay trail (finally block): every trail placement is
-     * the current deepest undo frame, and relinking restores path_i[q]
-     * into the list in reverse order. */
-    for (Py_ssize_t q = placed - 1; q >= 0; q--) {
-        Py_ssize_t i = s->path_i[q];
-        ck_unplace(s);
-        nxt[prv[i]] = i;
-        prv[nxt[i]] = i;
-    }
-    return rc;
 }
 
 /* ------------------------------------------------------------------ */
@@ -682,7 +594,7 @@ ck_longs_from(PyObject *seq, Py_ssize_t *len_out)
 
 static int
 ck_init(Search *s, int lds, long long node_limit, int prune,
-        int record_anytime, int first_leaf_exempt, long capacity, double eps,
+        int record_anytime, long capacity, double eps,
         PyObject *times, PyObject *frees, PyObject *submit, PyObject *jnodes,
         PyObject *runtime, PyObject *denom, double now, double omega)
 {
@@ -760,7 +672,6 @@ ck_init(Search *s, int lds, long long node_limit, int prune,
     s->node_limit = node_limit;
     s->prune = prune;
     s->lds = lds;
-    s->first_leaf_exempt = first_leaf_exempt;
     s->record_anytime = record_anytime;
     s->best_d = 0;
     return 0;
@@ -826,9 +737,8 @@ ck_run_search_py(PyObject *Py_UNUSED(self), PyObject *args)
                           &submit, &jnodes, &runtime, &denom, &now, &omega))
         return NULL;
     Search s;
-    if (ck_init(&s, lds, node_limit, prune, record_anytime,
-                /*first_leaf_exempt=*/1, capacity, eps, times, frees, submit,
-                jnodes, runtime, denom, now, omega) < 0)
+    if (ck_init(&s, lds, node_limit, prune, record_anytime, capacity, eps, times,
+                frees, submit, jnodes, runtime, denom, now, omega) < 0)
         return NULL;
     int rc;
     Py_BEGIN_ALLOW_THREADS
@@ -862,82 +772,6 @@ ck_run_search_py(PyObject *Py_UNUSED(self), PyObject *args)
     return result;
 }
 
-static PyObject *
-ck_run_shard_py(PyObject *Py_UNUSED(self), PyObject *args)
-{
-    int lds, prune, record_anytime;
-    long iteration, counted;
-    long long node_limit;
-    long capacity;
-    double eps, now, omega, seed_exc, seed_slow;
-    PyObject *path, *times, *frees, *submit, *jnodes, *runtime, *denom;
-    if (!PyArg_ParseTuple(args, "ilOlLiildOOOOOOdddd", &lds, &iteration,
-                          &path, &counted, &node_limit, &prune,
-                          &record_anytime, &capacity, &eps, &times, &frees,
-                          &submit, &jnodes, &runtime, &denom, &now, &omega,
-                          &seed_exc, &seed_slow))
-        return NULL;
-    if (!PyTuple_Check(path)) {
-        PyErr_SetString(PyExc_TypeError, "shard path must be a tuple");
-        return NULL;
-    }
-    Py_ssize_t path_len = PyTuple_GET_SIZE(path);
-    Py_ssize_t *cpath =
-        malloc((size_t)(path_len > 0 ? path_len : 1) * sizeof(Py_ssize_t));
-    if (cpath == NULL)
-        return PyErr_NoMemory();
-    for (Py_ssize_t k = 0; k < path_len; k++) {
-        cpath[k] = PyLong_AsSsize_t(PyTuple_GET_ITEM(path, k));
-        if (cpath[k] == -1 && PyErr_Occurred()) {
-            free(cpath);
-            return NULL;
-        }
-    }
-    Search s;
-    if (ck_init(&s, lds, node_limit, prune, record_anytime,
-                /*first_leaf_exempt=*/0, capacity, eps, times, frees, submit,
-                jnodes, runtime, denom, now, omega) < 0) {
-        free(cpath);
-        return NULL;
-    }
-    /* Seed the leader's iteration-0 incumbent: the shard reports a best
-     * only on strict improvement (has_order stays 0 otherwise). */
-    s.best_valid = 1;
-    s.has_order = 0;
-    s.b_exc = seed_exc;
-    s.b_slow = seed_slow;
-    int rc;
-    Py_BEGIN_ALLOW_THREADS
-    rc = ck_run_shard(&s, iteration, cpath, path_len, counted);
-    Py_END_ALLOW_THREADS
-    free(cpath);
-    if (rc == CK_ERR) {
-        int oom = s.oom;
-        ck_free(&s);
-        if (oom)
-            return PyErr_NoMemory();
-        PyErr_SetString(PyExc_RuntimeError, "compiled shard failed");
-        return NULL;
-    }
-    PyObject *idxs = NULL, *starts = NULL;
-    if (ck_best_lists(&s, &idxs, &starts) < 0) {
-        ck_free(&s);
-        return NULL;
-    }
-    PyObject *anytime = ck_anytime_list(&s);
-    if (anytime == NULL) {
-        Py_DECREF(idxs);
-        Py_DECREF(starts);
-        ck_free(&s);
-        return NULL;
-    }
-    PyObject *result = Py_BuildValue(
-        "iddnNNLLiN", s.has_order, s.b_exc, s.b_slow, s.best_d, idxs, starts,
-        s.nodes_visited, s.leaves_evaluated, s.limit_hit, anytime);
-    ck_free(&s);
-    return result;
-}
-
 static PyMethodDef ck_methods[] = {
     {"run_search", ck_run_search_py, METH_VARARGS,
      "Full delta-kernel search; mirrors _FastSearchRun.run() bit-for-bit.\n"
@@ -946,13 +780,6 @@ static PyMethodDef ck_methods[] = {
      "(best_exc, best_slow, best_d, best_idx, best_starts, nodes_visited,\n"
      " leaves_evaluated, iterations_started, limit_hit,\n"
      " improved_after_first, anytime|None)"},
-    {"run_shard", ck_run_shard_py, METH_VARARGS,
-     "One parallel-engine shard; mirrors _ShardRun.run_shard().\n"
-     "(lds, iteration, path, counted, node_limit, prune, record_anytime,\n"
-     " capacity, eps, times, frees, submit, nodes, runtime, denom, now,\n"
-     " omega, seed_exc, seed_slow) ->\n"
-     "(has_order, best_exc, best_slow, best_d, best_idx, best_starts,\n"
-     " nodes_visited, leaves_evaluated, limit_hit, anytime|None)"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -9,24 +9,23 @@ partially busy 128-node machine — the same scenario as
 
 Each configuration is timed for:
 
-- both serial search engines (the allocation-free ``"fast"`` hot path and
+- both python search engines (the allocation-free ``"fast"`` hot path and
   the ``"reference"`` executable spec; see :mod:`repro.core.search`),
   asserted bit-identical — a perf number measured against a wrong result
   is worthless;
-- the ``"parallel"`` engine at ``search_workers`` workers, *also* asserted
-  bit-identical to ``"fast"`` (its determinism contract holds at any
-  budget);
-- a ``prune=True`` ablation of the fast engine, measuring what the
-  branch-and-bound extension buys (no identity assert: pruning legitimately
-  changes node accounting);
+- a ``prune=True`` ablation of the fast engine: wall time at an equal
+  node count, with the pruned ``best_score`` asserted not worse than the
+  unpruned one (pruning spends the nodes it saves further into the tree,
+  so the score may be better; ``docs/performance.md`` has the
+  equal-budget quality numbers);
 - the ``"compiled"`` engine when the optional C kernel is importable
   (``repro.core.ckernel.have_compiled``), asserted bit-identical to
   ``"fast"`` — reports record an honest ``compiled_available`` flag so a
   pure-python report is never mistaken for a compiled one.
 
 The report records nodes/sec and wall seconds per decision per row, plus
-per-config speedup ratios: ``fast`` over ``reference``, ``parallel[w=N]``
-over ``fast``, ``prune`` over ``fast``, and ``compiled`` over
+per-config speedup ratios: ``fast`` over ``reference``, ``prune`` over
+``fast``, and ``compiled`` over
 ``reference`` (the ISSUE's ≥6x acceptance floor is stated against the
 reference spec).  A final ``e2e`` section replays the first
 :data:`E2E_DECISIONS` decision points of a real simulated month and
@@ -57,13 +56,16 @@ from repro.util.rng import RngStream
 from repro.util.timeunits import HOUR
 
 #: Report format version (bump on incompatible layout changes).
-#: v2: per-row ``prune``/``search_workers`` fields, parallel-engine rows,
-#: prune-ablation rows, and the new speedup key families.
+#: v2: per-row ``prune`` field, prune-ablation rows and the ``:variant``
+#: speedup key families.
 #: v3: honest ``compiled_available`` field, compiled-engine rows and the
 #: ``:compiled`` speedup family (present only when the extension is
 #: built), and the end-to-end ``e2e`` decisions/sec section (simulator
 #: replay, not just the raw node loop) with its own tolerance band.
-SCHEMA = "repro-bench-search/v3"
+#: v4: one sequential search per decision — the multi-process engine's
+#: rows, speedup family and worker/core header fields are gone; the prune
+#: row asserts its score is not worse than the unpruned one.
+SCHEMA = "repro-bench-search/v4"
 
 #: The two flagship policy shapes the paper benchmarks (§2.3, §3).
 POLICIES: tuple[tuple[str, str], ...] = (("dds", "lxf"), ("lds", "fcfs"))
@@ -135,15 +137,10 @@ def time_search(
     engine: str,
     repeats: int = 3,
     prune: bool = False,
-    search_workers: int = 1,
 ) -> tuple[SearchResult, float]:
     """Run the search ``repeats`` times; return (result, best wall seconds)."""
     searcher = DiscrepancySearch(
-        algorithm,
-        node_limit=node_limit,
-        engine=engine,
-        prune=prune,
-        search_workers=search_workers,
+        algorithm, node_limit=node_limit, engine=engine, prune=prune
     )
     best = float("inf")
     result: SearchResult | None = None
@@ -189,7 +186,6 @@ def time_end_to_end(
 def run_bench(
     quick: bool = False,
     repeats: int = 3,
-    search_workers: int = 4,
     progress: Callable[[str], None] | None = None,
     limits: tuple[int, ...] | None = None,
 ) -> dict[str, Any]:
@@ -200,18 +196,12 @@ def run_bench(
     runs in milliseconds); by default ``quick`` picks between
     :data:`QUICK_LIMITS` and :data:`FULL_LIMITS`.
     """
-    from repro.util.workerpool import available_cores, get_pool
-
     if limits is None:
         limits = QUICK_LIMITS if quick else FULL_LIMITS
     say = progress if progress is not None else (lambda _msg: None)
     compiled_available = have_compiled()
     configs: list[dict[str, Any]] = []
     speedups: dict[str, float] = {}
-    if search_workers > 1:
-        # Spawn the persistent pool up front so its one-time fork cost
-        # never lands inside a timed run.
-        get_pool(search_workers).ensure_started()
     for algorithm, heuristic in POLICIES:
         problem = build_problem(heuristic)
         policy_name = f"{algorithm.upper()}/{heuristic}/dynB"
@@ -222,9 +212,8 @@ def run_bench(
                 result: SearchResult,
                 seconds: float,
                 prune: bool = False,
-                workers: int | None = None,
             ) -> None:
-                entry: dict[str, Any] = {
+                configs.append({
                     "policy": policy_name,
                     "algorithm": algorithm,
                     "heuristic": heuristic,
@@ -236,10 +225,7 @@ def run_bench(
                     "leaves_evaluated": result.leaves_evaluated,
                     "seconds_per_decision": seconds,
                     "nodes_per_second": result.nodes_visited / seconds,
-                }
-                if workers is not None:
-                    entry["search_workers"] = workers
-                configs.append(entry)
+                })
 
             per_engine: dict[str, tuple[SearchResult, float]] = {}
             for engine in ("fast", "reference"):
@@ -262,35 +248,20 @@ def run_bench(
                 f"({speedups[key]:.2f}x)"
             )
 
-            # Parallel engine: same bit-identity contract as the serial
-            # engines — a parallel speedup over a different answer would
-            # be meaningless.
-            par_result, par_seconds = time_search(
-                problem,
-                algorithm,
-                node_limit,
-                "parallel",
-                repeats=repeats,
-                search_workers=search_workers,
-            )
-            row("parallel", par_result, par_seconds, workers=search_workers)
-            if _fingerprint(par_result) != _fingerprint(fast[0]):
-                raise AssertionError(
-                    f"parallel engine disagrees with fast on {policy_name} "
-                    f"at L={node_limit} with {search_workers} workers: "
-                    "results must be bit-identical"
-                )
-            par_key = f"{key}:parallel[w={search_workers}]"
-            speedups[par_key] = fast[1] / par_seconds
-            say(f"{par_key}: {speedups[par_key]:.2f}x over fast")
-
-            # Branch-and-bound ablation: prune=True legitimately changes
-            # node accounting (it skips dominated subtrees), so there is
-            # no identity assert — the measurement is wall time to decide.
+            # Branch-and-bound ablation: prune=True skips dominated
+            # subtrees and spends the saved visits further into the tree,
+            # so the row is wall time at an equal node count and the score
+            # can only match or beat the unpruned one.
             prune_result, prune_seconds = time_search(
                 problem, algorithm, node_limit, "fast", repeats=repeats, prune=True
             )
             row("fast", prune_result, prune_seconds, prune=True)
+            if fast[0].best_score < prune_result.best_score:
+                raise AssertionError(
+                    f"pruned search is worse than unpruned on {policy_name} "
+                    f"at L={node_limit}: {prune_result.best_score} vs "
+                    f"{fast[0].best_score}"
+                )
             prune_key = f"{key}:prune"
             speedups[prune_key] = fast[1] / prune_seconds
             say(
@@ -304,7 +275,7 @@ def run_bench(
             # the extension is importable — the ``compiled_available``
             # field below says which kind of report this is.  The ratio
             # is over *reference* (the ISSUE's ≥6x acceptance floor),
-            # unlike the over-fast ":parallel"/":prune" families.
+            # unlike the over-fast ":prune" family.
             if compiled_available:
                 comp_result, comp_seconds = time_search(
                     problem, algorithm, node_limit, "compiled", repeats=repeats
@@ -340,13 +311,9 @@ def run_bench(
         "benchmark": "search-hotpath-30-jobs",
         "quick": quick,
         "repeats": repeats,
-        "search_workers": search_workers,
-        # Parallel speedups only mean anything relative to this: on a
-        # single-core builder the parallel rows record an honest slowdown.
-        "cores": available_cores(),
-        # Honest capability flag (cf. ``cores``): whether the compiled
-        # kernel was importable when this report was measured — rows and
-        # speedup families for it exist exactly when this is true.
+        # Honest capability flag: whether the compiled kernel was
+        # importable when this report was measured — rows and speedup
+        # families for it exist exactly when this is true.
         "compiled_available": compiled_available,
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
@@ -384,55 +351,40 @@ def check_bench(
     report's tolerance band; return human-readable failures (empty ==
     within tolerance).  Only configurations present in both reports are
     compared, so a quick run checks cleanly against a full baseline."""
-    tol = committed.get("tolerance", TOLERANCE)
+    if committed.get("schema") != SCHEMA:
+        return [
+            f"committed report is {committed.get('schema')!r}, this build "
+            f"writes {SCHEMA!r}: regenerate it with `repro bench`"
+        ]
+    tol = committed["tolerance"]
     failures: list[str] = []
-    min_speedup = tol["min_speedup_frac"]
     # Compiled rows are compared only when both reports actually measured
     # the kernel; a pure-python smoke against a compiled baseline (or vice
     # versa) skips the family rather than failing spuriously.
-    both_compiled = bool(
-        fresh.get("compiled_available") and committed.get("compiled_available")
-    )
-    min_compiled = tol.get(
-        "min_compiled_speedup_frac", TOLERANCE["min_compiled_speedup_frac"]
-    )
+    both_compiled = fresh["compiled_available"] and committed["compiled_available"]
     for key, fresh_ratio in fresh["speedups"].items():
         if key.endswith(":compiled"):
             if not both_compiled:
                 continue
-            committed_ratio = committed["speedups"].get(key)
-            if committed_ratio is None:
-                continue
-            if fresh_ratio < committed_ratio * min_compiled:
-                failures.append(
-                    f"{key}: compiled/reference speedup {fresh_ratio:.2f}x "
-                    f"below {min_compiled:.0%} of committed "
-                    f"{committed_ratio:.2f}x"
-                )
+            what, frac = "compiled/reference", tol["min_compiled_speedup_frac"]
+        elif ":" in key:  # the prune ablation is reported, not gated
             continue
-        if ":" in key:  # parallel/prune families move with core count
-            continue
+        else:
+            what, frac = "fast/reference", tol["min_speedup_frac"]
         committed_ratio = committed["speedups"].get(key)
         if committed_ratio is None:
             continue
-        if fresh_ratio < committed_ratio * min_speedup:
+        if fresh_ratio < committed_ratio * frac:
             failures.append(
-                f"{key}: fast/reference speedup {fresh_ratio:.2f}x below "
-                f"{min_speedup:.0%} of committed {committed_ratio:.2f}x"
+                f"{key}: {what} speedup {fresh_ratio:.2f}x below "
+                f"{frac:.0%} of committed {committed_ratio:.2f}x"
             )
-    min_e2e = tol.get(
-        "min_e2e_decisions_per_second_frac",
-        TOLERANCE["min_e2e_decisions_per_second_frac"],
-    )
-    committed_e2e = {
-        (r["policy"], r["engine"]): r for r in committed.get("e2e", [])
-    }
-    for row in fresh.get("e2e", []):
+    min_e2e = tol["min_e2e_decisions_per_second_frac"]
+    committed_e2e = {(r["policy"], r["engine"]): r for r in committed["e2e"]}
+    for row in fresh["e2e"]:
         if row["engine"] == "compiled" and not both_compiled:
             continue
-        base = committed_e2e.get((row["policy"], row["engine"]))
-        if base is None:  # v2 baselines have no e2e section
-            continue
+        base = committed_e2e[(row["policy"], row["engine"])]
         if (
             row["decisions_per_second"]
             < base["decisions_per_second"] * min_e2e
@@ -446,13 +398,7 @@ def check_bench(
     min_nps = tol["min_nodes_per_second_frac"]
 
     def rowkey(row: dict[str, Any]) -> tuple[Any, ...]:
-        return (
-            row["policy"],
-            row["node_limit"],
-            row["engine"],
-            row["prune"],
-            row.get("search_workers"),
-        )
+        return (row["policy"], row["node_limit"], row["engine"], row["prune"])
 
     committed_rows = {rowkey(r): r for r in committed["configs"]}
     for row in fresh["configs"]:
@@ -474,16 +420,10 @@ def write_bench(
     path: str | Path,
     quick: bool = False,
     repeats: int = 3,
-    search_workers: int = 4,
     progress: Callable[[str], None] | None = None,
 ) -> dict[str, Any]:
     """Run the benchmark and write the JSON report to ``path``."""
-    report = run_bench(
-        quick=quick,
-        repeats=repeats,
-        search_workers=search_workers,
-        progress=progress,
-    )
+    report = run_bench(quick=quick, repeats=repeats, progress=progress)
     out = Path(path)
     # Atomic: a crash mid-write must not leave a torn BENCH_search.json
     # that downstream tooling would try to parse.

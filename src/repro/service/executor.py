@@ -30,8 +30,9 @@ after ``threshold`` consecutive failures the pool rung is skipped
 entirely until a probe is allowed again, and the pool's own bounded
 respawn budget (``REPRO_POOL_RESPAWNS``) decides whether the executor is
 ever revived.  The injected-fault sites ``service.decide`` (primary path
-fails) and ``worker.result`` (result transport fails) let the chaos suite
-drive every rung transition on demand.
+fails), ``worker.crash`` (a live pool worker is killed for real) and
+``worker.result`` (result transport fails) let the chaos suite drive
+every rung transition on demand.
 """
 
 from __future__ import annotations
@@ -270,6 +271,10 @@ class DecisionLadder:
         pool = self._pool()
         if not pool.ensure_started(warm=True):
             raise RuntimeError("worker pool unavailable")
+        if faults.should_fire("worker.crash"):
+            # Chaos path: kill a live worker for real, then submit into
+            # the now-doomed pool — the inline rung must save the decision.
+            pool.crash_worker()
         future = pool.submit(
             _pool_decide, self.policy, now, waiting, running, cluster
         )
@@ -312,14 +317,8 @@ class DecisionLadder:
                 self.config.min_anytime_budget,
             )
         prev_limit = searcher.time_limit_seconds
-        prev_engine = searcher.engine
         try:
             searcher.time_limit_seconds = budget
-            if searcher.engine == "parallel":
-                # The anytime time limit is incompatible with the parallel
-                # engine; the sequential fast engine honours it.
-                searcher.engine = "fast"
             return self.policy.decide(now, waiting, running, cluster)
         finally:
             searcher.time_limit_seconds = prev_limit
-            searcher.engine = prev_engine

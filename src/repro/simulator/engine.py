@@ -216,8 +216,8 @@ class Simulation:
     def _execute(self, state: LoopState) -> SimulationResult:
         wall_start = _wallclock.perf_counter()
         # Lifecycle hooks bracket the whole event loop: policies that hold
-        # process-wide resources (the parallel search's persistent worker
-        # pool) acquire them once per simulation, not per decision.
+        # per-run resources acquire them once per simulation, not per
+        # decision.
         self.policy.on_simulation_begin()
         try:
             return self._run_loop(wall_start, state)

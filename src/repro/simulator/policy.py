@@ -94,10 +94,8 @@ class SchedulingPolicy(abc.ABC):
     def on_simulation_begin(self) -> None:
         """Hook: a simulation is about to run its event loop.
 
-        Policies acquire expensive process-wide resources here — e.g. the
-        search policy pre-spawns its persistent worker pool so the fork
-        cost lands before the first decision, not inside it.  Default:
-        no-op.
+        Policies acquire expensive per-run resources here, so the cost
+        lands before the first decision, not inside it.  Default: no-op.
         """
 
     def on_simulation_end(self) -> None:

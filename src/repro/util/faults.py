@@ -1,6 +1,6 @@
 """Deterministic, plan-driven fault injection for the robustness layer.
 
-Production failures — a search worker segfaulting mid-shard, a run-cache
+Production failures — a pool worker segfaulting mid-decision, a run-cache
 entry truncated by a power loss, a simulation process OOM-killed a week
 into a month — are rare, uncorrelated, and miserable to reproduce.  This
 module makes them *first-class, replayable inputs*: a :class:`FaultPlan`

@@ -1,23 +1,18 @@
-"""Persistent, supervised process worker pool shared across decisions.
+"""Persistent, supervised process worker pool.
 
-The intra-decision parallel search engine
-(:mod:`repro.core.parallel_search`) fans each decision's shards across
-worker processes.  Decisions are frequent (thousands per simulated month)
-and individually small (milliseconds), so paying a fork + warm-up per
+The one consumer is the decision service's opt-in ``search:pool`` rung
+(:mod:`repro.service.executor`), which offloads a tenant's whole decision
+to another process under a result deadline.  Decisions are frequent and
+individually small (milliseconds), so paying a fork + warm-up per
 decision would drown the work itself.  This module therefore keeps **one
 pool per worker count alive for the whole process**:
 
 - :func:`get_pool` returns the registered :class:`WorkerPool` for a size,
   creating the object lazily; the underlying executor is spawned on first
-  use, or eagerly via :meth:`WorkerPool.ensure_started` — which the
-  simulation engine's ``on_simulation_begin`` lifecycle hook calls so the
-  spawn cost lands at simulation start, not inside the first decision;
-- pools stay warm across decisions *and* across simulations, and are torn
-  down at interpreter exit (or explicitly via :func:`shutdown_all`, which
-  tests use);
-- every pool carries a small shared-memory float *blackboard*, created
-  before the workers spawn and inherited by all of them, used by the
-  parallel search's opt-in incumbent broadcast (``share_incumbent``).
+  use, or eagerly via :meth:`WorkerPool.ensure_started`;
+- pools stay warm across decisions and tenants, and are torn down at
+  interpreter exit (or explicitly via :func:`shutdown_all`, which tests
+  use).
 
 Supervision (the fault-tolerance layer, see ``docs/robustness.md``): a
 pool that breaks — a worker dies mid-task (``BrokenProcessPool``), the
@@ -35,7 +30,6 @@ the chaos CI job.
 from __future__ import annotations
 
 import atexit
-import multiprocessing as mp
 import os
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -45,12 +39,6 @@ from repro.util import faults
 
 _T = TypeVar("_T")
 
-#: Float slots in each pool's shared blackboard.  The parallel search uses
-#: slot 0 as a generation stamp, slot 1 as a validity flag, and the rest as
-#: score payload; other consumers may claim the same slots only between
-#: generations.
-BLACKBOARD_SLOTS = 8
-
 #: Default warm-up deadline (seconds); override per pool or via
 #: ``REPRO_POOL_WARMUP_TIMEOUT``.
 DEFAULT_WARMUP_TIMEOUT = 60.0
@@ -58,13 +46,6 @@ DEFAULT_WARMUP_TIMEOUT = 60.0
 #: Default number of times a broken pool may be respawned before it is
 #: permanently failed; override per pool or via ``REPRO_POOL_RESPAWNS``.
 DEFAULT_MAX_RESPAWNS = 2
-
-#: Default per-task result deadline (seconds) used by supervised callers;
-#: override via ``REPRO_TASK_DEADLINE`` (0 or negative disables it).
-DEFAULT_TASK_DEADLINE = 300.0
-
-#: Set in each worker process by the executor initializer.
-_worker_blackboard: Any = None
 
 
 def _env_float(name: str, default: float) -> float:
@@ -92,12 +73,6 @@ def warmup_timeout() -> float:
     return _env_float("REPRO_POOL_WARMUP_TIMEOUT", DEFAULT_WARMUP_TIMEOUT)
 
 
-def task_deadline() -> float | None:
-    """Per-task result deadline for supervised submissions (``None`` = off)."""
-    value = _env_float("REPRO_TASK_DEADLINE", DEFAULT_TASK_DEADLINE)
-    return value if value > 0 else None
-
-
 def retry_backoff(attempt: int, base: float = 0.05, cap: float = 0.5) -> float:
     """Deterministic exponential backoff delay (seconds) for retry ``attempt``.
 
@@ -105,17 +80,6 @@ def retry_backoff(attempt: int, base: float = 0.05, cap: float = 0.5) -> float:
     only wall time, so there is no jitter to keep replay exact.
     """
     return min(base * (2.0 ** max(0, attempt)), cap)
-
-
-def _init_worker(blackboard: Any) -> None:
-    """Executor initializer: record the inherited blackboard handle."""
-    global _worker_blackboard
-    _worker_blackboard = blackboard
-
-
-def worker_blackboard() -> Any:
-    """The pool's shared blackboard when inside a worker, else ``None``."""
-    return _worker_blackboard
 
 
 def _warm(index: int, naptime: float) -> int:
@@ -168,7 +132,6 @@ class WorkerPool:
             else _env_int("REPRO_POOL_RESPAWNS", DEFAULT_MAX_RESPAWNS)
         )
         self._executor: ProcessPoolExecutor | None = None
-        self._blackboard: Any = None
         self._failed = False
         self._respawns = 0
 
@@ -186,17 +149,11 @@ class WorkerPool:
     def respawns_used(self) -> int:
         return self._respawns
 
-    @property
-    def blackboard(self) -> Any:
-        """The shared float array (``None`` until the pool started)."""
-        return self._blackboard
-
     def ensure_started(self, warm: bool = True) -> bool:
         """Spawn the executor if needed; ``False`` if unavailable.
 
         With ``warm`` (the default) a wave of trivial tasks is pushed
-        through so every worker process exists before real work arrives —
-        the "spawned once per simulation" contract of the parallel search.
+        through so every worker process exists before real work arrives.
         A warm-up that exceeds :attr:`warmup_deadline` (or a worker that
         dies during it) marks the pool broken instead of raising; callers
         fall back inline, exactly as for any other unavailable pool.
@@ -206,14 +163,7 @@ class WorkerPool:
         if self._executor is None:
             try:
                 faults.fire("worker.spawn")
-                ctx = mp.get_context()
-                self._blackboard = ctx.Array("d", BLACKBOARD_SLOTS)
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    mp_context=ctx,
-                    initializer=_init_worker,
-                    initargs=(self._blackboard,),
-                )
+                self._executor = ProcessPoolExecutor(max_workers=self.workers)
                 if warm:
                     naptime = 0.005 if self.workers > 1 else 0.0
                     futures = [
@@ -284,7 +234,6 @@ class WorkerPool:
         if self._executor is not None:
             self._executor.shutdown(wait=wait, cancel_futures=True)
             self._executor = None
-        self._blackboard = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "failed" if self._failed else ("up" if self.started else "idle")

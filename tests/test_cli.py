@@ -103,39 +103,6 @@ def test_run_command_search_policy_high_load(capsys):
     assert "DDS/lxf/dynB" in capsys.readouterr().out
 
 
-def test_run_command_search_workers(capsys):
-    """``--search-workers`` routes a search policy through the parallel
-    engine; the reported metrics are invariant, so the smoke check is the
-    same as a serial run's."""
-    code = main(
-        [
-            "run",
-            "--month",
-            "2003-06",
-            "--policy",
-            "dds/lxf/dynB",
-            "--scale",
-            "0.02",
-            "--node-limit",
-            "50",
-            "--search-workers",
-            "2",
-        ]
-    )
-    assert code == 0
-    assert "DDS/lxf/dynB" in capsys.readouterr().out
-
-
-def test_parse_policy_search_workers_selects_parallel_engine():
-    policy = parse_policy("dds/lxf/dynB", 100, True, search_workers=2)
-    assert policy.searcher.engine == "parallel"
-    assert policy.searcher.search_workers == 2
-    # Backfill specs have no search to parallelise; the knob is ignored.
-    assert parse_policy("fcfs-bf", 100, True, search_workers=2).name == (
-        "FCFS-backfill"
-    )
-
-
 def test_run_command_estimates(capsys):
     code = main(
         [

@@ -13,8 +13,8 @@ importable); this file owns everything about the *boundary*:
   even when the kernel is present;
 - fixed-instance fingerprint identity at edge budgets (empty problem,
   single job, exhaustive, prune, anytime traces);
-- the parallel engine's shards ride the kernel transparently and pick
-  the pure-python ``_ShardRun`` whenever blackboard sharing is in play;
+- ``make_policy`` defaults to the kernel exactly when it is importable
+  and ``REPRO_PURE_PYTHON=1`` does not opt out;
 - the ``CHAIN_VECTOR_MIN`` crossover override (env + live retune) never
   changes results, only which fold path runs.
 """
@@ -26,17 +26,13 @@ import dataclasses
 import pytest
 
 from repro.core import ckernel, deltascore
-from repro.core.ckernel import (
-    _kernel_eligible,
-    compiled_shard_run,
-    have_compiled,
-)
+from repro.core.ckernel import _kernel_eligible, default_engine, have_compiled
 from repro.core.criteria import (
     CriteriaEvaluator,
     DecisionContext,
     paper_objective,
 )
-from repro.core.objective import ScheduleScore
+from repro.core.scheduler import make_policy
 from repro.core.search import DiscrepancySearch, resolve_runtimes
 from repro.util.sanitize import sanitized
 from tests.oracles import InstanceSpec, build_problem, fingerprint
@@ -198,82 +194,20 @@ def test_bench_decision_point_identity(algorithm, heuristic):
 
 
 # ----------------------------------------------------------------------
-# Parallel ride-through
+# The default engine of a policy
 # ----------------------------------------------------------------------
-@needs_kernel
-def test_parallel_shards_ride_the_kernel():
-    """``_make_shard_run`` hands eligible no-blackboard shards to the
-    compiled runner and everything else to the pure ``_ShardRun``."""
-    from repro.core.parallel_search import _make_shard_run, _ShardRun
-
-    problem = build_problem("lxf")
-    incumbent = ScheduleScore(1.0, 2.0, 30)
-    with sanitized(False):
-        run = _make_shard_run(
-            problem, "dds", 100, False, False, incumbent, None, None
-        )
-        assert isinstance(run, ckernel._CompiledShardRun)
-        shared = _make_shard_run(
-            problem, "dds", 100, True, False, incumbent,
-            lambda: None, lambda _s: None,
-        )
-        assert isinstance(shared, _ShardRun)
-    with sanitized(True):
-        # Sanitized runs need the pure profile's per-mutation checks.
-        checked = _make_shard_run(
-            problem, "dds", 100, False, False, incumbent, None, None
-        )
-        assert isinstance(checked, _ShardRun)
+def test_make_policy_defaults_to_the_install_engine():
+    """The default is install-dependent: the compiled kernel when built
+    (bit-identical, faster), the pure fast engine otherwise."""
+    policy = make_policy("dds", "lxf", node_limit=500)
+    assert policy.searcher.engine == default_engine()
+    assert policy.searcher.engine == ("compiled" if have_compiled() else "fast")
 
 
-@needs_kernel
-def test_parallel_engine_identity_with_and_without_kernel(monkeypatch):
-    """The merged parallel result is invariant to whether shards ran in C
-    — prune on and off, truncating budget."""
-    problem = build_problem("fcfs")
-    for prune in (False, True):
-        with_kernel = _search(
-            "parallel", problem, "lds", 800,
-            prune=prune, record_anytime=True, search_workers=1,
-        )
-        monkeypatch.setattr(ckernel, "_impl", None)
-        without = _search(
-            "parallel", problem, "lds", 800,
-            prune=prune, record_anytime=True, search_workers=1,
-        )
-        monkeypatch.undo()
-        assert fingerprint(with_kernel) == fingerprint(without)
-
-
-@needs_kernel
-def test_shard_seeding_reports_improvement_only():
-    """A shard seeded with an unbeatable incumbent reports no order (the
-    merge's "nothing better here"); a beatable one reports the strict
-    improvement it found."""
-    problem = SMALL.to_problem()
-    with sanitized(False):
-        unbeatable = ScheduleScore(0.0, 0.0, 4)
-        run = compiled_shard_run(problem, "dds", None, False, False, unbeatable)
-        assert run is not None
-        run.run_shard(1, (1,), 1)
-        assert run.best_order == ()
-        assert run.best_score == unbeatable
-
-        beatable = ScheduleScore(1e18, 1e18, 4)
-        run2 = compiled_shard_run(problem, "dds", None, False, False, beatable)
-        assert run2 is not None
-        run2.run_shard(1, (1,), 1)
-        assert run2.best_order
-        assert run2.best_score < beatable
-
-
-def test_non_two_level_incumbent_stays_pure_python():
-    """MultiScore incumbents (custom criteria) never enter the kernel."""
-    from repro.core.criteria import MultiScore
-
-    problem = SMALL.to_problem()
-    incumbent = MultiScore(levels=(1.0, 2.0), n_jobs=4)
-    assert compiled_shard_run(problem, "dds", 10, False, False, incumbent) is None
+def test_make_policy_honours_pure_python_opt_out(monkeypatch):
+    monkeypatch.setenv("REPRO_PURE_PYTHON", "1")
+    assert default_engine() == "fast"
+    assert make_policy("dds", "lxf", node_limit=500).searcher.engine == "fast"
 
 
 # ----------------------------------------------------------------------

@@ -4,12 +4,13 @@ oracle at once.
 Each Hypothesis draw is an :class:`tests.oracles.InstanceSpec` — plain
 data with a readable repr, so a shrunk counterexample can be pasted
 straight into a deterministic regression test.  For every instance the
-three engines must agree bit-for-bit (fingerprint identity), and none of
-them may ever report a score better than the exact solver's provable
-optimum; with no node budget they must attain it exactly.
+engines must agree bit-for-bit (fingerprint identity), with and without
+branch-and-bound pruning, and none of them may ever report a score
+better than the exact solver's provable optimum; with no node budget
+they must attain it exactly.
 
 The fixed-problem and full-replay differential tests live in
-``test_search_fastpath.py`` / ``test_parallel_search.py``; the exact
+``test_search_fastpath.py`` / ``test_compiled_kernel.py``; the exact
 solver's own certificate lives in ``test_exact.py``.  This file is the
 random-instance sweep tying them together.
 """
@@ -39,20 +40,19 @@ FUZZ = settings(
     spec=instance_specs(min_jobs=0, max_jobs=5),
     algorithm=st.sampled_from(["dds", "lds"]),
     node_limit=st.sampled_from([7, 64, None]),
+    prune=st.booleans(),
 )
 @FUZZ
 def test_engines_bit_identical_on_random_instances(
-    spec: InstanceSpec, algorithm: str, node_limit: int | None
+    spec: InstanceSpec, algorithm: str, node_limit: int | None, prune: bool
 ):
-    """fast == reference == parallel on arbitrary instances — at a budget
-    that truncates mid-iteration, a roomier one, and exhaustively.
-    ``min_jobs=0`` keeps the empty decision point in the fuzzed domain
-    (every engine must normalise it through the ordinary leaf path, not a
-    bespoke early return), and ``record_anytime=True`` extends identity to
-    the improvement trace.  ``search_workers=1`` keeps the parallel
-    engine on its in-process sharding path (the pool protocol itself is
-    replay-tested elsewhere); determinism demands worker-count
-    invariance, so one worker speaks for all.  The compiled kernel
+    """fast == reference (== compiled) on arbitrary instances — at a
+    budget that truncates mid-iteration, a roomier one, and exhaustively,
+    with and without pruning (the pruned node accounting is part of the
+    contract too).  ``min_jobs=0`` keeps the empty decision point in the
+    fuzzed domain (every engine must normalise it through the ordinary
+    leaf path, not a bespoke early return), and ``record_anytime=True``
+    extends identity to the improvement trace.  The compiled kernel
     participates whenever its extension is importable
     (``CONFORMANCE_ENGINES`` resolves that once for the suite)."""
     problem = spec.to_problem()
@@ -62,7 +62,7 @@ def test_engines_bit_identical_on_random_instances(
                 algorithm,
                 node_limit=node_limit,
                 engine=engine,
-                search_workers=1,
+                prune=prune,
                 record_anytime=True,
             ).search(problem)
         )
@@ -70,6 +70,29 @@ def test_engines_bit_identical_on_random_instances(
     }
     reference = prints["fast"]
     assert all(p == reference for p in prints.values()), prints
+
+
+@given(
+    spec=instance_specs(min_jobs=0, max_jobs=5),
+    algorithm=st.sampled_from(["dds", "lds"]),
+    node_limit=st.sampled_from([7, 64, None]),
+)
+@FUZZ
+def test_pruning_never_costs_quality_at_equal_budget(
+    spec: InstanceSpec, algorithm: str, node_limit: int | None
+):
+    """Pruning only skips subtrees that cannot strictly beat the incumbent,
+    so at an equal node budget the pruned search is at least as far along
+    the same traversal: its score is never worse, and whenever the
+    unpruned search covered the whole tree the two are equal."""
+    problem = spec.to_problem()
+    plain = DiscrepancySearch(algorithm, node_limit=node_limit).search(problem)
+    pruned = DiscrepancySearch(algorithm, node_limit=node_limit, prune=True).search(
+        problem
+    )
+    assert not (plain.best_score < pruned.best_score)
+    if not plain.limit_hit:
+        assert pruned.best_score == plain.best_score
 
 
 @given(

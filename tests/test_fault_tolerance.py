@@ -1,12 +1,12 @@
 """Differential chaos tests: injected faults must not change any result.
 
 This is the acceptance suite of the fault-tolerance layer
-(``docs/robustness.md``): with a seeded :class:`FaultPlan` killing pool
-workers, failing result transport, refusing pool spawns, and corrupting
-run-cache entries, every ``PolicyRun`` and every ``SearchResult`` must
-come out **bit-identical** to its fault-free twin — recovery may cost
-wall time, never correctness.  Cache corruption must additionally be
-*quarantined*: logged with a reason, moved aside, counted, and never
+(``docs/robustness.md``): with a seeded :class:`FaultPlan` killing a
+pool worker, refusing the pool's spawn, failing result transport, or
+corrupting run-cache entries, every decision and every ``PolicyRun``
+must come out **bit-identical** to its fault-free twin — recovery may
+cost wall time, never correctness.  Cache corruption must additionally
+be *quarantined*: logged with a reason, moved aside, counted, and never
 served as a hit.
 """
 
@@ -16,12 +16,14 @@ import json
 
 import pytest
 
-from repro.core.search import DiscrepancySearch, SearchResult
-from repro.experiments.bench import build_problem
+from repro.cli import parse_policy
 from repro.experiments.cache import QUARANTINE_DIR, RunCache
 from repro.experiments.parallel import PolicySpec, RunSpec, WorkloadSpec, run_grid
+from repro.service.executor import DecisionLadder, LadderConfig
+from repro.simulator.cluster import Cluster
 from repro.util import workerpool
 from repro.util.faults import FaultPlan, faults_suppressed, injected_faults
+from tests.conftest import make_job, small_cluster
 
 WORKLOADS = [
     WorkloadSpec("2003-06", seed=11, scale=0.03),
@@ -32,19 +34,6 @@ POLICIES = [
     PolicySpec("dds/lxf/dynB", node_limit=64),
 ]
 GRID = [RunSpec(w, p) for w in WORKLOADS for p in POLICIES]
-
-
-def _fingerprint(result: SearchResult) -> tuple:
-    return (
-        tuple(j.job_id for j in result.best_order),
-        tuple(sorted(result.best_starts.items())),
-        result.best_score,
-        result.nodes_visited,
-        result.leaves_evaluated,
-        result.iterations_started,
-        result.limit_hit,
-        result.improved_after_first,
-    )
 
 
 def grid_signatures(outcome) -> list[tuple]:
@@ -72,63 +61,46 @@ def _fresh_pools():
 
 
 # ----------------------------------------------------------------------
-# Worker-pool faults: the parallel search engine
+# Worker-pool faults: the service's search:pool rung
 # ----------------------------------------------------------------------
-def test_search_identical_with_worker_crash_every_dispatch():
-    """Kill a real pool worker before every dispatch (until the respawn
-    budget runs dry and the engine goes inline): bit-identical results."""
-    problem = build_problem("lxf", n_jobs=30)
-    clean = DiscrepancySearch("dds", node_limit=2000, engine="fast").search(problem)
-    with injected_faults(FaultPlan.parse("seed=5,worker.crash=1.0")) as injector:
-        chaotic = DiscrepancySearch(
-            "dds", node_limit=2000, engine="parallel", search_workers=2
-        ).search(problem)
-    assert injector.fired["worker.crash"] >= 1
-    assert _fingerprint(chaotic) == _fingerprint(clean)
+@pytest.mark.parametrize("site", ["worker.crash", "worker.spawn", "worker.result"])
+def test_pool_fault_costs_one_rung_not_the_decision(site):
+    """One fault on the pool round trip — ``worker.crash`` kills the
+    pool's worker for real just before the decision is submitted to it,
+    ``worker.spawn`` refuses the executor, ``worker.result`` fails the
+    transport — fails the rung once, feeds the breaker, spends one respawn
+    credit, and the inline ``search`` rung returns exactly what a
+    fault-free ladder decides.  The respawned pool then serves the next
+    decision."""
+    cluster = Cluster(small_cluster(8))
+    waiting = tuple(
+        make_job(job_id=i, submit=0.0, nodes=1 + i % 4, runtime=600.0 * i, waiting=True)
+        for i in range(1, 7)
+    )
 
+    def ladder():
+        return DecisionLadder(
+            parse_policy("dds/lxf/dynB", 200, True), LadderConfig(pool_workers=1)
+        )
 
-def test_search_identical_with_transport_faults():
-    problem = build_problem("fcfs", n_jobs=30)
-    clean = DiscrepancySearch("lds", node_limit=2000, engine="fast").search(problem)
-    with injected_faults(FaultPlan.parse("seed=5,worker.result=0.5")) as injector:
-        chaotic = DiscrepancySearch(
-            "lds", node_limit=2000, engine="parallel", search_workers=2
-        ).search(problem)
-    assert injector.checked["worker.result"] >= 1
-    assert _fingerprint(chaotic) == _fingerprint(clean)
+    with faults_suppressed():
+        expected, mode, _ = ladder().decide(0.0, waiting, (), cluster)
+        workerpool.shutdown_all()  # the chaotic ladder spawns its own pool
+    assert mode == "search:pool" and expected
 
+    chaotic = ladder()
+    with injected_faults(FaultPlan.parse(f"seed=5,{site}=1.0/1")) as injector:
+        jobs, mode, degraded = chaotic.decide(0.0, waiting, (), cluster)
+        assert injector.fired[site] == 1
+        assert (jobs, mode, degraded) == (expected, "search", False)
+        assert chaotic.stats["pool_failures"] == 1
+        assert chaotic.breaker.failures == 1
+        pool = workerpool.get_pool(1)
+        assert pool.respawns_used == 1 and not pool.failed
 
-def test_search_identical_when_pool_cannot_spawn():
-    """worker.spawn always failing exhausts the respawn budget and lands
-    on the permanent inline fallback — still bit-identical."""
-    problem = build_problem("lxf", n_jobs=30)
-    clean = DiscrepancySearch("dds", node_limit=2000, engine="fast").search(problem)
-    with injected_faults(FaultPlan.parse("seed=5,worker.spawn=1.0")) as injector:
-        chaotic = DiscrepancySearch(
-            "dds", node_limit=2000, engine="parallel", search_workers=2
-        ).search(problem)
-    assert injector.fired["worker.spawn"] >= 1
-    pool = workerpool.get_pool(2)
-    assert pool.failed and pool.respawns_used == pool.max_respawns
-    assert _fingerprint(chaotic) == _fingerprint(clean)
-
-
-@pytest.mark.tier2
-def test_simulation_grid_identical_under_worker_chaos():
-    """A full workload simulation through the parallel-search policy under
-    crash + transport faults matches the fault-free run — the ISSUE's
-    "kill at least one worker per decision batch" acceptance clause."""
-    grid = [
-        RunSpec(w, PolicySpec("dds/lxf/dynB", node_limit=64, search_workers=2))
-        for w in WORKLOADS
-    ]
-    clean = run_grid(grid, max_workers=1)
-    plan = FaultPlan.parse("seed=9,worker.crash=0.3/4,worker.result=0.2/3")
-    with injected_faults(plan) as injector:
-        workerpool.shutdown_all()  # fresh pools so crashes hit this grid
-        chaotic = run_grid(grid, max_workers=1)
-    assert injector.checked["worker.crash"] >= 1
-    assert grid_signatures(chaotic) == grid_signatures(clean)
+        jobs, mode, degraded = chaotic.decide(0.0, waiting, (), cluster)
+        assert (jobs, mode, degraded) == (expected, "search:pool", False)
+        assert chaotic.breaker.failures == 0
 
 
 # ----------------------------------------------------------------------
@@ -200,34 +172,3 @@ def test_hand_corrupted_entry_never_crashes_or_hits(tmp_path):
     assert warm.cache_hits == 0
     assert cache.quarantined == 1
     assert grid_signatures(warm) == grid_signatures(clean)
-
-
-# ----------------------------------------------------------------------
-# The combined acceptance scenario from the ISSUE
-# ----------------------------------------------------------------------
-@pytest.mark.tier2
-def test_acceptance_combined_fault_plan(tmp_path):
-    """One plan killing workers *and* corrupting cache entries across a
-    grid: results bit-identical, corruption quarantined, no crash."""
-    grid = [
-        RunSpec(w, p)
-        for w in WORKLOADS
-        for p in (
-            PolicySpec("fcfs-bf", node_limit=0),
-            PolicySpec("dds/lxf/dynB", node_limit=64, search_workers=2),
-        )
-    ]
-    clean = run_grid(grid, max_workers=1)
-    cache = RunCache(tmp_path / "cache")
-    plan = FaultPlan.parse(
-        "seed=2005,worker.crash=1.0/2,worker.result=0.25/2,cache.write=0.5"
-    )
-    with injected_faults(plan) as injector:
-        workerpool.shutdown_all()  # fresh pools so the crashes hit this grid
-        first = run_grid(grid, max_workers=1, cache=cache)
-        warm = run_grid(grid, max_workers=1, cache=cache)
-    assert injector.fired["worker.crash"] >= 1
-    assert injector.fired["cache.write"] >= 1
-    assert grid_signatures(first) == grid_signatures(clean)
-    assert grid_signatures(warm) == grid_signatures(clean)
-    assert cache.quarantined >= 1

@@ -8,7 +8,7 @@ fixed search problems, per-decision over a full workload replay, and
 under the ``REPRO_SANITIZE=1`` invariant checker.
 
 Fingerprinting, replay plumbing and instance builders live in
-``tests/oracles.py`` (shared with the parallel-engine and exact-solver
+``tests/oracles.py`` (shared with the compiled-kernel and exact-solver
 differential suites).
 """
 

@@ -25,6 +25,7 @@ from repro.core.search import DiscrepancySearch, SearchProblem
 from repro.util.timeunits import HOUR
 
 from tests.conftest import make_job
+from tests.oracles import CONFORMANCE_ENGINES, fingerprint
 
 N_JOBS = 6
 #: Distinct prefixes across all iterations' permutation paths, for this
@@ -129,7 +130,7 @@ def _problem(jobs=()):
     )
 
 
-@pytest.mark.parametrize("engine", ["fast", "reference", "parallel"])
+@pytest.mark.parametrize("engine", CONFORMANCE_ENGINES)
 @pytest.mark.parametrize("algorithm", ["dds", "lds"])
 def test_empty_queue_follows_every_result_convention(engine, algorithm):
     """n = 0 takes the normal iteration-0 path, not a bespoke early
@@ -142,7 +143,6 @@ def test_empty_queue_follows_every_result_convention(engine, algorithm):
         algorithm,
         node_limit=10,
         engine=engine,
-        search_workers=1,
         record_anytime=True,
     )
     result = search.search(_problem())
@@ -188,11 +188,11 @@ def test_deadline_poll_independent_of_node_counter_stride():
 
 @pytest.mark.parametrize("algorithm", ["dds", "lds"])
 def test_expired_time_limit_is_bit_identical_across_serial_engines(algorithm):
-    """A wall-clock deadline in the past: both serial engines must stop
+    """A wall-clock deadline in the past: both python engines must stop
     at the same node (the 64th budget check after the exempt first
-    leaf), yielding identical fingerprints.  The parallel engine rejects
-    time limits by contract, so the pair is the whole domain."""
-    from tests.oracles import fingerprint
+    leaf), yielding identical fingerprints.  The compiled engine hands
+    time-limited searches to the fast one, so the pair is the whole
+    domain."""
 
     jobs = [
         make_job(job_id=i, submit=0.0, nodes=1 + i % 3, runtime=HOUR, waiting=True)

@@ -1,9 +1,9 @@
 """Tests of the persistent worker pool (``repro.util.workerpool``).
 
-The pool's contract toward the parallel search engine: lazily spawned,
-persistent across uses, registry-deduplicated per worker count, carries a
-pre-fork shared blackboard, and degrades (never raises) into "unavailable"
-when broken — the engine then runs shards inline.
+The pool's contract toward the decision service's ``search:pool`` rung:
+lazily spawned, persistent across uses, registry-deduplicated per worker
+count, and degrades (never raises) into "unavailable" when broken — the
+ladder then decides inline.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import pytest
 
 from repro.util import workerpool
 from repro.util.workerpool import (
-    BLACKBOARD_SLOTS,
     WorkerPool,
     available_cores,
     get_pool,
@@ -22,13 +21,6 @@ from repro.util.workerpool import (
 
 def _square(x: int) -> int:
     return x * x
-
-
-def _read_blackboard_slot(index: int) -> float:
-    board = workerpool.worker_blackboard()
-    assert board is not None, "initializer did not install the blackboard"
-    with board.get_lock():
-        return float(board[index])
 
 
 @pytest.fixture(autouse=True)
@@ -53,8 +45,6 @@ def test_pool_lifecycle_and_submit():
     assert not pool.started
     assert pool.ensure_started()
     assert pool.started
-    assert pool.blackboard is not None
-    assert len(pool.blackboard) == BLACKBOARD_SLOTS
     assert pool.submit(_square, 7).result(timeout=60) == 49
     # ensure_started is idempotent: same executor, no respawn.
     assert pool.ensure_started()
@@ -63,17 +53,6 @@ def test_pool_lifecycle_and_submit():
     # A plain shutdown leaves the pool reusable.
     assert pool.ensure_started(warm=False)
     assert pool.submit(_square, 3).result(timeout=60) == 9
-    pool.shutdown()
-
-
-def test_workers_inherit_blackboard():
-    """The shared array is created before the fork and visible in every
-    worker via the initializer."""
-    pool = WorkerPool(2)
-    assert pool.ensure_started()
-    with pool.blackboard.get_lock():
-        pool.blackboard[3] = 2.5
-    assert pool.submit(_read_blackboard_slot, 3).result(timeout=60) == 2.5
     pool.shutdown()
 
 
@@ -192,13 +171,6 @@ def test_warmup_deadline_env_override(monkeypatch):
 def test_respawn_budget_env_override(monkeypatch):
     monkeypatch.setenv("REPRO_POOL_RESPAWNS", "5")
     assert WorkerPool(1).max_respawns == 5
-
-
-def test_task_deadline_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_TASK_DEADLINE", "7.5")
-    assert workerpool.task_deadline() == 7.5
-    monkeypatch.setenv("REPRO_TASK_DEADLINE", "0")
-    assert workerpool.task_deadline() is None  # disabled
 
 
 def test_retry_backoff_is_deterministic_and_capped():
