@@ -26,6 +26,7 @@ degradations labeled) are *structural* and checked exactly.
 from __future__ import annotations
 
 import asyncio
+import os
 import platform
 import sys
 import time
@@ -157,6 +158,14 @@ async def _run(
     }
 
 
+def _available_cores() -> int:
+    """CPUs this process may actually use (affinity-aware)."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:  # pragma: no cover - non-Linux platforms
+        return os.cpu_count() or 1
+
+
 def run_loadgen(
     quick: bool = False,
     tenants: int | None = None,
@@ -165,8 +174,6 @@ def run_loadgen(
     deadline: float = 2.0,
 ) -> dict[str, Any]:
     """Run the service benchmark and build the report dict."""
-    from repro.util.workerpool import available_cores
-
     if tenants is None:
         tenants = QUICK_TENANTS if quick else FULL_TENANTS
     if requests is None:
@@ -178,7 +185,7 @@ def run_loadgen(
         "quick": quick,
         "policy": f"DDS/lxf/dynB@L={BENCH_NODE_LIMIT}",
         "cluster_nodes": BENCH_NODES,
-        "cores": available_cores(),
+        "cores": _available_cores(),
         "compiled_available": have_compiled(),
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),

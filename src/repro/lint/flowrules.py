@@ -305,13 +305,13 @@ def _is_pool_submit(call: ast.Call, unit: FunctionUnit, element: Element) -> boo
     lowered = receiver.lower()
     if "pool" in lowered or "executor" in lowered:
         return True
-    # Alias check: was the receiver bound from get_pool()/an Executor?
+    # Alias check: was the receiver bound from an Executor?
     if isinstance(call.func.value, ast.Name):
         for definition in unit.dataflow.defs_of(element, call.func.value.id):
             value = definition.value
             if isinstance(value, ast.Call):
                 callee = dotted_name(value.func) or ""
-                if callee.endswith("get_pool") or callee.endswith("Executor"):
+                if callee.endswith("Executor"):
                     return True
     return False
 
@@ -377,9 +377,6 @@ def _check_sim008(
 #: Frozen fallback if the live registry cannot be imported (e.g. linting
 #: from a checkout without the package importable).
 _SITES_FALLBACK = (
-    "worker.spawn",
-    "worker.crash",
-    "worker.result",
     "cache.read",
     "cache.write",
     "engine.step",

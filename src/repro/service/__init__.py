@@ -3,8 +3,8 @@
 The batch simulator answers "what would this policy have done over a
 month"; this package answers the production question — "which jobs start
 *right now*" — for many independent clusters (tenants) at once, and it
-answers **every** request within a per-tenant deadline even while workers
-crash, snapshots rot and queues overflow.  The pieces:
+answers **every** request within a per-tenant deadline even while decisions
+fail, snapshots rot and queues overflow.  The pieces:
 
 - :mod:`repro.service.api` — the request/response dataclasses and the
   per-tenant SLO (deadline, grace, queue bound, retry budget);
@@ -13,10 +13,9 @@ crash, snapshots rot and queues overflow.  The pieces:
   :meth:`repro.simulator.engine.Simulation.consume_batch`, so a fault-free
   tenant's decision stream is bit-identical to a batch run of the same
   trace and no request ever replays it;
-- :mod:`repro.service.executor` — the degradation ladder (full search,
-  pool-offloaded or inline → deadline-bounded anytime search → pure
-  backfill heuristic) plus the circuit breaker over the supervised worker
-  pool;
+- :mod:`repro.service.executor` — the degradation ladder (full search →
+  deadline-bounded anytime search → pure backfill heuristic → start
+  nothing);
 - :mod:`repro.service.service` — the asyncio front end: admission
   control, bounded per-tenant queues with explicit load shedding,
   per-request retry with deterministic backoff, and periodic tenant
@@ -39,7 +38,7 @@ from repro.service.api import (
     JobSpec,
     TenantSLO,
 )
-from repro.service.executor import CircuitBreaker, DecisionLadder, LadderConfig
+from repro.service.executor import DecisionLadder
 from repro.service.recovery import (
     latest_tenant_snapshot,
     restore_tenant,
@@ -54,14 +53,12 @@ from repro.service.tenant import TenantEngine, TenantError
 
 __all__ = [
     "AdmissionError",
-    "CircuitBreaker",
     "Decision",
     "DecisionLadder",
     "DecisionRequest",
     "DecisionResponse",
     "DecisionService",
     "JobSpec",
-    "LadderConfig",
     "ServiceConfig",
     "TenantEngine",
     "TenantError",

@@ -182,7 +182,7 @@ class Decision:
     A single request can yield several decisions (one per distinct event
     time drained), each numbered by the tenant's monotonically increasing
     decision sequence.  ``mode`` names the ladder rung that produced it
-    (``search``, ``search:pool``, ``anytime``, ``heuristic``) and
+    (``search``, ``anytime``, ``heuristic``, ``noop``) and
     ``degraded`` is True whenever the rung is weaker than the tenant's
     primary policy.
     """

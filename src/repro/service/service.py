@@ -15,9 +15,8 @@ to innermost:
   tenant state.
 - **Intake retry**: the ``service.request`` fault site models transient
   intake failures; they are retried up to the SLO's ``max_retries`` with
-  the worker pool's deterministic :func:`~repro.util.workerpool
-  .retry_backoff` pacing, then surface as ``status="error"`` — never a
-  hang, never a lost request.
+  deterministic :func:`retry_backoff` pacing, then surface as
+  ``status="error"`` — never a hang, never a lost request.
 - **Deadline pressure**: a request's budget starts when it is *enqueued*,
   so a backlog eats into the budget and pushes the degradation ladder
   (:mod:`repro.service.executor`) down to cheaper rungs until the queue
@@ -45,9 +44,10 @@ from repro.service.api import (
     DecisionResponse,
     TenantSLO,
 )
-from repro.service.executor import CircuitBreaker, DecisionLadder, LadderConfig
+from repro.service.executor import DecisionLadder
 from repro.service.recovery import (
     latest_tenant_snapshot,
+    log,
     snapshot_tenant,
     valid_tenant_id,
 )
@@ -55,7 +55,6 @@ from repro.service.tenant import TenantEngine, TenantError
 from repro.simulator.cluster import ClusterConfig
 from repro.simulator.policy import SchedulingPolicy
 from repro.util import faults
-from repro.util.workerpool import retry_backoff
 
 #: Builds a fresh primary policy for a newly registered tenant.
 PolicyFactory = Callable[[str], SchedulingPolicy]
@@ -65,13 +64,21 @@ class AdmissionError(ValueError):
     """The service refused to admit a tenant or accept a request."""
 
 
+def retry_backoff(attempt: int, base: float = 0.05, cap: float = 0.5) -> float:
+    """Deterministic exponential backoff delay (seconds) for retry ``attempt``.
+
+    Purely a pacing aid between intake retries — it cannot affect results,
+    only wall time, so there is no jitter to keep replay exact.
+    """
+    return min(base * (2.0 ** max(0, attempt)), cap)
+
+
 @dataclass
 class ServiceConfig:
     """Service-wide knobs (per-tenant knobs live in :class:`TenantSLO`)."""
 
     max_tenants: int = 64
     default_slo: TenantSLO = field(default_factory=TenantSLO)
-    ladder: LadderConfig = field(default_factory=LadderConfig)
     #: Directory for tenant snapshots; ``None`` disables persistence.
     snapshot_root: str | Path | None = None
     snapshot_every_decisions: int = 64
@@ -121,12 +128,6 @@ class DecisionService:
         self.config = config or ServiceConfig()
         self.cluster_config = cluster_config
         self._tenants: dict[str, _Tenant] = {}
-        #: Pool health is a process-wide property, so one breaker guards
-        #: the pool rung across every tenant's ladder.
-        self.breaker = CircuitBreaker(
-            threshold=self.config.ladder.breaker_threshold,
-            probe_after=self.config.ladder.breaker_probe_after,
-        )
         self._closed = False
         self.stats: dict[str, int] = {
             "requests": 0,
@@ -185,9 +186,7 @@ class DecisionService:
         self._tenants[tenant_id] = _Tenant(
             engine=engine,
             slo=slo,
-            ladder=DecisionLadder(
-                engine.sim.policy, self.config.ladder, breaker=self.breaker
-            ),
+            ladder=DecisionLadder(engine.sim.policy),
             queue=asyncio.Queue(maxsize=slo.queue_limit),
             snapshotted_at=engine.decision_count,
         )
@@ -208,7 +207,7 @@ class DecisionService:
     async def submit(self, request: DecisionRequest) -> DecisionResponse:
         """Enqueue with backpressure: waits for queue space, then for the
         response.  An awaited submission is always answered."""
-        tenant = self._require(request.tenant)
+        tenant = self._admit(request)
         pending = self._pending(request)
         await tenant.queue.put(pending)
         self._ensure_consumer(tenant)
@@ -221,7 +220,7 @@ class DecisionService:
         response says so (``status="shed"``) and tenant state is
         untouched; the client retries when the backlog clears.
         """
-        tenant = self._require(request.tenant)
+        tenant = self._admit(request)
         pending = self._pending(request)
         try:
             tenant.queue.put_nowait(pending)
@@ -236,6 +235,13 @@ class DecisionService:
             )
         self._ensure_consumer(tenant)
         return await pending.future
+
+    def _admit(self, request: DecisionRequest) -> _Tenant:
+        # After close() the final snapshot is taken and no consumer will
+        # be stopped again, so a late request must not reach the engine.
+        if self._closed:
+            raise AdmissionError("service is closed")
+        return self._require(request.tenant)
 
     def _pending(self, request: DecisionRequest) -> _Pending:
         loop = asyncio.get_running_loop()
@@ -361,9 +367,8 @@ class DecisionService:
     def snapshot_now(self, tenant_id: str) -> Path | None:
         """Persist one tenant snapshot immediately (also used at close).
 
-        A failed save is logged by the recovery layer's caller contract —
-        it must not fail the request that triggered it; the previous
-        snapshot is still on disk.
+        A failed save is logged and must not fail the request that
+        triggered it; the previous snapshot is still on disk.
         """
         root = self.config.snapshot_root
         if root is None:
@@ -373,9 +378,11 @@ class DecisionService:
             path = snapshot_tenant(
                 tenant.engine, root, keep=self.config.snapshot_keep
             )
-        except Exception:
-            # A failed save must not fail the request that triggered it;
-            # the previous snapshot is still on disk.
+        except Exception as exc:
+            log.warning(
+                "snapshot of tenant %s at decision %d failed: %s",
+                tenant_id, tenant.engine.decision_count, exc,
+            )
             return None
         tenant.snapshotted_at = tenant.engine.decision_count
         self.stats["snapshots"] += 1

@@ -1,6 +1,6 @@
 """Deterministic, plan-driven fault injection for the robustness layer.
 
-Production failures — a pool worker segfaulting mid-decision, a run-cache
+Production failures — a decision raising mid-request, a run-cache
 entry truncated by a power loss, a simulation process OOM-killed a week
 into a month — are rare, uncorrelated, and miserable to reproduce.  This
 module makes them *first-class, replayable inputs*: a :class:`FaultPlan`
@@ -15,10 +15,6 @@ draws never depend on worker scheduling):
 ========================  ====================================================
 site                      what firing means
 ========================  ====================================================
-``worker.spawn``          the worker pool fails to start its executor
-``worker.crash``          a live pool worker is killed abruptly (the real
-                          ``BrokenProcessPool`` path, not a simulation of it)
-``worker.result``         result transport from a pool worker fails
 ``cache.read``            a run-cache read observes torn/corrupt content
 ``cache.write``           a run-cache write persists corrupted bytes
 ``engine.step``           the simulation engine dies at a decision point
@@ -35,7 +31,7 @@ Enable via the ``REPRO_FAULTS`` environment variable or
 :func:`set_fault_plan` / :func:`injected_faults` from code.  The plan
 grammar is comma- or whitespace-separated tokens::
 
-    REPRO_FAULTS="seed=2005,worker.crash=0.4,cache.write=1.0/3,engine.step=1@120"
+    REPRO_FAULTS="seed=2005,service.decide=0.4,cache.write=1.0/3,engine.step=1@120"
 
 - ``seed=N`` seeds every site's stream (default 0);
 - ``site=rate`` fires with probability ``rate`` per consultation;
@@ -61,9 +57,6 @@ from repro.util.rng import RngStream
 
 #: Every valid injection site (typo guard for plans).
 SITES: tuple[str, ...] = (
-    "worker.spawn",
-    "worker.crash",
-    "worker.result",
     "cache.read",
     "cache.write",
     "engine.step",

@@ -1,10 +1,8 @@
 """Differential chaos tests: injected faults must not change any result.
 
 This is the acceptance suite of the fault-tolerance layer
-(``docs/robustness.md``): with a seeded :class:`FaultPlan` killing a
-pool worker, refusing the pool's spawn, failing result transport, or
-corrupting run-cache entries, every decision and every ``PolicyRun``
-must come out **bit-identical** to its fault-free twin — recovery may
+(``docs/robustness.md``): with a seeded :class:`FaultPlan` corrupting
+run-cache entries, every ``PolicyRun`` must come out **bit-identical** to its fault-free twin — recovery may
 cost wall time, never correctness.  Cache corruption must additionally
 be *quarantined*: logged with a reason, moved aside, counted, and never
 served as a hit.
@@ -14,16 +12,9 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
-from repro.cli import parse_policy
 from repro.experiments.cache import QUARANTINE_DIR, RunCache
 from repro.experiments.parallel import PolicySpec, RunSpec, WorkloadSpec, run_grid
-from repro.service.executor import DecisionLadder, LadderConfig
-from repro.simulator.cluster import Cluster
-from repro.util import workerpool
 from repro.util.faults import FaultPlan, faults_suppressed, injected_faults
-from tests.conftest import make_job, small_cluster
 
 WORKLOADS = [
     WorkloadSpec("2003-06", seed=11, scale=0.03),
@@ -50,57 +41,6 @@ def grid_signatures(outcome) -> list[tuple]:
         )
         for r in outcome.runs
     ]
-
-
-@pytest.fixture(autouse=True)
-def _fresh_pools():
-    """Chaos kills pools; never leak a broken one into another test."""
-    workerpool.shutdown_all()
-    yield
-    workerpool.shutdown_all()
-
-
-# ----------------------------------------------------------------------
-# Worker-pool faults: the service's search:pool rung
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("site", ["worker.crash", "worker.spawn", "worker.result"])
-def test_pool_fault_costs_one_rung_not_the_decision(site):
-    """One fault on the pool round trip — ``worker.crash`` kills the
-    pool's worker for real just before the decision is submitted to it,
-    ``worker.spawn`` refuses the executor, ``worker.result`` fails the
-    transport — fails the rung once, feeds the breaker, spends one respawn
-    credit, and the inline ``search`` rung returns exactly what a
-    fault-free ladder decides.  The respawned pool then serves the next
-    decision."""
-    cluster = Cluster(small_cluster(8))
-    waiting = tuple(
-        make_job(job_id=i, submit=0.0, nodes=1 + i % 4, runtime=600.0 * i, waiting=True)
-        for i in range(1, 7)
-    )
-
-    def ladder():
-        return DecisionLadder(
-            parse_policy("dds/lxf/dynB", 200, True), LadderConfig(pool_workers=1)
-        )
-
-    with faults_suppressed():
-        expected, mode, _ = ladder().decide(0.0, waiting, (), cluster)
-        workerpool.shutdown_all()  # the chaotic ladder spawns its own pool
-    assert mode == "search:pool" and expected
-
-    chaotic = ladder()
-    with injected_faults(FaultPlan.parse(f"seed=5,{site}=1.0/1")) as injector:
-        jobs, mode, degraded = chaotic.decide(0.0, waiting, (), cluster)
-        assert injector.fired[site] == 1
-        assert (jobs, mode, degraded) == (expected, "search", False)
-        assert chaotic.stats["pool_failures"] == 1
-        assert chaotic.breaker.failures == 1
-        pool = workerpool.get_pool(1)
-        assert pool.respawns_used == 1 and not pool.failed
-
-        jobs, mode, degraded = chaotic.decide(0.0, waiting, (), cluster)
-        assert (jobs, mode, degraded) == (expected, "search:pool", False)
-        assert chaotic.breaker.failures == 0
 
 
 # ----------------------------------------------------------------------

@@ -27,26 +27,35 @@ from repro.util.faults import (
 # ----------------------------------------------------------------------
 def test_parse_full_grammar():
     plan = FaultPlan.parse(
-        "seed=7,worker.crash=0.25, cache.write=1.0/3 engine.step=1@120"
+        "seed=7,service.decide=0.25, cache.write=1.0/3 engine.step=1@120"
     )
     assert plan.seed == 7
-    assert plan.sites["worker.crash"] == SiteSpec(rate=0.25)
+    assert plan.sites["service.decide"] == SiteSpec(rate=0.25)
     assert plan.sites["cache.write"] == SiteSpec(rate=1.0, limit=3)
     assert plan.sites["engine.step"] == SiteSpec(rate=1.0, after=120)
 
 
 def test_parse_roundtrips_through_describe():
-    text = "seed=7,cache.write=1/3,engine.step=1@120,worker.crash=0.25"
+    text = "seed=7,cache.write=1/3,engine.step=1@120,service.decide=0.25"
     plan = FaultPlan.parse(text)
     assert FaultPlan.parse(plan.describe()) == plan
 
 
 def test_unknown_site_rejected():
     with pytest.raises(ValueError, match="unknown fault sites"):
-        FaultPlan.parse("seed=1,worker.sponn=0.5")
+        FaultPlan.parse("seed=1,service.decyde=0.5")
 
 
-@pytest.mark.parametrize("bad", ["worker.crash", "worker.crash=1.5", "worker.crash=-0.1"])
+def test_retired_pool_site_is_an_unknown_site():
+    """A stale plan naming a site of the retired process-pool rung must
+    fail loudly, listing what is left, not parse and fire nothing."""
+    with pytest.raises(ValueError, match="unknown fault sites") as excinfo:
+        FaultPlan.parse("seed=1,worker.crash=0.1")
+    assert len(faults.SITES) == 6
+    assert all(site in str(excinfo.value) for site in faults.SITES)
+
+
+@pytest.mark.parametrize("bad", ["service.decide", "service.decide=1.5", "service.decide=-0.1"])
 def test_malformed_tokens_rejected(bad):
     with pytest.raises(ValueError):
         FaultPlan.parse(bad)
@@ -61,23 +70,23 @@ def _firing_sequence(injector: FaultInjector, site: str, n: int) -> tuple[bool, 
 
 
 def test_same_plan_same_firing_sequence():
-    plan = FaultPlan.parse("seed=42,worker.crash=0.3")
-    a = _firing_sequence(FaultInjector(plan), "worker.crash", 200)
-    b = _firing_sequence(FaultInjector(plan), "worker.crash", 200)
+    plan = FaultPlan.parse("seed=42,service.decide=0.3")
+    a = _firing_sequence(FaultInjector(plan), "service.decide", 200)
+    b = _firing_sequence(FaultInjector(plan), "service.decide", 200)
     assert a == b
     assert any(a) and not all(a)  # a 0.3 rate actually fires sometimes
 
 
 def test_sites_draw_from_independent_streams():
     """Consulting one site must never shift when another site fires."""
-    plan = FaultPlan.parse("seed=42,worker.crash=0.3,cache.read=0.3")
-    alone = _firing_sequence(FaultInjector(plan), "worker.crash", 100)
+    plan = FaultPlan.parse("seed=42,service.decide=0.3,cache.read=0.3")
+    alone = _firing_sequence(FaultInjector(plan), "service.decide", 100)
 
     interleaved_injector = FaultInjector(plan)
     interleaved = []
     for _ in range(100):
         interleaved_injector.should_fire("cache.read")  # interleaved noise
-        interleaved.append(interleaved_injector.should_fire("worker.crash"))
+        interleaved.append(interleaved_injector.should_fire("service.decide"))
     assert tuple(interleaved) == alone
 
 
@@ -96,14 +105,14 @@ def test_after_suppresses_early_consultations():
 
 def test_unlisted_site_never_fires():
     injector = FaultInjector(FaultPlan.parse("seed=1,cache.write=1.0"))
-    assert not any(_firing_sequence(injector, "worker.crash", 50))
+    assert not any(_firing_sequence(injector, "service.decide", 50))
 
 
 def test_fire_raises_with_site_and_ordinal():
-    injector = FaultInjector(FaultPlan.parse("seed=1,worker.result=1.0"))
+    injector = FaultInjector(FaultPlan.parse("seed=1,service.request=1.0"))
     with pytest.raises(InjectedFault) as excinfo:
-        injector.fire("worker.result")
-    assert excinfo.value.site == "worker.result"
+        injector.fire("service.request")
+    assert excinfo.value.site == "service.request"
     assert excinfo.value.ordinal == 1
 
 
@@ -114,8 +123,8 @@ def test_module_level_defaults_to_no_faults():
     faults.reset_faults()
     assert faults.active_injector() is None or faults.plan_from_env() is not None
     with faults_suppressed():
-        assert not faults.should_fire("worker.crash")
-        faults.fire("worker.crash")  # must be a no-op
+        assert not faults.should_fire("service.decide")
+        faults.fire("service.decide")  # must be a no-op
 
 
 def test_env_var_activates_plan(monkeypatch):
@@ -139,10 +148,10 @@ def test_set_fault_plan_overrides_env(monkeypatch):
 
 
 def test_injected_faults_context_scopes_and_restores():
-    with injected_faults(FaultPlan.parse("seed=1,worker.spawn=1.0")) as injector:
-        assert faults.should_fire("worker.spawn")
-        assert injector.fired["worker.spawn"] == 1
+    with injected_faults(FaultPlan.parse("seed=1,service.snapshot=1.0")) as injector:
+        assert faults.should_fire("service.snapshot")
+        assert injector.fired["service.snapshot"] == 1
         with faults_suppressed():
-            assert not faults.should_fire("worker.spawn")
-        assert faults.should_fire("worker.spawn")
-    assert not faults.should_fire("worker.spawn")
+            assert not faults.should_fire("service.snapshot")
+        assert faults.should_fire("service.snapshot")
+    assert not faults.should_fire("service.snapshot")

@@ -11,24 +11,27 @@ a state that finishes the trace exactly as the batch simulator would.
 from __future__ import annotations
 
 import asyncio
+import logging
+import time
 
 import pytest
 
 from repro.backfill import fcfs_backfill
 from repro.cli import parse_policy
+from repro.predict.source import RuntimeSource
 from repro.service.api import (
     STATUSES,
     DecisionRequest,
     JobSpec,
     TenantSLO,
 )
-from repro.service.executor import (
-    MODES,
-    CircuitBreaker,
-    DecisionLadder,
-    LadderConfig,
+from repro.service.executor import MODES, DecisionLadder
+from repro.service.service import (
+    AdmissionError,
+    DecisionService,
+    ServiceConfig,
+    retry_backoff,
 )
-from repro.service.service import AdmissionError, DecisionService, ServiceConfig
 from repro.service.tenant import TenantEngine
 from repro.simulator.cluster import Cluster
 from repro.simulator.engine import Simulation
@@ -39,7 +42,7 @@ from repro.workloads.synthetic import generate_month
 from tests.conftest import make_job, small_cluster
 
 #: Degraded rungs: anything the ladder answers after the primary failed.
-DEGRADED_MODES = frozenset(MODES) - {"search:pool", "search"}
+DEGRADED_MODES = frozenset(MODES) - {"search"}
 
 
 def _workload():
@@ -177,14 +180,26 @@ def test_intake_fault_exhaustion_surfaces_error_not_hang():
     assert "1 retries" in response.error
 
 
+class _NoRuntimeBelief(RuntimeSource):
+    """A runtime source that fails: takes the heuristic rung down too."""
+
+    label = "none"
+
+    def of(self, job):
+        raise RuntimeError("no runtime belief")
+
+
 def test_decide_faults_always_degrade_never_fail():
-    """With the primary path failing on every decision, the anytime rung
-    of the search policy answers — degraded, labeled, still valid."""
+    """With the primary path failing on every decision, the next rung
+    that can answer does — degraded, labeled, still valid: the anytime
+    search for a search policy, the backfill heuristic for a policy with
+    no searcher, and starting nothing when even the heuristic fails."""
+    assert MODES == ("search", "anytime", "heuristic", "noop")
     plan = FaultPlan.parse("seed=5,service.decide=1.0")
 
-    async def scenario():
+    async def scenario(policy_factory):
         service = DecisionService(
-            lambda tenant_id: _search_policy(),
+            policy_factory,
             config=ServiceConfig(
                 default_slo=TenantSLO(deadline_seconds=10.0)
             ),
@@ -194,13 +209,60 @@ def test_decide_faults_always_degrade_never_fail():
         async with service:
             return await _drive(service, "t", 10, seed=21)
 
-    with injected_faults(plan):
-        responses = asyncio.run(scenario())
-    assert all(r.status == "ok" for r in responses)
-    assert all(r.degraded for r in responses)
-    modes = {d.mode for r in responses for d in r.decisions}
-    assert modes <= DEGRADED_MODES
-    assert "anytime" in modes  # the searcher's best-so-far rung engaged
+    reached = set()
+    for policy_factory, rung in (
+        (lambda tenant_id: _search_policy(), "anytime"),
+        (lambda tenant_id: fcfs_backfill(), "heuristic"),
+        (lambda tenant_id: fcfs_backfill(_NoRuntimeBelief()), "noop"),
+    ):
+        with injected_faults(plan):
+            responses = asyncio.run(scenario(policy_factory))
+        assert all(r.status == "ok" for r in responses)
+        assert all(r.degraded for r in responses)
+        modes = {d.mode for r in responses for d in r.decisions}
+        assert modes <= DEGRADED_MODES
+        assert rung in modes
+        reached |= modes
+    assert reached == DEGRADED_MODES
+
+
+def test_one_stall_does_not_degrade_the_tenant_for_good():
+    """A host stall inflates the full search's cost estimate past the
+    budget; the anytime rung's own measurements must bring the estimate
+    back down, because the rung it rules out can no longer correct it."""
+    policy = _search_policy()
+    ladder = DecisionLadder(policy)
+    cluster = Cluster(small_cluster(8))
+    waiting = tuple(
+        make_job(job_id=i, submit=0.0, nodes=1 + i % 4, runtime=600.0 * i, waiting=True)
+        for i in range(1, 7)
+    )
+    decide = policy.decide
+
+    def stalled_once(*args):
+        policy.decide = decide
+        time.sleep(0.5)
+        return decide(*args)
+
+    policy.decide = stalled_once
+    modes = []
+    with faults_suppressed():
+        for _ in range(12):
+            _, mode, _ = ladder.decide(
+                0.0, waiting, (), cluster, time.perf_counter() + 0.2
+            )
+            modes.append(mode)
+    assert modes[:2] == ["search", "anytime"]  # the stall priced search out
+    assert modes[-1] == "search"  # ... for a bounded number of decisions
+    assert ladder.inline_cost * 3 < 0.2
+
+
+def test_retry_backoff_is_deterministic_and_capped():
+    delays = [retry_backoff(a) for a in range(8)]
+    assert delays == sorted(delays)
+    assert delays[0] == pytest.approx(0.05)
+    assert max(delays) == 0.5
+    assert [retry_backoff(a) for a in range(8)] == delays
 
 
 # ----------------------------------------------------------------------
@@ -254,6 +316,30 @@ def test_admission_control_rejects_bad_ids_duplicates_and_overflow():
     asyncio.run(scenario())
 
 
+def test_closed_service_refuses_requests_and_starts_no_consumer():
+    """After close() the final snapshot is on disk and nothing would stop
+    a new consumer: both entry points refuse, and tenant state stays as
+    the snapshot recorded it."""
+    request = DecisionRequest(
+        tenant="t", now=5.0,
+        arrivals=(JobSpec(job_id=1, nodes=1, runtime=HOUR),),
+    )
+
+    async def scenario():
+        service = _chaos_service()
+        service.register_tenant("t")
+        await service.close()
+        for entry in (service.submit, service.try_submit):
+            with pytest.raises(AdmissionError, match="service is closed"):
+                await entry(request)
+        return service
+
+    service = asyncio.run(scenario())
+    assert service._require("t").consumer is None
+    assert service.tenant("t").decision_count == 0
+    assert service.stats["requests"] == 0
+
+
 def test_contract_violations_are_rejected_responses():
     async def scenario():
         service = _chaos_service()
@@ -279,67 +365,6 @@ def test_contract_violations_are_rejected_responses():
     assert "watermark" in stale.error
     assert service.stats["rejected"] == 1
     assert 2 not in service.tenant("t").jobs  # rejection mutated nothing
-
-
-# ----------------------------------------------------------------------
-# Circuit breaker
-# ----------------------------------------------------------------------
-def test_breaker_opens_probes_and_recovers():
-    breaker = CircuitBreaker(threshold=2, probe_after=3)
-    assert breaker.allow() and breaker.phase == "closed"
-    breaker.record_failure()
-    assert breaker.phase == "closed"
-    breaker.record_failure()
-    assert breaker.phase == "open"
-    assert not breaker.allow()
-    assert not breaker.allow()
-    assert breaker.allow()  # third rejected consult becomes the probe
-    assert breaker.phase == "half-open"
-    assert not breaker.allow()  # only one probe in flight
-    breaker.record_failure()  # probe failed: straight back to open
-    assert breaker.phase == "open"
-    assert not breaker.allow() and not breaker.allow()
-    assert breaker.allow()
-    breaker.record_success()
-    assert breaker.phase == "closed" and breaker.failures == 0
-
-
-def test_breaker_validates_config():
-    with pytest.raises(ValueError, match="threshold"):
-        CircuitBreaker(threshold=0)
-    with pytest.raises(ValueError, match="probe_after"):
-        CircuitBreaker(probe_after=0)
-
-
-def test_pool_rung_failure_trips_breaker_and_falls_back_inline(monkeypatch):
-    """A pool that cannot warm up (and has no respawn budget) costs one
-    failed rung, trips the breaker, and every answer still arrives from
-    the inline full policy — the permanent-inline-fallback edge."""
-    from repro.util.workerpool import get_pool, shutdown_all
-
-    shutdown_all()
-    monkeypatch.setenv("REPRO_POOL_WARMUP_TIMEOUT", "1e-9")
-    monkeypatch.setenv("REPRO_POOL_RESPAWNS", "0")
-    try:
-        ladder = DecisionLadder(
-            fcfs_backfill(),
-            LadderConfig(pool_workers=2, breaker_threshold=1),
-        )
-        cluster = Cluster(small_cluster(8))
-        first = make_job(nodes=1, waiting=True)
-        jobs, mode, degraded = ladder.decide(0.0, (first,), (), cluster)
-        assert (jobs, mode, degraded) == ([first], "search", False)
-        assert ladder.stats["pool_failures"] == 1
-        assert ladder.breaker.phase == "open"
-        assert get_pool(2).failed  # zero respawn budget: permanently out
-
-        second = make_job(nodes=1, waiting=True)
-        jobs, mode, degraded = ladder.decide(10.0, (second,), (), cluster)
-        assert (jobs, mode, degraded) == ([second], "search", False)
-        assert ladder.stats["search"] == 2  # breaker skipped the pool rung
-        assert ladder.stats["pool_failures"] == 1
-    finally:
-        shutdown_all()
 
 
 # ----------------------------------------------------------------------
@@ -370,6 +395,38 @@ def test_snapshot_fault_corrupts_save_and_recovery_falls_back(tmp_path):
     recovered = latest_tenant_snapshot(tmp_path, "t")
     assert recovered is not None
     assert recovered.decision_count == good_count  # skipped the torn one
+
+
+def test_failed_snapshot_is_logged_and_the_request_still_answered(
+    tmp_path, monkeypatch, caplog
+):
+    def disk_full(engine, root, keep):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("repro.service.service.snapshot_tenant", disk_full)
+
+    async def scenario():
+        service = _chaos_service(
+            snapshot_root=tmp_path, snapshot_every_decisions=1
+        )
+        service.register_tenant("t")
+        response = await service.submit(
+            DecisionRequest(
+                tenant="t", now=5.0,
+                arrivals=(JobSpec(job_id=1, nodes=1, runtime=HOUR),),
+            )
+        )
+        await service.close(final_snapshot=False)
+        return service, response
+
+    with faults_suppressed(), caplog.at_level(
+        logging.WARNING, logger="repro.service.recovery"
+    ):
+        service, response = asyncio.run(scenario())
+    assert response.status == "ok"
+    assert service.stats["snapshots"] == 0
+    (record,) = [r for r in caplog.records if r.name == "repro.service.recovery"]
+    assert "tenant t at decision 1 failed: disk full" in record.getMessage()
 
 
 @pytest.mark.fault_sensitive  # asserts bit-identical replay decisions
