@@ -479,7 +479,9 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         f"wrote {args.out} ({results['total_requests']} requests, "
         f"{results['throughput_rps']:,.1f} req/s, "
         f"p50 {lat['p50'] * 1000:.1f}ms, p99 {lat['p99'] * 1000:.1f}ms, "
-        f"{results['degraded_responses']} degraded)"
+        f"{results['degraded_responses']} degraded, "
+        f"{results['routes']['on_loop']} on the loop / "
+        f"{results['routes']['offloaded']} offloaded)"
     )
     return 0
 

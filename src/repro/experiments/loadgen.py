@@ -147,6 +147,12 @@ async def _run(
         "degraded_responses": sum(1 for r in responses if r.degraded),
         "deadline_exceeded": sum(1 for r in responses if r.deadline_exceeded),
         "modes": modes,
+        # Where engine work ran: requests on the event-loop thread vs
+        # handed to a worker (``ON_LOOP_MAX_SECONDS``, service/service.py).
+        "routes": {
+            "on_loop": service.stats["on_loop"],
+            "offloaded": service.stats["offloaded"],
+        },
         "wall_seconds": wall,
         "throughput_rps": total / wall if wall > 0 else 0.0,
         "latency_seconds": {

@@ -18,8 +18,9 @@ fail, snapshots rot and queues overflow.  The pieces:
   nothing);
 - :mod:`repro.service.service` — the asyncio front end: admission
   control, bounded per-tenant queues with explicit load shedding,
-  per-request retry with deterministic backoff, and periodic tenant
-  snapshots;
+  per-request retry with deterministic backoff, periodic tenant
+  snapshots, and the choice of where a request runs (the event loop
+  when it is cheaper than a thread hop, a worker thread otherwise);
 - :mod:`repro.service.recovery` — checksummed, rotated tenant-state
   snapshots (same envelope as :mod:`repro.simulator.checkpoint`) and the
   crash-recovery scan.

@@ -26,8 +26,11 @@ to innermost:
   tenants resume from the newest loadable snapshot (see
   :mod:`repro.service.recovery`).
 
-The engine work itself runs on the event loop's default thread-pool
-executor so intake stays responsive while a decision computes.
+Where the engine work runs is chosen per request from what it is expected
+to cost (:data:`ON_LOOP_MAX_SECONDS`): a request estimated cheaper than a
+thread hop runs on the event-loop thread, a longer one goes to the loop's
+default thread-pool executor so intake and the other tenants keep moving
+while it computes.  Either way the schedule is the same one.
 """
 
 from __future__ import annotations
@@ -58,6 +61,18 @@ from repro.util import faults
 
 #: Builds a fresh primary policy for a newly registered tenant.
 PolicyFactory = Callable[[str], SchedulingPolicy]
+
+#: Seconds.  A request whose estimated engine time (the ladder's
+#: per-decision cost EWMA times the event batches it will drain) is below
+#: this runs on the event-loop thread; a longer one is handed to the
+#: executor.  The value is a measured crossover, not a tuning knob: two
+#: tenants at L=1K...100K ran all-thread, all-loop and routed at 0.25 to
+#: 4 ms, and 1.5 ms was within run-to-run spread of the better fixed
+#: route at every budget.  Lower, requests pay a thread hop and a fight
+#: for the interpreter lock worth more than the search they overlap;
+#: higher, GIL-released searches that could overlap run one after the
+#: other (``docs/robustness.md``, "Where a request runs": table, script).
+ON_LOOP_MAX_SECONDS = 0.0015
 
 
 class AdmissionError(ValueError):
@@ -138,6 +153,9 @@ class DecisionService:
             "degraded": 0,
             "recovered_tenants": 0,
             "snapshots": 0,
+            # Where engine work ran (requests that reached the engine).
+            "on_loop": 0,
+            "offloaded": 0,
         }
 
     # ------------------------------------------------------------------
@@ -279,6 +297,12 @@ class DecisionService:
                 self.stats["degraded"] += 1
             if not pending.future.done():
                 pending.future.set_result(response)
+            if not tenant.queue.empty():
+                # get() only yields on an empty queue and an on-loop
+                # request never does: give the loop a turn between two
+                # requests of a backlog, or this tenant would drain it
+                # before another tenant's intake is even seen.
+                await asyncio.sleep(0)
 
     async def _process(
         self, tenant: _Tenant, pending: _Pending
@@ -317,9 +341,22 @@ class DecisionService:
                 ),
             )
 
-        loop = asyncio.get_running_loop()
+        # Where it runs: priced before every request from the ladder's
+        # own measurements, which both routes keep feeding — a slow
+        # install prices itself onto the thread, and an estimate one
+        # host stall inflated decays there until the loop has it back.
+        estimate = ladder.inline_cost * (
+            tenant.engine.events_due(request.now) + bool(request.arrivals)
+        )
         try:
-            decisions = await loop.run_in_executor(None, handle)
+            if estimate < ON_LOOP_MAX_SECONDS:
+                self.stats["on_loop"] += 1
+                decisions = handle()
+            else:
+                self.stats["offloaded"] += 1
+                decisions = await asyncio.get_running_loop().run_in_executor(
+                    None, handle
+                )
         except TenantError as exc:
             return self._finish(
                 tenant, pending, status="rejected", error=str(exc)

@@ -109,6 +109,11 @@ class TenantEngine:
     def completed_jobs(self) -> list[Job]:
         return self.loop_state.completed
 
+    def events_due(self, now: float) -> int:
+        """Queued events at or before ``now``: an upper bound on the event
+        batches a request at ``now`` drains before its own arrivals."""
+        return self.loop_state.events.count_through(now)
+
     def close(self) -> None:
         """Release policy-held resources (mirrors the batch loop's exit)."""
         self.sim.policy.on_simulation_end()
@@ -116,8 +121,9 @@ class TenantEngine:
     # ------------------------------------------------------------------
     # Request validation (pure — raises before any state is mutated)
     # ------------------------------------------------------------------
-    def validate_request(self, request: DecisionRequest) -> None:
-        """Raise :class:`TenantError` unless ``request`` is acceptable.
+    def validate_request(self, request: DecisionRequest) -> list[Job]:
+        """Raise :class:`TenantError` unless ``request`` is acceptable;
+        return the arrivals as the :class:`Job` objects that were checked.
 
         Everything is checkable up front: completions are internally
         generated, so a job's finish time is known the moment it starts
@@ -132,19 +138,21 @@ class TenantEngine:
                 "same-instant events must share one request"
             )
         seen: set[int] = set()
+        arrivals: list[Job] = []
         for spec in request.arrivals:
             if spec.job_id in self.jobs or spec.job_id in seen:
                 raise TenantError(
                     f"tenant {self.tenant_id}: duplicate job id {spec.job_id}"
                 )
             seen.add(spec.job_id)
-            probe = spec.to_job(now)
-            if not self.sim.cluster.admits(probe):
+            arrival = spec.to_job(now)
+            if not self.sim.cluster.admits(arrival):
                 raise TenantError(
                     f"tenant {self.tenant_id}: job {spec.job_id} "
-                    f"(N={probe.nodes}, R={probe.requested_runtime}) "
+                    f"(N={arrival.nodes}, R={arrival.requested_runtime}) "
                     "violates cluster limits"
                 )
+            arrivals.append(arrival)
         for job_id in request.finished:
             job = self.jobs.get(job_id)
             if job is None:
@@ -161,6 +169,7 @@ class TenantEngine:
                     f"tenant {self.tenant_id}: job {job_id} finishes at "
                     f"t={job.end_time}, after the request's t={now}"
                 )
+        return arrivals
 
     # ------------------------------------------------------------------
     # The request path
@@ -174,10 +183,9 @@ class TenantEngine:
         ``decide`` (the service's degradation ladder) overrides only the
         policy consultation; all state transitions stay the engine's.
         """
-        self.validate_request(request)
+        arrivals = self.validate_request(request)
         now = request.now
-        for spec in request.arrivals:
-            job = spec.to_job(now)
+        for job in arrivals:
             self.jobs[job.job_id] = job
             self.loop_state.events.push(now, EventKind.ARRIVAL, job)
         decisions = self.advance(now, decide=decide)

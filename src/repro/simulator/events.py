@@ -66,6 +66,11 @@ class EventQueue:
         """Time of the next event, or ``None`` if the queue is empty."""
         return self._heap[0].time if self._heap else None
 
+    def count_through(self, time: float, eps: float = TIME_EPS) -> int:
+        """How many queued events fall at or before ``time`` (within ``eps``)."""
+        bound = time + eps
+        return sum(1 for event in self._heap if event.time <= bound)
+
     def pop_simultaneous(self, eps: float = TIME_EPS) -> list[Event]:
         """Pop every event sharing the earliest timestamp (within ``eps``).
 

@@ -42,6 +42,8 @@ def test_report_shape_and_structural_guarantees(tiny_report):
     assert results["statuses"]["ok"] == 6
     assert results["statuses"]["error"] == 0
     assert results["decisions"] >= 6  # at least one decision per request
+    routes = results["routes"]  # every request reached an engine, one way
+    assert routes["on_loop"] + routes["offloaded"] == 6
     assert results["throughput_rps"] > 0
     latency = results["latency_seconds"]
     assert 0 <= latency["p50"] <= latency["p90"] <= latency["p99"] <= latency["max"]
@@ -92,6 +94,8 @@ def test_committed_report_exists_and_is_checkable():
     results = committed["results"]
     assert results["answered"] == results["total_requests"]
     assert results["statuses"]["error"] == 0
+    routes = results["routes"]
+    assert routes["on_loop"] + routes["offloaded"] == results["total_requests"]
     # The committed run satisfies its own band (structural checks + the
     # identity performance comparison).
     assert check_loadgen(committed, committed) == []

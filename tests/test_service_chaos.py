@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import asyncio
 import logging
+import math
+import threading
 import time
 
 import pytest
@@ -25,6 +27,7 @@ from repro.service.api import (
     JobSpec,
     TenantSLO,
 )
+from repro.service import service as service_module
 from repro.service.executor import MODES, DecisionLadder
 from repro.service.service import (
     AdmissionError,
@@ -35,6 +38,7 @@ from repro.service.service import (
 from repro.service.tenant import TenantEngine
 from repro.simulator.cluster import Cluster
 from repro.simulator.engine import Simulation
+from repro.simulator.policy import SchedulingPolicy
 from repro.util.faults import FaultPlan, faults_suppressed, injected_faults
 from repro.util.rng import RngStream
 from repro.util.timeunits import HOUR, time_eq
@@ -114,6 +118,10 @@ def test_chaos_every_request_gets_a_valid_labeled_response():
     """Under intake and decide faults: one response per request, every
     status legal, every weakened answer labeled with its ladder mode,
     nothing blows the deadline+grace envelope."""
+    _check_chaos_property()
+
+
+def _check_chaos_property():
     plan = FaultPlan.parse("seed=7,service.request=0.3,service.decide=0.5")
     slo = TenantSLO(deadline_seconds=5.0, grace_seconds=5.0, max_retries=2)
 
@@ -156,6 +164,7 @@ def test_chaos_every_request_gets_a_valid_labeled_response():
     assert (
         service.stats["ok"] + service.stats["errors"] == 60
     )  # nothing shed or rejected in this scenario
+    return [service.stats]
 
 
 def test_intake_fault_exhaustion_surfaces_error_not_hang():
@@ -436,12 +445,17 @@ def test_crashed_service_recovers_tenant_and_finishes_the_trace(tmp_path):
     re-send the whole trace — pre-watermark requests bounce off the
     watermark, the rest complete, and the final schedule is exactly the
     batch simulator's."""
+    _check_crash_recovery(tmp_path)
+
+
+def _check_crash_recovery(tmp_path):
     workload = _workload()
     batch = Simulation(
         workload.fresh_jobs(), _search_policy(), workload.cluster,
         window=workload.window,
     ).run()
     requests = _trace_requests("t", workload.fresh_jobs())
+    lives = []
 
     def service_for(root):
         return DecisionService(
@@ -462,6 +476,7 @@ def test_crashed_service_recovers_tenant_and_finishes_the_trace(tmp_path):
             assert response.status == "ok"
         # No close(): the process "crashes" here.  Snapshots on disk are
         # all that survives.
+        lives.append(service.stats)
         return service.stats["snapshots"]
 
     snapshots_written = asyncio.run(first_life())
@@ -483,6 +498,7 @@ def test_crashed_service_recovers_tenant_and_finishes_the_trace(tmp_path):
             )
             assert drain.status == "ok"
             job_spans = _job_times(service.tenant("t").completed_jobs)
+        lives.append(service.stats)
         return watermark, statuses, job_spans
 
     watermark, statuses, job_spans = asyncio.run(second_life())
@@ -490,6 +506,7 @@ def test_crashed_service_recovers_tenant_and_finishes_the_trace(tmp_path):
         assert status == ("rejected" if now <= watermark else "ok")
     assert any(status == "ok" for _, status in statuses)  # work was replayed
     assert job_spans == _job_times(batch.jobs)
+    return lives
 
 
 @pytest.mark.fault_sensitive  # injected decide faults change decisions
@@ -497,6 +514,10 @@ def test_fault_free_service_run_matches_batch_run():
     """The full async stack — queues, executor threads, the ladder — adds
     nothing and removes nothing: fault-free decisions are the batch
     simulator's, with every response labeled not-degraded."""
+    _check_fault_free_run_matches_batch()
+
+
+def _check_fault_free_run_matches_batch():
     workload = _workload()
     batch = Simulation(
         workload.fresh_jobs(), _search_policy(), workload.cluster,
@@ -523,11 +544,212 @@ def test_fault_free_service_run_matches_batch_run():
             )
             job_spans = _job_times(service.tenant("t").completed_jobs)
             count = service.tenant("t").decision_count
-        return responses, job_spans, count
+        return service, responses, job_spans, count
 
-    responses, job_spans, count = asyncio.run(scenario())
+    service, responses, job_spans, count = asyncio.run(scenario())
     assert all(r.status == "ok" and not r.degraded for r in responses)
     modes = {d.mode for r in responses for d in r.decisions}
     assert modes == {"search"}
     assert count == batch.decision_count
     assert job_spans == _job_times(batch.jobs)
+    return [service.stats]
+
+
+# ----------------------------------------------------------------------
+# Where a request runs: the loop thread or a worker (ON_LOOP_MAX_SECONDS)
+# ----------------------------------------------------------------------
+@pytest.fixture(params=[0.0, math.inf], ids=["thread", "loop"])
+def unused_route(request, monkeypatch):
+    """Pin every request to one route (a test-only patch, not an option);
+    the value is the ``service.stats`` key that must then stay zero."""
+    monkeypatch.setattr(service_module, "ON_LOOP_MAX_SECONDS", request.param)
+    return "on_loop" if request.param == 0.0 else "offloaded"
+
+
+def _took_one_route(stats_of_each_service, unused_route):
+    for stats in stats_of_each_service:
+        assert stats[unused_route] == 0
+        assert stats["on_loop"] + stats["offloaded"] > 0
+
+
+def test_chaos_property_holds_on_either_route(unused_route):
+    _took_one_route(_check_chaos_property(), unused_route)
+
+
+@pytest.mark.fault_sensitive
+def test_crash_recovery_matches_batch_on_either_route(unused_route, tmp_path):
+    _took_one_route(_check_crash_recovery(tmp_path), unused_route)
+
+
+@pytest.mark.fault_sensitive
+def test_fault_free_run_matches_batch_on_either_route(unused_route):
+    _took_one_route(_check_fault_free_run_matches_batch(), unused_route)
+
+
+class _ProbePolicy(SchedulingPolicy):
+    """FCFS backfill that records the thread of every decision, sleeps
+    ``cost`` seconds in each, and waits for ``gate`` when it has one."""
+
+    name = "probe"
+
+    def __init__(self, log=None):
+        self.inner = fcfs_backfill()
+        self.runtime_source = self.inner.runtime_source
+        self.threads: list[int] = []
+        self.log = log
+        self.cost = 0.0
+        self.gate: threading.Event | None = None
+
+    def decide(self, now, waiting, running, cluster):
+        self.threads.append(threading.get_ident())
+        if self.log is not None:
+            self.log.append(self)
+        if self.cost:
+            time.sleep(self.cost)
+        if self.gate is not None:
+            self.gate.wait(timeout=5.0)  # like the kernel: GIL released
+        return self.inner.decide(now, waiting, running, cluster)
+
+
+def _probe_service(*tenant_ids, nodes=8, log=None):
+    """A service whose tenants run :class:`_ProbePolicy`, by tenant id."""
+    policies = {tenant_id: _ProbePolicy(log) for tenant_id in tenant_ids}
+    service = DecisionService(
+        policies.__getitem__, cluster_config=small_cluster(nodes)
+    )
+    for tenant_id in tenant_ids:
+        service.register_tenant(tenant_id)
+    return service, policies
+
+
+def _one_job(tenant_id, i, runtime=HOUR):
+    """Request ``i`` of a tenant: one single-node arrival at ``t = i``."""
+    return DecisionRequest(
+        tenant=tenant_id, now=float(i),
+        arrivals=(JobSpec(job_id=i, nodes=1, runtime=runtime),),
+    )
+
+
+def test_cheap_request_runs_on_the_loop_and_a_costly_one_on_a_worker():
+    async def scenario():
+        service, policies = _probe_service("cheap", "costly")
+        # Primed as if its decisions had been taking 10 ms each.
+        service._require("costly").ladder.inline_cost = 0.01
+        async with service:
+            for tenant_id in ("cheap", "costly"):
+                response = await service.submit(_one_job(tenant_id, 1))
+                assert response.status == "ok" and not response.degraded
+        return threading.get_ident(), service, policies
+
+    with faults_suppressed():
+        loop_thread, service, policies = asyncio.run(scenario())
+    assert policies["cheap"].threads == [loop_thread]
+    (worker,) = policies["costly"].threads
+    assert worker != loop_thread
+    assert (service.stats["on_loop"], service.stats["offloaded"]) == (1, 1)
+
+
+def test_loop_stays_live_while_a_long_decision_is_in_flight():
+    """Tenant A's long decision is on a worker, so tenant B's requests —
+    on the loop — are taken in and answered before A's returns."""
+
+    async def scenario():
+        service, policies = _probe_service("a", "b")
+        service._require("a").ladder.inline_cost = 0.01
+        policies["a"].gate = threading.Event()
+        async with service:
+            slow = asyncio.ensure_future(service.submit(_one_job("a", 1)))
+            while not policies["a"].threads:  # until A's decision has begun
+                await asyncio.sleep(0.001)
+            answered = [
+                await service.submit(_one_job("b", 1)),
+                await service.try_submit(_one_job("b", 2)),
+            ]
+            a_in_flight = not slow.done()
+            policies["a"].gate.set()
+            answered.append(await slow)
+        return a_in_flight, answered
+
+    with faults_suppressed():
+        a_in_flight, answered = asyncio.run(scenario())
+    assert a_in_flight
+    assert [r.status for r in answered] == ["ok", "ok", "ok"]
+
+
+def test_backlogged_tenants_interleave_on_the_loop():
+    """Nothing in an on-loop request awaits, so the consumer must yield
+    between two of them: neither tenant gets more than one request ahead."""
+    log: list[_ProbePolicy] = []
+
+    async def scenario():
+        service, policies = _probe_service("a", "b", nodes=64, log=log)
+        async with service:
+            # Every submit enqueues before either consumer first runs.
+            responses = await asyncio.gather(
+                *(
+                    service.submit(_one_job(tenant_id, i))
+                    for tenant_id in ("a", "b")
+                    for i in range(1, 21)
+                )
+            )
+        return service, policies, responses
+
+    with faults_suppressed():
+        service, policies, responses = asyncio.run(scenario())
+    assert all(r.status == "ok" for r in responses)
+    assert service.stats["on_loop"] == 40
+    lead = 0
+    for policy in log:
+        lead += 1 if policy is policies["a"] else -1
+        assert abs(lead) <= 1
+    assert len(log) == 40 and lead == 0
+
+
+def test_one_stall_does_not_strand_the_tenant_on_the_thread():
+    """A 50 ms host stall prices the tenant off the loop; the worker's own
+    measurements bring the estimate back down and the loop has it back."""
+
+    async def scenario():
+        service, policies = _probe_service("t", nodes=64)
+        async with service:
+            for i in range(1, 31):
+                policies["t"].cost = 0.05 if i == 1 else 0.0
+                assert (await service.submit(_one_job("t", i))).status == "ok"
+        return threading.get_ident(), service, policies["t"].threads
+
+    with faults_suppressed():
+        loop_thread, service, threads = asyncio.run(scenario())
+    on_loop = [thread == loop_thread for thread in threads]
+    assert on_loop[0] and not on_loop[1]  # a fresh tenant is cheap; the stall
+    assert all(on_loop[-10:])  # ... costs a bounded number of hops
+    assert 1 <= service.stats["offloaded"] <= 20
+
+
+def test_the_drain_request_of_a_trace_is_offloaded():
+    """Each request of the trace is one cheap batch; the request that
+    drains it is one batch per running job, priced as that many."""
+    jobs = 32
+
+    async def scenario():
+        service, policies = _probe_service("t", nodes=jobs)
+        policies["t"].cost = 0.0002
+        async with service:
+            for i in range(1, jobs + 1):  # all start at once, none finishes
+                await service.submit(_one_job("t", i, runtime=HOUR + i))
+            before = dict(service.stats)
+            decided = len(policies["t"].threads)
+            drain = await service.submit(
+                DecisionRequest(tenant="t", now=3 * HOUR)
+            )
+        return (
+            threading.get_ident(), before, service.stats, drain,
+            policies["t"].threads[decided:],
+        )
+
+    with faults_suppressed():
+        loop_thread, before, after, drain, threads = asyncio.run(scenario())
+    assert drain.status == "ok" and len(drain.decisions) == jobs
+    assert before["on_loop"] > before["offloaded"]  # one batch is cheap
+    assert after["offloaded"] == before["offloaded"] + 1
+    assert after["on_loop"] == before["on_loop"]
+    assert len(threads) == jobs and loop_thread not in threads

@@ -16,7 +16,7 @@ from repro.backfill.variants import LookaheadPolicy, SelectiveBackfillPolicy
 from repro.core.scheduler import make_policy
 from repro.simulator.engine import Simulation
 from repro.simulator.job import Job
-from repro.util.timeunits import HOUR
+from repro.util.timeunits import HOUR, time_lt
 
 from tests.conftest import small_cluster
 
@@ -61,14 +61,16 @@ def _check_invariants(jobs):
         assert job.start_time is not None and job.end_time is not None
         assert job.start_time >= job.submit_time - 1e-9
         assert job.end_time == job.start_time + job.runtime
-    # Oversubscription check at every start instant.
+    # Oversubscription check at every start instant.  Times within
+    # TIME_EPS are one instant to the simulator: a job ending that close
+    # after ``t`` has already released its nodes to the decision at ``t``.
     events = sorted(jobs, key=lambda j: j.start_time)
     for job in events:
         t = job.start_time
         used = sum(
             other.nodes
             for other in jobs
-            if other.start_time <= t < other.end_time
+            if other.start_time <= t and time_lt(t, other.end_time)
         )
         assert used <= CAPACITY, f"{used} nodes in use at t={t}"
 
