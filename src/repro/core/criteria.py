@@ -291,7 +291,8 @@ class UsageTracker:
         self._usage.clear()
         self._last_decay = 0.0
 
-    def _decay_to(self, now: float) -> None:
+    def decay_to(self, now: float) -> None:
+        """Age every user's usage to ``now`` (a no-op at or before the last step)."""
         dt = now - self._last_decay
         if dt <= 0:
             return
@@ -303,7 +304,7 @@ class UsageTracker:
     def record_start(self, job: Job, now: float, planned_runtime: float) -> None:
         if job.user is None:
             return
-        self._decay_to(now)
+        self.decay_to(now)
         self._usage[job.user] = (
             self._usage.get(job.user, 0.0) + job.nodes * planned_runtime
         )
@@ -318,7 +319,7 @@ class UsageTracker:
         users; the fair share is an equal split.  Overuse = max(0, share -
         fair); users with no recorded usage are at 0.
         """
-        self._decay_to(now)
+        self.decay_to(now)
         users = [u for u in dict.fromkeys(active_users) if u is not None]
         if not users:
             return {}

@@ -66,6 +66,38 @@ class ReservationToken:
     created_end: bool
 
 
+def _fold_releases(
+    now: float, running: Iterable["RunningJob"]
+) -> tuple[list[float], list[int], int] | None:
+    """Breakpoints of ``running``'s releases, or ``None`` if out of order.
+
+    Returns ``(times, released, occupied)``: ``released[i]`` nodes have
+    come back by ``times[i]`` (``times[0]`` is ``now``) out of ``occupied``
+    in all.  A release at or before ``now``, or within ``TIME_EPS`` of
+    the current breakpoint, folds into that breakpoint — ``time_eq``,
+    written out because the input is checked to be non-decreasing.
+    """
+    times = [now]
+    released = [0]
+    occupied = 0
+    at = previous = now
+    for r in running:
+        t = r.release_time
+        if t < now:
+            t = now
+        if t < previous:
+            return None
+        previous = t
+        occupied += r.job.nodes
+        if t - at <= _EPS:
+            released[-1] = occupied
+        else:
+            at = t
+            times.append(t)
+            released.append(occupied)
+    return times, released, occupied
+
+
 class AvailabilityProfile:
     """Free-node step function with earliest-fit queries.
 
@@ -99,28 +131,25 @@ class AvailabilityProfile:
 
         ``running`` supplies each running job's node count and believed
         release time (see :class:`repro.simulator.policy.RunningJob`).
+        The simulator hands the running set over in release order, which
+        is folded in one pass; any other order is sorted first (stably,
+        so equal releases keep their input order).
         """
-        profile = cls(capacity, origin=now)
-        releases = sorted(
-            ((max(r.release_time, now), r.nodes) for r in running),
-            key=lambda p: p[0],
-        )
-        occupied = sum(n for _, n in releases)
+        folded = _fold_releases(now, running)
+        if folded is None:
+            folded = _fold_releases(
+                now, sorted(running, key=lambda r: max(r.release_time, now))
+            )
+            assert folded is not None
+        times, released, occupied = folded
         if occupied > capacity:
             raise ValueError(
                 f"running jobs occupy {occupied} nodes > capacity {capacity}"
             )
-        times = [now]
-        free = [capacity - occupied]
-        for release_time, nodes in releases:
-            if time_eq(release_time, times[-1]):
-                # Release coincides with the current breakpoint: fold it in.
-                free[-1] += nodes
-            else:
-                times.append(release_time)
-                free.append(free[-1] + nodes)
+        profile = cls(capacity, origin=now)
+        idle = capacity - occupied
         profile.times = times
-        profile.free = free
+        profile.free = [idle + n for n in released]
         return profile
 
     @classmethod

@@ -31,7 +31,7 @@ from repro.core.criteria import (
 )
 from repro.core.ckernel import default_engine
 from repro.core.profile import AvailabilityProfile
-from repro.core.search import DiscrepancySearch, SearchProblem
+from repro.core.search import DiscrepancySearch, SearchProblem, SearchResult
 from repro.predict.source import RuntimeSource, resolve_runtime_source
 from repro.util.sanitize import require, sanitize_enabled
 from repro.util.timeunits import WEEK
@@ -124,6 +124,7 @@ class SearchSchedulingPolicy(SchedulingPolicy):
         self.stats = {
             "decisions": 0,
             "searched_decisions": 0,
+            "nofit_decisions": 0,
             "total_nodes_visited": 0,
             "max_queue_length": 0,
             "limit_hits": 0,
@@ -144,16 +145,72 @@ class SearchSchedulingPolicy(SchedulingPolicy):
         self.stats["max_queue_length"] = max(
             self.stats["max_queue_length"], len(waiting)
         )
+        profile = AvailabilityProfile.from_running(cluster.capacity, now, running)
+        sanitize = sanitize_enabled()
+        if sanitize:
+            profile.check_invariants()
 
+        # No waiting job fits the nodes free at ``now``: whatever order
+        # wins, every job is placed at a later breakpoint and the start-now
+        # set is empty, so the search is not run.  ``free[0]`` is the number
+        # the search would have planned against (releases within TIME_EPS
+        # of ``now`` are folded into it).
+        free_now = profile.free[0]
+        for job in waiting:
+            if job.nodes <= free_now:
+                break
+        else:
+            self.stats["nofit_decisions"] += 1
+            if self.usage_tracker is not None:
+                # Decay is a float product of steps: take the step a
+                # search at ``now`` would have taken.
+                self.usage_tracker.decay_to(now)
+            if sanitize:
+                result = self._search(now, waiting, running, profile)
+                require(
+                    not result.jobs_startable_now(now),
+                    f"search skipped at t={now} ({free_now} nodes free) "
+                    "would have started jobs",
+                )
+            return []
+
+        result = self._search(now, waiting, running, profile)
+        self.stats["searched_decisions"] += 1
+        self.stats["total_nodes_visited"] += result.nodes_visited
+        if result.limit_hit:
+            self.stats["limit_hits"] += 1
+        if result.improved_after_first:
+            self.stats["improved_decisions"] += 1
+        if result.anytime:
+            self.anytime_nodes.append((len(waiting), result.anytime[-1][0]))
+        startable = result.jobs_startable_now(now)
+        if sanitize:
+            # The search must leave the profile exactly as it found it
+            # (LIFO release discipline) and may only start jobs that fit
+            # the nodes free at this instant.
+            profile.check_invariants()
+            demanded = sum(job.nodes for job in startable)
+            require(
+                demanded <= cluster.free_nodes,
+                f"search chose jobs needing {demanded} nodes with only "
+                f"{cluster.free_nodes} free at t={now}",
+            )
+        return startable
+
+    def _search(
+        self,
+        now: float,
+        waiting: Sequence[Job],
+        running: Sequence[RunningJob],
+        profile: AvailabilityProfile,
+    ) -> SearchResult:
+        """Order the queue, resolve the bound and search; no statistics."""
         runtimes = {job.job_id: self.runtime_of(job) for job in waiting}
         ordered = order_jobs(
             waiting, self.heuristic, now, runtime_of=lambda j: runtimes[j.job_id]
         )
         omega = self.bound.value(now, waiting)
-        profile = AvailabilityProfile.from_running(cluster.capacity, now, running)
-        sanitize = sanitize_enabled()
-        if sanitize:
-            profile.check_invariants()
+        if sanitize_enabled():
             require(
                 omega >= 0,
                 f"target wait bound must be >= 0, got omega={omega} at t={now}",
@@ -193,31 +250,10 @@ class SearchSchedulingPolicy(SchedulingPolicy):
         try:
             if prior_limit < needed:
                 sys.setrecursionlimit(needed)
-            result = self.searcher.search(problem)
+            return self.searcher.search(problem)
         finally:
             if sys.getrecursionlimit() != prior_limit:
                 sys.setrecursionlimit(prior_limit)
-        self.stats["searched_decisions"] += 1
-        self.stats["total_nodes_visited"] += result.nodes_visited
-        if result.limit_hit:
-            self.stats["limit_hits"] += 1
-        if result.improved_after_first:
-            self.stats["improved_decisions"] += 1
-        if result.anytime:
-            self.anytime_nodes.append((len(ordered), result.anytime[-1][0]))
-        startable = result.jobs_startable_now(now)
-        if sanitize:
-            # The search must leave the profile exactly as it found it
-            # (LIFO release discipline) and may only start jobs that fit
-            # the nodes free at this instant.
-            profile.check_invariants()
-            demanded = sum(job.nodes for job in startable)
-            require(
-                demanded <= cluster.free_nodes,
-                f"search chose jobs needing {demanded} nodes with only "
-                f"{cluster.free_nodes} free at t={now}",
-            )
-        return startable
 
     def on_start(self, job: Job, now: float) -> None:
         if self.usage_tracker is not None:

@@ -126,6 +126,30 @@ class DecisionLadder:
         """Fold the wall cost of one complete search into the estimate."""
         self.inline_cost = (1 - EWMA_ALPHA) * self.inline_cost + EWMA_ALPHA * cost
 
+    def _searches(self) -> object:
+        """The primary policy's count of decisions it searched for, or
+        ``None`` for a policy that keeps none (every decision counts)."""
+        return (getattr(self.policy, "stats", None) or {}).get("searched_decisions")
+
+    def _timed_decide(
+        self,
+        now: float,
+        waiting: "tuple[Job, ...]",
+        running: "tuple[RunningJob, ...]",
+        cluster: Cluster,
+    ) -> "tuple[list[Job], float | None]":
+        """The primary policy's answer and what it cost — ``None`` when it
+        answered without searching (empty queue, no job fits): a near-free
+        answer says nothing about the next search, and a run of them would
+        decay the estimate until a long request is priced onto the loop."""
+        searched = self._searches()
+        t0 = time.perf_counter()
+        jobs = self.policy.decide(now, waiting, running, cluster)
+        cost = time.perf_counter() - t0
+        if searched is not None and self._searches() == searched:
+            return jobs, None
+        return jobs, cost
+
     def _full(
         self,
         now: float,
@@ -141,9 +165,9 @@ class DecisionLadder:
                 f"inline search projected at {self.inline_cost:.3f}s won't "
                 f"fit the remaining {remaining:.3f}s budget"
             )
-        t0 = time.perf_counter()
-        jobs = self.policy.decide(now, waiting, running, cluster)
-        self._observe(time.perf_counter() - t0)
+        jobs, cost = self._timed_decide(now, waiting, running, cluster)
+        if cost is not None:
+            self._observe(cost)
         return jobs
 
     def _anytime(
@@ -162,14 +186,12 @@ class DecisionLadder:
         if remaining is not None:
             budget = max(remaining * ANYTIME_FRACTION, MIN_ANYTIME_BUDGET)
         prev_limit = searcher.time_limit_seconds
-        t0 = time.perf_counter()
         try:
             searcher.time_limit_seconds = budget
-            jobs = self.policy.decide(now, waiting, running, cluster)
+            jobs, cost = self._timed_decide(now, waiting, running, cluster)
         finally:
             searcher.time_limit_seconds = prev_limit
-        cost = time.perf_counter() - t0
-        if cost < budget:
+        if cost is not None and cost < budget:
             # The slice did not cut the search short, so this is what a
             # complete search costs now.  Without it the estimate could
             # only be lowered by the rung it has just ruled out, and one

@@ -103,7 +103,7 @@ class TenantEngine:
 
     @property
     def running_count(self) -> int:
-        return len(self.sim.cluster.running_jobs)
+        return self.sim.cluster.running_count
 
     @property
     def completed_jobs(self) -> list[Job]:

@@ -76,6 +76,11 @@ class Cluster:
         """Snapshot of currently running jobs."""
         return list(self._running.values())
 
+    @property
+    def running_count(self) -> int:
+        """How many jobs are running (no snapshot of the set is built)."""
+        return len(self._running)
+
     def admits(self, job: Job) -> bool:
         """Whether the job satisfies the configured per-job limits."""
         return self.config.limits.admits(job.nodes, float(job.requested_runtime))

@@ -30,10 +30,12 @@ the same trace because both paths share :meth:`consume_batch`.
 from __future__ import annotations
 
 import time as _wallclock
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from repro.metrics.timeseries import StateTimeSeries
+from repro.predict.source import RequestedRuntimeSource
 from repro.simulator.checkpoint import CheckpointConfig, save_checkpoint
 from repro.simulator.cluster import Cluster, ClusterConfig
 from repro.simulator.events import Event, EventKind, EventQueue
@@ -103,6 +105,42 @@ DecideFn = Callable[
 ]
 
 
+class _ReleaseOrder:
+    """The running set in ``(release_time, job_id)`` order, kept between
+    decisions: one decision changes it by a job or two, so the engine
+    inserts and deletes instead of rebuilding and re-sorting all of it."""
+
+    __slots__ = ("keys", "views", "_handed")
+
+    def __init__(self, views: list[RunningJob]) -> None:
+        self.keys = [(v.release_time, v.job.job_id) for v in views]
+        self.views = views
+        #: The tuple last handed to a policy; reused until the set changes.
+        self._handed: tuple[RunningJob, ...] | None = None
+
+    def add(self, view: RunningJob) -> None:
+        key = (view.release_time, view.job.job_id)
+        i = bisect_right(self.keys, key)
+        self.keys.insert(i, key)
+        self.views.insert(i, view)
+        self._handed = None
+
+    def remove(self, release_time: float, job_id: int) -> bool:
+        """Drop one job; ``False`` if it is not here under that release."""
+        key = (release_time, job_id)
+        i = bisect_left(self.keys, key)
+        if i == len(self.keys) or self.keys[i] != key:
+            return False
+        del self.keys[i], self.views[i]
+        self._handed = None
+        return True
+
+    def as_tuple(self) -> tuple[RunningJob, ...]:
+        if self._handed is None:
+            self._handed = tuple(self.views)
+        return self._handed
+
+
 class Simulation:
     """One simulation run.
 
@@ -151,6 +189,16 @@ class Simulation:
         self.window = window
         self.record_timeseries = record_timeseries
         self.checkpoint = checkpoint
+
+    #: Derived from the cluster's running set, so never pickled: a resumed
+    #: run or a restored tenant starts without it and re-seeds it at its
+    #: next decision (:meth:`_running_view`).
+    _kept: "_ReleaseOrder | None" = None
+
+    def __getstate__(self) -> dict[str, object]:
+        state = self.__dict__.copy()
+        state.pop("_kept", None)
+        return state
 
     @classmethod
     def open_ended(
@@ -303,11 +351,17 @@ class Simulation:
 
         # State update: completions release nodes before arrivals are
         # queued, mirroring the deterministic tie-break of the queue.
-        batch.sort(key=lambda e: (e.kind is not EventKind.FINISH, e.seq))
+        if len(batch) > 1:
+            batch.sort(key=lambda e: (e.kind is not EventKind.FINISH, e.seq))
         for event in batch:
             job = event.payload
             if event.kind is EventKind.FINISH:
                 self.cluster.finish(job, now)
+                kept = self._kept
+                if kept is not None and not kept.remove(
+                    self._believed_release(job, now), job.job_id
+                ):
+                    self._kept = None
                 st.completed.append(job)
                 # Learning runtime sources (predictors) observe every
                 # completion before the policy's own hook runs.
@@ -322,6 +376,11 @@ class Simulation:
         if sanitize:
             self._sanitize_queue(st.waiting, now)
         running_view = self._running_view(now)
+        if sanitize:
+            require(
+                list(running_view) == self._rebuilt_running_view(now),
+                f"kept running view differs from the rebuilt one at t={now}",
+            )
         if decide is None:
             to_start = self.policy.decide(
                 now, tuple(st.waiting), running_view, self.cluster
@@ -383,8 +442,46 @@ class Simulation:
         )
 
     # ------------------------------------------------------------------
+    def _believed_release(self, job: Job, now: float) -> float:
+        """One job's release as :meth:`_rebuilt_running_view` reads it,
+        before the clamp."""
+        source = self.policy.runtime_source
+        if source.is_actual:
+            assert job.end_time is not None
+            return job.end_time
+        return source.believed_release(job, now)
+
     def _running_view(self, now: float) -> tuple[RunningJob, ...]:
-        """Build the policy's view of running jobs with believed releases."""
+        """The policy's view of running jobs, in release order.
+
+        Handed out from the kept order (:class:`_ReleaseOrder`) whenever
+        that is exactly what :meth:`_rebuilt_running_view` would return,
+        rebuilt otherwise: a release inside the ``now + 1.0`` clamp window
+        (the clamp moves with ``now``), a runtime source whose belief can
+        change while the job runs, or a cluster somebody else started or
+        finished a job on.
+        """
+        soonest_unclamped = now + 1.0
+        kept = self._kept
+        if kept is not None and len(kept.keys) != self.cluster.running_count:
+            kept = self._kept = None
+        if kept is not None and (
+            not kept.keys or kept.keys[0][0] >= soonest_unclamped
+        ):
+            return kept.as_tuple()
+        views = self._rebuilt_running_view(now)
+        source = self.policy.runtime_source
+        if (
+            kept is None
+            and (source.is_actual or type(source) is RequestedRuntimeSource)
+            and (not views or views[0].release_time > soonest_unclamped)
+        ):
+            self._kept = _ReleaseOrder(views)
+        return tuple(views)
+
+    def _rebuilt_running_view(self, now: float) -> list[RunningJob]:
+        """The running view from scratch: every job's believed release,
+        clamped, sorted."""
         source = self.policy.runtime_source
         views = []
         for job in self.cluster.running_jobs:
@@ -403,7 +500,7 @@ class Simulation:
                 RunningJob(job=job, release_time=max(release, now + 1.0))
             )
         views.sort(key=lambda r: (r.release_time, r.job.job_id))
-        return tuple(views)
+        return views
 
     def _start_jobs(
         self,
@@ -423,6 +520,10 @@ class Simulation:
                     f"policy returned job {job.job_id} in state {job.state}"
                 )
             end = self.cluster.start(job, now)  # raises if over capacity
+            if self._kept is not None:
+                self._kept.add(
+                    RunningJob(job=job, release_time=self._believed_release(job, now))
+                )
             waiting.remove(job)
             events.push(end, EventKind.FINISH, job)
             self.policy.on_start(job, now)

@@ -151,7 +151,7 @@ def test_usage_tracker_accumulates_and_decays():
     tracker.record_start(job, now=0.0, planned_runtime=HOUR)
     assert tracker.usage_of("alice") == pytest.approx(10 * HOUR)
     # One half-life later, half the usage remains.
-    tracker._decay_to(WEEK)
+    tracker.decay_to(WEEK)
     assert tracker.usage_of("alice") == pytest.approx(5 * HOUR)
 
 

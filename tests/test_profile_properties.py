@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.profile import AvailabilityProfile
 from repro.simulator.policy import RunningJob
+from repro.util.timeunits import time_eq
 
 from tests.conftest import make_job
 
@@ -253,6 +254,48 @@ def test_from_running_satisfies_invariants(jobs, now):
     # After the last believed release everything is free again.
     horizon = max([now] + [max(r.release_time, now) for r in selected])
     assert p.free_at(horizon + 1.0) == CAPACITY
+
+
+def _from_running_by_sorting(capacity, now, running):
+    """``from_running`` as first written: sort the releases (stably, by
+    time alone), then fold equal instants with ``time_eq``."""
+    releases = sorted(
+        ((max(r.release_time, now), r.nodes) for r in running), key=lambda p: p[0]
+    )
+    times, free = [now], [capacity - sum(n for _, n in releases)]
+    for release_time, nodes in releases:
+        if time_eq(release_time, times[-1]):
+            free[-1] += nodes
+        else:
+            times.append(release_time)
+            free.append(free[-1] + nodes)
+    return times, free
+
+
+# Offsets from ``now`` that land on, inside and just outside the
+# simultaneity window, so folds (and chains of near-equal releases) occur.
+release_offset = st.sampled_from(
+    [-3.0, 0.0, 4e-10, 1e-9, 1.6e-9, 2.5e-9, 1.0, 1.0 + 6e-10, 1.0 + 1.2e-9, 7.5, 60.0]
+)
+
+
+@given(
+    st.lists(st.tuples(st.integers(min_value=1, max_value=3), release_offset), max_size=8),
+    st.sampled_from([0.0, 1.0, 1000.0]),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=300, deadline=None)
+def test_from_running_one_pass_equals_sort_then_fold(jobs, now, rnd):
+    running = [
+        RunningJob(job=make_job(job_id=i, nodes=nodes), release_time=now + offset)
+        for i, (nodes, offset) in enumerate(jobs, start=1)
+    ]
+    rnd.shuffle(running)
+    expected = _from_running_by_sorting(32, now, running)
+    in_engine_order = sorted(running, key=lambda r: (r.release_time, r.job.job_id))
+    for given_order in (running, in_engine_order):
+        p = AvailabilityProfile.from_running(32, now, given_order)
+        assert (p.times, p.free) == expected  # exact floats, exact counts
 
 
 @given(st.lists(reservation, max_size=10), reservation)

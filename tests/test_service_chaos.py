@@ -38,7 +38,7 @@ from repro.service.service import (
 from repro.service.tenant import TenantEngine
 from repro.simulator.cluster import Cluster
 from repro.simulator.engine import Simulation
-from repro.simulator.policy import SchedulingPolicy
+from repro.simulator.policy import RunningJob, SchedulingPolicy
 from repro.util.faults import FaultPlan, faults_suppressed, injected_faults
 from repro.util.rng import RngStream
 from repro.util.timeunits import HOUR, time_eq
@@ -264,6 +264,30 @@ def test_one_stall_does_not_degrade_the_tenant_for_good():
     assert modes[:2] == ["search", "anytime"]  # the stall priced search out
     assert modes[-1] == "search"  # ... for a bounded number of decisions
     assert ladder.inline_cost * 3 < 0.2
+
+
+def test_decisions_that_search_nothing_leave_the_cost_estimate_alone():
+    """A near-free answer (empty queue, no waiting job fits) is not a
+    measurement of a search: a run of them must not decay the estimate
+    that prices the tenant's next long request."""
+    policy = _search_policy()
+    ladder = DecisionLadder(policy)
+    cluster = Cluster(small_cluster(8))
+    blocker = make_job(job_id=90, nodes=6, runtime=HOUR)
+    running = (RunningJob(job=blocker, release_time=HOUR),)
+    too_wide = (make_job(job_id=1, nodes=4, runtime=600.0, waiting=True),)
+    fits = (make_job(job_id=2, nodes=2, runtime=600.0, waiting=True),)
+    with faults_suppressed():
+        ladder.decide(0.0, fits, running, cluster)
+        assert ladder.inline_cost > 0.0
+        ladder.inline_cost = primed = 0.02  # as after a run of long searches
+        for _ in range(25):
+            assert ladder.decide(0.0, too_wide, running, cluster)[1] == "search"
+            assert ladder.decide(0.0, (), running, cluster)[1] == "search"
+        assert ladder.inline_cost == primed
+        assert policy.stats["nofit_decisions"] == 25
+        ladder.decide(0.0, fits, running, cluster)  # a real search still counts
+        assert ladder.inline_cost < primed
 
 
 def test_retry_backoff_is_deterministic_and_capped():
