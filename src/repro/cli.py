@@ -15,11 +15,14 @@ Commands
 ``swf-convert``
     Export a synthetic month as a Standard Workload Format file.
 ``bench``
-    Time the search hot path (both engines, bit-identity checked) and
+    Time the search hot path (every engine, bit-identity checked) and
     write the ``BENCH_search.json`` perf report.
 ``optgap``
     Measure DDS/LDS gap-to-optimal against the exact small-instance
-    solver and write the ``BENCH_optgap.json`` quality report.
+    solver and write the ``BENCH_optgap.json`` quality report.  Both
+    take ``--quick``, ``--out`` and ``--check`` (judge a fresh run against
+    the committed report instead of overwriting it); end-to-end
+    performance is ``python3 -m perfbench``'s job, not theirs.
 ``profile``
     cProfile the first N decision points of a run and print the top-k
     cumulative hot spots (optionally dumping pstats) — the attribution
@@ -28,10 +31,6 @@ Commands
     Run the resilient scheduler-as-a-service over JSONL stdio: register
     tenants, stream job arrivals, get SLO-bounded (possibly degraded,
     always labeled) decisions back (see ``docs/service.md``).
-``loadgen``
-    Benchmark the decision service with a deterministic multi-tenant
-    closed-loop workload and write the ``BENCH_service.json`` report
-    (throughput, p50/p99 latency, degradation counts).
 ``lint``
     Run simlint (``python -m repro.lint``) over the tree; all simlint
     flags pass through (see ``docs/linting.md``).
@@ -55,6 +54,7 @@ interrupt-safe long simulations (:mod:`repro.simulator.checkpoint`).
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from pathlib import Path
@@ -69,7 +69,7 @@ from repro.backfill.variants import (
 )
 from repro.core.scheduler import make_policy
 from repro.experiments.config import current_scale
-from repro.experiments import figures as fig_mod
+from repro.experiments.figures import ARTIFACTS
 from repro.experiments.runner import PolicyRun, resume_run, simulate
 from repro.metrics.excessive import excessive_wait_stats
 from repro.simulator.policy import SchedulingPolicy
@@ -79,17 +79,6 @@ from repro.workloads.estimates import MenuEstimates, UniformFactorEstimates, app
 from repro.workloads.scaling import scale_to_load
 from repro.workloads.swf import read_swf, write_swf
 from repro.workloads.synthetic import generate_month
-
-_FIGURES = {
-    "fig1": fig_mod.fig1_tree,
-    "fig2": fig_mod.fig2_fixed_bound_sensitivity,
-    "fig3": fig_mod.fig3_original_load,
-    "fig4": fig_mod.fig4_high_load,
-    "fig5": fig_mod.fig5_job_classes,
-    "fig6": fig_mod.fig6_node_limit,
-    "fig7": fig_mod.fig7_algorithms,
-    "fig8": fig_mod.fig8_requested_runtimes,
-}
 
 _ESTIMATES = {
     "menu": MenuEstimates,
@@ -213,6 +202,29 @@ def _configure_execution(args: argparse.Namespace) -> None:
     parallel.configure(max_workers=workers, cache=cache, retries=retries)
 
 
+def _add_workload_args(sub: argparse.ArgumentParser) -> None:
+    """The workload/policy flags :func:`_load_workload` and
+    :func:`parse_policy` consume, for every command that simulates."""
+    sub.add_argument("--month", default="2003-07", help="calibrated month name")
+    sub.add_argument("--swf", default=None, help="SWF trace file instead of a month")
+    sub.add_argument("--policy", default="dds/lxf/dynB", help="policy spec")
+    sub.add_argument("--seed", type=int, default=2005)
+    sub.add_argument("--scale", type=float, default=0.1, help="job-count scale")
+    sub.add_argument("--load", type=float, default=None, help="target offered load")
+    sub.add_argument("--node-limit", type=int, default=1000, help="search budget L")
+    sub.add_argument(
+        "--requested-runtimes",
+        action="store_true",
+        help="plan with R* = R instead of R* = T",
+    )
+    sub.add_argument(
+        "--estimates",
+        choices=sorted(_ESTIMATES),
+        default=None,
+        help="synthesize user runtime estimates with this model",
+    )
+
+
 def _load_workload(args: argparse.Namespace):
     if args.swf:
         workload = read_swf(args.swf)
@@ -289,15 +301,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_figure(args: argparse.Namespace) -> int:
     _configure_execution(args)
-    fig = _FIGURES[args.name]()
-    print(fig.render())
+    print(ARTIFACTS[args.name](None).render())
     return 0
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
-    print(fig_mod.table3_job_mix().render())
-    print()
-    print(fig_mod.table4_runtimes().render())
+    tables = [fn for name, fn in ARTIFACTS.items() if name.startswith("table")]
+    print("\n\n".join(fn(None).render() for fn in tables))
     return 0
 
 
@@ -351,31 +361,57 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.bench import check_bench, run_bench, write_bench
+def _add_report_args(
+    sub: argparse.ArgumentParser, out: str, params: tuple[str, ...]
+) -> None:
+    """The flags ``bench`` and ``optgap`` share; ``params`` names the
+    subcommand's own arguments :func:`cmd_report` forwards to the row
+    function."""
+    sub.add_argument(
+        "--quick",
+        action="store_true",
+        help="smaller sweep (CI smoke mode; report marks quick=true)",
+    )
+    sub.add_argument("--out", default=out, help="report path (default: repo root)")
+    sub.add_argument(
+        "--check",
+        action="store_true",
+        help="re-measure and verify against the committed --out report's "
+        "tolerance block instead of overwriting it (exit 1 on violation)",
+    )
+    sub.set_defaults(func=cmd_report, params=params)
 
+
+def cmd_report(args: argparse.Namespace) -> int:
+    """``bench`` and ``optgap``: measure one
+    :class:`~repro.experiments.benchreport.BenchReport`, then either
+    write it to ``--out`` or (``--check``) judge it against the report
+    committed there — nothing is overwritten in that mode."""
+    kind = importlib.import_module(f"repro.experiments.{args.command}").REPORT
+    committed = None
     if args.check:
-        # Smoke mode: re-measure and judge against the committed report's
-        # tolerance band — nothing is overwritten (mirrors optgap --check).
         committed_path = Path(args.out)
         if not committed_path.exists():
             raise CliError(f"no committed report at {committed_path} to check against")
         committed = json.loads(committed_path.read_text())
-        fresh = run_bench(quick=args.quick, repeats=args.repeats, progress=print)
-        failures = check_bench(fresh, committed)
-        for failure in failures:
-            print(f"TOLERANCE FAIL: {failure}")
-        if failures:
-            return 1
-        print(f"within tolerance of {committed_path}")
+    try:
+        fresh = kind.run(
+            quick=args.quick,
+            progress=print,
+            **{name: getattr(args, name) for name in args.params},
+        )
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+    if committed is None:
+        kind.write(args.out, fresh)
+        print(f"wrote {args.out} ({kind.headline(fresh)})")
         return 0
-    report = write_bench(
-        args.out, quick=args.quick, repeats=args.repeats, progress=print
-    )
-    # The fast/reference speedup keys are the ones without a ":variant"
-    # suffix.
-    worst = min(v for k, v in report["speedups"].items() if ":" not in k)
-    print(f"wrote {args.out} (worst fast/reference speedup {worst:.2f}x)")
+    failures = kind.check(fresh, committed)
+    for failure in failures:
+        print(f"TOLERANCE FAIL: {failure}")
+    if failures:
+        return 1
+    print(f"within tolerance of {args.out}")
     return 0
 
 
@@ -400,89 +436,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if args.out:
         stats.dump_stats(args.out)
         print(f"pstats dump written to {args.out} (open with pstats/snakeviz)")
-    return 0
-
-
-def cmd_optgap(args: argparse.Namespace) -> int:
-    from repro.experiments.optgap import check_report, run_optgap, write_optgap
-
-    if args.check:
-        # Smoke mode: re-measure (quick by default) and judge against the
-        # committed report's tolerance block — nothing is overwritten.
-        committed_path = Path(args.out)
-        if not committed_path.exists():
-            raise CliError(f"no committed report at {committed_path} to check against")
-        committed = json.loads(committed_path.read_text())
-        fresh = run_optgap(
-            quick=args.quick, n_instances=args.instances, seed=args.seed,
-            progress=print,
-        )
-        failures = check_report(fresh, committed)
-        for failure in failures:
-            print(f"TOLERANCE FAIL: {failure}")
-        if failures:
-            return 1
-        print(f"within tolerance of {committed_path}")
-        return 0
-    report = write_optgap(
-        args.out,
-        quick=args.quick,
-        n_instances=args.instances,
-        seed=args.seed,
-        progress=print,
-    )
-    top = report["budgets"][-1]
-    fracs = ", ".join(
-        f"{r['algorithm']}/{r['heuristic']} {r['frac_optimal']:.0%}"
-        for r in report["rows"]
-        if r["node_limit"] == top
-    )
-    print(f"wrote {args.out} (optimal at L={top}: {fracs})")
-    return 0
-
-
-def cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.experiments.loadgen import check_loadgen, run_loadgen, write_loadgen
-
-    if args.check:
-        # Smoke mode: re-measure and judge against the committed report's
-        # tolerance band — nothing is overwritten (mirrors bench --check).
-        committed_path = Path(args.out)
-        if not committed_path.exists():
-            raise CliError(f"no committed report at {committed_path} to check against")
-        committed = json.loads(committed_path.read_text())
-        fresh = run_loadgen(
-            quick=args.quick,
-            tenants=args.tenants,
-            requests=args.requests,
-            seed=args.seed,
-            deadline=args.deadline,
-        )
-        failures = check_loadgen(fresh, committed)
-        for failure in failures:
-            print(f"TOLERANCE FAIL: {failure}")
-        if failures:
-            return 1
-        print(f"within tolerance of {committed_path}")
-        return 0
-    report = write_loadgen(
-        args.out,
-        quick=args.quick,
-        tenants=args.tenants,
-        requests=args.requests,
-        seed=args.seed,
-        deadline=args.deadline,
-    )
-    results = report["results"]
-    lat = results["latency_seconds"]
-    print(
-        f"wrote {args.out} ({results['total_requests']} requests, "
-        f"{results['throughput_rps']:,.1f} req/s, "
-        f"p50 {lat['p50'] * 1000:.1f}ms, p99 {lat['p99'] * 1000:.1f}ms, "
-        f"{results['degraded_responses']} degraded, "
-        f"{results['routes']['on_loop']} on the loop / "
-        f"{results['routes']['offloaded']} offloaded)"
-    )
     return 0
 
 
@@ -516,6 +469,22 @@ def cmd_serve(args: argparse.Namespace) -> int:
     def emit(payload: dict) -> None:
         print(json.dumps(payload), flush=True)
 
+    def parse(line: str) -> tuple[str, object]:
+        """``(op, payload)`` of one request line.  Anything that is not
+        the documented shape — not an object, a scalar where a mapping or
+        list belongs, a missing key — raises out of here, before the
+        service is touched."""
+        message = json.loads(line)
+        if not isinstance(message, dict):
+            raise ValueError("a request is one JSON object per line")
+        op = message.get("op", "decide")
+        if op == "register":
+            slo = TenantSLO.from_dict(message["slo"]) if "slo" in message else None
+            return op, (message["tenant"], slo)
+        if op == "decide":
+            return op, DecisionRequest.from_dict(message)
+        return op, None
+
     async def serve() -> int:
         loop = asyncio.get_running_loop()
         async with service:
@@ -527,25 +496,23 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 if not line:
                     continue
                 try:
-                    message = json.loads(line)
-                    op = message.get("op", "decide")
-                    if op == "close":
-                        break
+                    op, payload = parse(line)
+                except (AttributeError, TypeError, KeyError, ValueError) as exc:
+                    why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+                    emit({"status": "error", "error": f"malformed request: {why}"})
+                    continue
+                if op == "close":
+                    break
+                try:
                     if op == "register":
-                        slo = (
-                            TenantSLO.from_dict(message["slo"])
-                            if "slo" in message
-                            else None
-                        )
-                        service.register_tenant(message["tenant"], slo=slo)
-                        emit({"tenant": message["tenant"], "status": "registered"})
-                        continue
-                    if op != "decide":
+                        tenant, slo = payload
+                        service.register_tenant(tenant, slo=slo)
+                        emit({"tenant": tenant, "status": "registered"})
+                    elif op == "decide":
+                        response = await service.submit(payload)
+                        emit(response.to_dict())
+                    else:
                         emit({"status": "error", "error": f"unknown op {op!r}"})
-                        continue
-                    request = DecisionRequest.from_dict(message)
-                    response = await service.submit(request)
-                    emit(response.to_dict())
                 except (AdmissionError, TenantError, KeyError, ValueError) as exc:
                     emit({"status": "error", "error": str(exc)})
         return 0
@@ -606,24 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     run = sub.add_parser("run", help="simulate one policy on one workload")
-    run.add_argument("--month", default="2003-07", help="calibrated month name")
-    run.add_argument("--swf", default=None, help="SWF trace file instead of a month")
-    run.add_argument("--policy", default="dds/lxf/dynB", help="policy spec")
-    run.add_argument("--seed", type=int, default=2005)
-    run.add_argument("--scale", type=float, default=0.1, help="job-count scale")
-    run.add_argument("--load", type=float, default=None, help="target offered load")
-    run.add_argument("--node-limit", type=int, default=1000, help="search budget L")
-    run.add_argument(
-        "--requested-runtimes",
-        action="store_true",
-        help="plan with R* = R instead of R* = T",
-    )
-    run.add_argument(
-        "--estimates",
-        choices=sorted(_ESTIMATES),
-        default=None,
-        help="synthesize user runtime estimates with this model",
-    )
+    _add_workload_args(run)
     run.add_argument(
         "--excess-threshold",
         type=float,
@@ -654,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     figure = sub.add_parser("figure", help="regenerate one paper figure")
-    figure.add_argument("name", choices=sorted(_FIGURES))
+    figure.add_argument("name", choices=[n for n in ARTIFACTS if n.startswith("fig")])
     _add_execution_args(figure)
     figure.set_defaults(func=cmd_figure)
 
@@ -703,23 +653,9 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="time the search hot path and write BENCH_search.json"
     )
     bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="skip L=100K (CI smoke mode; report marks quick=true)",
-    )
-    bench.add_argument(
         "--repeats", type=int, default=3, help="timing repeats per config (best-of)"
     )
-    bench.add_argument(
-        "--out", default="BENCH_search.json", help="report path (default: repo root)"
-    )
-    bench.add_argument(
-        "--check",
-        action="store_true",
-        help="re-measure and verify against the committed --out report's "
-        "tolerance band instead of overwriting it (exit 1 on violation)",
-    )
-    bench.set_defaults(func=cmd_bench)
+    _add_report_args(bench, "BENCH_search.json", params=("repeats",))
 
     profile = sub.add_parser(
         "profile",
@@ -729,24 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
         "pstats for offline analysis — the attribution tool for deciding "
         "what to compile next (docs/performance.md).",
     )
-    profile.add_argument("--month", default="2003-07", help="calibrated month name")
-    profile.add_argument("--swf", default=None, help="SWF trace file instead of a month")
-    profile.add_argument("--policy", default="dds/lxf/dynB", help="policy spec")
-    profile.add_argument("--seed", type=int, default=2005)
-    profile.add_argument("--scale", type=float, default=0.1, help="job-count scale")
-    profile.add_argument("--load", type=float, default=None, help="target offered load")
-    profile.add_argument("--node-limit", type=int, default=1000, help="search budget L")
-    profile.add_argument(
-        "--requested-runtimes",
-        action="store_true",
-        help="plan with R* = R instead of R* = T",
-    )
-    profile.add_argument(
-        "--estimates",
-        choices=sorted(_ESTIMATES),
-        default=None,
-        help="synthesize user runtime estimates with this model",
-    )
+    _add_workload_args(profile)
     profile.add_argument(
         "--decisions",
         type=int,
@@ -774,66 +693,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="measure search gap-to-optimal and write BENCH_optgap.json",
     )
     optgap.add_argument(
-        "--quick",
-        action="store_true",
-        help="fewer instances and budgets (CI smoke mode; report marks "
-        "quick=true)",
-    )
-    optgap.add_argument(
-        "--out", default="BENCH_optgap.json", help="report path (default: repo root)"
-    )
-    optgap.add_argument(
         "--instances",
+        dest="n_instances",
         type=int,
         default=None,
         metavar="N",
         help="override the instance count (default 24, or 8 with --quick)",
     )
     optgap.add_argument("--seed", type=int, default=2005)
-    optgap.add_argument(
-        "--check",
-        action="store_true",
-        help="re-measure and verify against the committed --out report's "
-        "tolerance block instead of overwriting it (exit 1 on violation)",
-    )
-    optgap.set_defaults(func=cmd_optgap)
-
-    loadgen = sub.add_parser(
-        "loadgen",
-        help="benchmark the decision service and write BENCH_service.json",
-        description="Drive the scheduler-as-a-service stack with a "
-        "deterministic multi-tenant closed-loop workload and record "
-        "throughput and p50/p99 decision latency (docs/service.md).",
-    )
-    loadgen.add_argument(
-        "--quick",
-        action="store_true",
-        help="fewer tenants/requests (CI smoke mode; report marks quick=true)",
-    )
-    loadgen.add_argument(
-        "--out", default="BENCH_service.json", help="report path (default: repo root)"
-    )
-    loadgen.add_argument(
-        "--tenants", type=int, default=None, help="override the tenant count"
-    )
-    loadgen.add_argument(
-        "--requests", type=int, default=None, help="requests per tenant"
-    )
-    loadgen.add_argument("--seed", type=int, default=2005)
-    loadgen.add_argument(
-        "--deadline",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="per-request SLO deadline (default 2.0)",
-    )
-    loadgen.add_argument(
-        "--check",
-        action="store_true",
-        help="re-measure and verify against the committed --out report's "
-        "tolerance band instead of overwriting it (exit 1 on violation)",
-    )
-    loadgen.set_defaults(func=cmd_loadgen)
+    _add_report_args(optgap, "BENCH_optgap.json", params=("n_instances", "seed"))
 
     serve = sub.add_parser(
         "serve",

@@ -9,7 +9,11 @@
 - :mod:`repro.experiments.config` — bench-scale vs. paper-scale settings
   (the ``REPRO_FULL_SCALE=1`` switch).
 - :mod:`repro.experiments.figures` — one function per table/figure of the
-  evaluation, returning printable series (see benchmarks/).
+  evaluation, returning printable series, and ``ARTIFACTS``, the one list
+  of the ten (see ``benchmarks/bench_paper.py``).
+- :mod:`repro.experiments.benchreport` — the one report type behind the
+  committed ``BENCH_search.json`` (:mod:`~repro.experiments.bench`) and
+  ``BENCH_optgap.json`` (:mod:`~repro.experiments.optgap`).
 """
 
 from repro.experiments.runner import PolicyRun, run_matrix, simulate

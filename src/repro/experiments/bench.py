@@ -27,22 +27,20 @@ The report records nodes/sec and wall seconds per decision per row, plus
 per-config speedup ratios: ``fast`` over ``reference``, ``prune`` over
 ``fast``, and ``compiled`` over
 ``reference`` (the ISSUE's ≥6x acceptance floor is stated against the
-reference spec).  A final ``e2e`` section replays the first
-:data:`E2E_DECISIONS` decision points of a real simulated month and
-records whole-run decisions/sec per engine, so kernel wins are measured
-end-to-end and not just in the raw node loop.
+reference spec).  What a kernel win is worth end to end — simulator
+loop, marshalling and all — is ``perfbench``'s question, not this
+module's: ``batch_L1k`` against ``batch_purepy_L1k`` is that ratio on a
+whole calibrated month.
 
 ``repro bench`` writes the report to ``BENCH_search.json`` at the repo
-root so future perf PRs have a committed baseline to beat; the
-``bench-smoke`` CI job regenerates it with ``--quick`` on every push.
+root through :class:`~repro.experiments.benchreport.BenchReport`, which
+owns the header, the tolerance block, ``--check`` and the write; the
+``report-smoke`` CI job re-measures it with ``--quick`` on every push.
 """
 
 from __future__ import annotations
 
-import platform
-import sys
 import time
-from pathlib import Path
 from typing import Any, Callable
 
 from repro.core.branching import order_jobs
@@ -50,8 +48,8 @@ from repro.core.ckernel import have_compiled
 from repro.core.objective import DynamicBound, ObjectiveConfig
 from repro.core.profile import AvailabilityProfile
 from repro.core.search import DiscrepancySearch, SearchProblem, SearchResult
+from repro.experiments.benchreport import BenchReport, Report
 from repro.simulator.job import Job
-from repro.util.atomio import atomic_write_json
 from repro.util.rng import RngStream
 from repro.util.timeunits import HOUR
 
@@ -65,7 +63,10 @@ from repro.util.timeunits import HOUR
 #: v4: one sequential search per decision — the multi-process engine's
 #: rows, speedup family and worker/core header fields are gone; the prune
 #: row asserts its score is not worse than the unpruned one.
-SCHEMA = "repro-bench-search/v4"
+#: v5: the ``e2e`` replay section and its band are gone (120 decisions in
+#: 4-40 ms carried no claim; perfbench's ``batch_L1k`` /
+#: ``batch_purepy_L1k`` measure whole months).
+SCHEMA = "repro-bench-search/v5"
 
 #: The two flagship policy shapes the paper benchmarks (§2.3, §3).
 POLICIES: tuple[tuple[str, str], ...] = (("dds", "lxf"), ("lds", "fcfs"))
@@ -73,15 +74,6 @@ POLICIES: tuple[tuple[str, str], ...] = (("dds", "lxf"), ("lds", "fcfs"))
 FULL_LIMITS: tuple[int, ...] = (1_000, 10_000, 100_000)
 #: ``--quick`` keeps CI smoke runs in seconds, not minutes.
 QUICK_LIMITS: tuple[int, ...] = (1_000, 10_000)
-
-#: End-to-end replay slice: the first N decision points of a real
-#: simulated month at this scale/budget.  Small enough to keep the whole
-#: section under ~2s per engine, long enough to average over genuinely
-#: different queue states.
-E2E_DECISIONS = 120
-E2E_SCALE = 0.05
-E2E_NODE_LIMIT = 1_000
-E2E_MONTH = "2003-07"
 
 
 def build_problem(heuristic: str = "lxf", n_jobs: int = 30) -> SearchProblem:
@@ -152,50 +144,21 @@ def time_search(
     return result, best
 
 
-def time_end_to_end(
-    engine: str, repeats: int = 2, decisions: int = E2E_DECISIONS
-) -> dict[str, Any]:
-    """Whole-run throughput: replay a slice of a simulated month and
-    measure decisions/sec *including* the simulator's event loop and the
-    scheduler's bookkeeping — the number a kernel win must move for users,
-    as opposed to the raw node-loop rows above.  Best-of-``repeats``."""
-    from repro.core.scheduler import SearchSchedulingPolicy
-    from repro.experiments.profiling import time_decision_slice
-    from repro.workloads.synthetic import generate_month
-
-    workload = generate_month(E2E_MONTH, seed=2005, scale=E2E_SCALE)
-    best = float("inf")
-    ran = 0
-    for _ in range(repeats):
-        policy = SearchSchedulingPolicy(
-            "dds", "lxf", node_limit=E2E_NODE_LIMIT, engine=engine
-        )
-        ran, seconds = time_decision_slice(workload, policy, decisions)
-        best = min(best, seconds)
-    return {
-        "policy": f"DDS/lxf/dynB@L={E2E_NODE_LIMIT}",
-        "engine": engine,
-        "month": E2E_MONTH,
-        "scale": E2E_SCALE,
-        "decisions": ran,
-        "seconds": best,
-        "decisions_per_second": ran / best,
-    }
-
-
 def run_bench(
     quick: bool = False,
     repeats: int = 3,
     progress: Callable[[str], None] | None = None,
     limits: tuple[int, ...] | None = None,
-) -> dict[str, Any]:
-    """Time every (policy, L, variant) combination and build the report.
+) -> Report:
+    """Time every (policy, L, variant) combination: the report's body.
 
-    ``limits`` overrides the budget sweep (tests use tiny budgets so the
-    full report machinery — every row family, every identity assert —
-    runs in milliseconds); by default ``quick`` picks between
-    :data:`QUICK_LIMITS` and :data:`FULL_LIMITS`.
+    ``limits`` overrides the budget sweep (tests use tiny budgets so
+    every row family and every identity assert runs in milliseconds); by
+    default ``quick`` picks between :data:`QUICK_LIMITS` and
+    :data:`FULL_LIMITS`.
     """
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     if limits is None:
         limits = QUICK_LIMITS if quick else FULL_LIMITS
     say = progress if progress is not None else (lambda _msg: None)
@@ -272,8 +235,8 @@ def run_bench(
 
             # Compiled kernel: same bit-identity contract as the serial
             # engines.  Rows and the ":compiled" family exist only when
-            # the extension is importable — the ``compiled_available``
-            # field below says which kind of report this is.  The ratio
+            # the extension is importable — the report header's
+            # ``compiled_available`` says which kind this is.  The ratio
             # is over *reference* (the ISSUE's ≥6x acceptance floor),
             # unlike the over-fast ":prune" family.
             if compiled_available:
@@ -294,35 +257,7 @@ def run_bench(
                     f"({speedups[comp_key]:.2f}x over reference)"
                 )
 
-    e2e = [time_end_to_end("fast")]
-    say(
-        f"e2e fast: {e2e[0]['decisions_per_second']:,.1f} decisions/s "
-        f"({e2e[0]['decisions']} decisions)"
-    )
-    if compiled_available:
-        e2e.append(time_end_to_end("compiled"))
-        say(
-            f"e2e compiled: {e2e[-1]['decisions_per_second']:,.1f} decisions/s "
-            f"({e2e[-1]['decisions_per_second'] / e2e[0]['decisions_per_second']:.2f}x "
-            "over fast)"
-        )
-    return {
-        "schema": SCHEMA,
-        "benchmark": "search-hotpath-30-jobs",
-        "quick": quick,
-        "repeats": repeats,
-        # Honest capability flag: whether the compiled kernel was
-        # importable when this report was measured — rows and speedup
-        # families for it exist exactly when this is true.
-        "compiled_available": compiled_available,
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "machine": platform.machine(),
-        "configs": configs,
-        "speedups": speedups,
-        "e2e": e2e,
-        "tolerance": TOLERANCE,
-    }
+    return {"repeats": repeats, "configs": configs, "speedups": speedups}
 
 
 #: The ``--check`` band a fresh smoke run is judged against.  The
@@ -338,25 +273,13 @@ TOLERANCE: dict[str, float] = {
     # fresh compiled/reference speedup >= committed speedup x this
     # (compared only when both reports were measured with the kernel)
     "min_compiled_speedup_frac": 0.50,
-    # fresh e2e decisions/sec >= committed decisions/sec x this, per
-    # engine (whole-run replay: noisier than the node loop, wider band)
-    "min_e2e_decisions_per_second_frac": 0.35,
 }
 
 
-def check_bench(
-    fresh: dict[str, Any], committed: dict[str, Any]
-) -> list[str]:
-    """Judge a fresh (usually ``--quick``) run against the committed
-    report's tolerance band; return human-readable failures (empty ==
-    within tolerance).  Only configurations present in both reports are
-    compared, so a quick run checks cleanly against a full baseline."""
-    if committed.get("schema") != SCHEMA:
-        return [
-            f"committed report is {committed.get('schema')!r}, this build "
-            f"writes {SCHEMA!r}: regenerate it with `repro bench`"
-        ]
-    tol = committed["tolerance"]
+def compare(fresh: Report, committed: Report, tol: dict[str, float]) -> list[str]:
+    """How a fresh (usually ``--quick``) run falls outside the committed
+    band.  Only configurations present in both reports are compared, so a
+    quick run checks cleanly against a full baseline."""
     failures: list[str] = []
     # Compiled rows are compared only when both reports actually measured
     # the kernel; a pure-python smoke against a compiled baseline (or vice
@@ -379,22 +302,6 @@ def check_bench(
                 f"{key}: {what} speedup {fresh_ratio:.2f}x below "
                 f"{frac:.0%} of committed {committed_ratio:.2f}x"
             )
-    min_e2e = tol["min_e2e_decisions_per_second_frac"]
-    committed_e2e = {(r["policy"], r["engine"]): r for r in committed["e2e"]}
-    for row in fresh["e2e"]:
-        if row["engine"] == "compiled" and not both_compiled:
-            continue
-        base = committed_e2e[(row["policy"], row["engine"])]
-        if (
-            row["decisions_per_second"]
-            < base["decisions_per_second"] * min_e2e
-        ):
-            failures.append(
-                f"e2e {row['policy']} [{row['engine']}]: "
-                f"{row['decisions_per_second']:,.1f} decisions/s below "
-                f"{min_e2e:.0%} of committed "
-                f"{base['decisions_per_second']:,.1f}"
-            )
     min_nps = tol["min_nodes_per_second_frac"]
 
     def rowkey(row: dict[str, Any]) -> tuple[Any, ...]:
@@ -416,25 +323,17 @@ def check_bench(
     return failures
 
 
-def write_bench(
-    path: str | Path,
-    quick: bool = False,
-    repeats: int = 3,
-    progress: Callable[[str], None] | None = None,
-) -> dict[str, Any]:
-    """Run the benchmark and write the JSON report to ``path``."""
-    report = run_bench(quick=quick, repeats=repeats, progress=progress)
-    out = Path(path)
-    # Atomic: a crash mid-write must not leave a torn BENCH_search.json
-    # that downstream tooling would try to parse.
-    atomic_write_json(out, report, indent=2, sort_keys=True)
-    return report
+def _headline(report: Report) -> str:
+    # The fast/reference keys are the ones without a ":variant" suffix.
+    worst = min(v for k, v in report["speedups"].items() if ":" not in k)
+    return f"worst fast/reference speedup {worst:.2f}x"
 
 
-def main() -> int:  # pragma: no cover - thin wrapper for ``python -m``
-    write_bench("BENCH_search.json", progress=print)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+REPORT = BenchReport(
+    schema=SCHEMA,
+    benchmark="search-hotpath-30-jobs",
+    measure=run_bench,
+    tolerance=lambda _body: TOLERANCE,
+    compare=compare,
+    headline=_headline,
+)

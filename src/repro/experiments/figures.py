@@ -3,9 +3,10 @@
 Each function runs the simulations it needs at the active
 :class:`~repro.experiments.config.ExperimentScale` and returns a
 :class:`FigureSeries` whose ``render()`` prints the same rows/series the
-paper plots.  The benchmark files under ``benchmarks/`` are thin wrappers
-that time these functions and print their output; EXPERIMENTS.md records
-paper-vs-measured shapes.
+paper plots.  :data:`ARTIFACTS` at the bottom is the one list of them:
+``repro figure`` / ``tables`` / ``reproduce`` and
+``benchmarks/bench_paper.py`` (which times each and asserts its shape)
+all read it; EXPERIMENTS.md records paper-vs-measured shapes.
 """
 
 from __future__ import annotations
@@ -150,8 +151,14 @@ def _backfill_spec(spec: str, use_actual: bool = True) -> PolicySpec:
 # ----------------------------------------------------------------------
 # Figure 1: the search tree and LDS/DDS iteration orders
 # ----------------------------------------------------------------------
-def fig1_tree(n_examples: Sequence[int] = (4, 8, 10, 12, 15)) -> FigureSeries:
-    """Tree sizes (Fig 1d) and the 4-job LDS/DDS visit orders (Fig 1a-c,e,f)."""
+def fig1_tree(
+    exp: ExperimentScale | None = None,
+    n_examples: Sequence[int] = (4, 8, 10, 12, 15),
+) -> FigureSeries:
+    """Tree sizes (Fig 1d) and the 4-job LDS/DDS visit orders (Fig 1a-c,e,f).
+
+    Pure combinatorics: ``exp`` is ignored, and accepted only so every
+    entry of :data:`ARTIFACTS` is called the same way."""
     lines = ["Tree size as number of waiting jobs (Figure 1d):"]
     lines.append(f"{'# jobs':>8}{'# paths':>18}{'# nodes':>18}")
     for n in n_examples:
@@ -502,3 +509,19 @@ def fig8_requested_runtimes(exp: ExperimentScale | None = None) -> FigureSeries:
         panels=panels,
         notes=[f"menu estimate model, L={L} (paper: 4K at full scale)"],
     )
+
+
+#: The paper's ten reproducible artifacts in report order, each callable
+#: as ``fn(exp)`` (``None`` = the active scale).
+ARTIFACTS: dict[str, Callable[[ExperimentScale | None], FigureSeries]] = {
+    "table3": table3_job_mix,
+    "table4": table4_runtimes,
+    "fig1": fig1_tree,
+    "fig2": fig2_fixed_bound_sensitivity,
+    "fig3": fig3_original_load,
+    "fig4": fig4_high_load,
+    "fig5": fig5_job_classes,
+    "fig6": fig6_node_limit,
+    "fig7": fig7_algorithms,
+    "fig8": fig8_requested_runtimes,
+}

@@ -13,9 +13,10 @@ the provable optimum and the distribution of the gap where it does not.
 root, trend-tracked like ``BENCH_search.json``: any future change to the
 search order, the profile arithmetic, or the objective that silently
 degrades schedule quality shows up as a falling ``frac_optimal`` /
-rising gap against the committed file.  The committed report carries a
-``tolerance`` block; the ``optgap-smoke`` CI job re-runs ``--quick`` and
-checks the fresh numbers against it (:func:`check_report`).
+rising gap against the committed file.  Header, tolerance block,
+``--check`` and the write are
+:class:`~repro.experiments.benchreport.BenchReport`'s; the
+``report-smoke`` CI job re-runs ``--quick`` against the committed band.
 
 The gap is two-level, like the objective: the headline number is the
 level-1 gap (extra excessive-wait hours over optimal); the level-2 gap
@@ -25,7 +26,6 @@ value already ties the optimum, where it is the deciding criterion.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Any, Callable
 
 from repro.core.branching import order_jobs
@@ -33,8 +33,8 @@ from repro.core.exact import solve_exact
 from repro.core.objective import FixedBound, ObjectiveConfig, ScheduleScore
 from repro.core.profile import AvailabilityProfile
 from repro.core.search import DiscrepancySearch, SearchProblem
+from repro.experiments.benchreport import BenchReport, Report
 from repro.simulator.job import Job
-from repro.util.atomio import atomic_write_json
 from repro.util.rng import RngStream
 from repro.util.timeunits import HOUR
 
@@ -144,12 +144,15 @@ def run_optgap(
     seed: int = DEFAULT_SEED,
     max_jobs: int = MAX_JOBS,
     progress: Callable[[str], None] | None = None,
-) -> dict[str, Any]:
-    """Sweep the grid and build the gap report."""
+) -> Report:
+    """Sweep the grid: the gap report's body (also what the claims
+    certificate reads its C12/C13 rows from)."""
     say = progress if progress is not None else (lambda _msg: None)
     n = n_instances if n_instances is not None else (
         QUICK_INSTANCES if quick else FULL_INSTANCES
     )
+    if n < 1:
+        raise ValueError(f"instances must be >= 1, got {n}")
     limits = budgets if budgets is not None else (
         QUICK_BUDGETS if quick else FULL_BUDGETS
     )
@@ -221,12 +224,25 @@ def run_optgap(
             f"mean gap {sum(gaps) / len(gaps):.3f} h"
         )
 
-    top = limits[-1]
-    top_rows = [r for r in rows if r["node_limit"] == top]
-    tolerance = {
-        # The smoke check re-runs --quick (a subset of instances), so the
-        # floors are generous: a genuine regression craters frac_optimal
-        # to ~0, noise does not.
+    return {
+        "seed": seed,
+        "max_jobs": max_jobs,
+        "budgets": list(limits),
+        "n_instances": n,
+        "instances": instances,
+        "rows": rows,
+    }
+
+
+def tolerance(body: Report) -> dict[str, float]:
+    """The band committed with a sweep, derived from its top-budget rows.
+
+    The smoke check re-runs ``--quick`` (a subset of instances), so the
+    floors are generous: a genuine regression craters ``frac_optimal`` to
+    ~0, noise does not."""
+    top = body["budgets"][-1]
+    top_rows = [r for r in body["rows"] if r["node_limit"] == top]
+    return {
         "node_limit": top,
         "min_frac_optimal": max(
             0.0, min(r["frac_optimal"] for r in top_rows) - 0.25
@@ -235,33 +251,13 @@ def run_optgap(
             max(r["mean_excess_gap_hours"] for r in top_rows) * 2.0 + 0.5
         ),
     }
-    return {
-        "schema": SCHEMA,
-        "benchmark": "optimality-gap-small-instances",
-        "quick": quick,
-        "seed": seed,
-        "max_jobs": max_jobs,
-        "budgets": list(limits),
-        "n_instances": n,
-        "instances": instances,
-        "rows": rows,
-        "tolerance": tolerance,
-    }
 
 
-def check_report(
-    fresh: dict[str, Any], committed: dict[str, Any]
-) -> list[str]:
-    """Compare a fresh (usually ``--quick``) run against the committed
-    report's tolerance block; return human-readable failures (empty ==
-    within tolerance)."""
-    tol = committed.get("tolerance")
-    if not tol:
-        return [f"committed report has no tolerance block ({committed.get('schema')})"]
+def compare(fresh: Report, committed: Report, tol: dict[str, float]) -> list[str]:
+    """How a fresh (usually ``--quick``) sweep falls outside the committed
+    band, judged at the fresh run's largest budget the band covers."""
     failures: list[str] = []
-    budgets = [
-        L for L in fresh["budgets"] if L <= tol["node_limit"]
-    ]
+    budgets = [L for L in fresh["budgets"] if L <= tol["node_limit"]]
     if not budgets:
         return [
             f"fresh run has no budget at or below tolerance node_limit="
@@ -285,16 +281,21 @@ def check_report(
     return failures
 
 
-def write_optgap(
-    path: str | Path,
-    quick: bool = False,
-    n_instances: int | None = None,
-    seed: int = DEFAULT_SEED,
-    progress: Callable[[str], None] | None = None,
-) -> dict[str, Any]:
-    """Run the sweep and atomically write the JSON report to ``path``."""
-    report = run_optgap(
-        quick=quick, n_instances=n_instances, seed=seed, progress=progress
+def _headline(report: Report) -> str:
+    top = report["budgets"][-1]
+    fracs = ", ".join(
+        f"{r['algorithm']}/{r['heuristic']} {r['frac_optimal']:.0%}"
+        for r in report["rows"]
+        if r["node_limit"] == top
     )
-    atomic_write_json(Path(path), report, indent=2, sort_keys=True)
-    return report
+    return f"optimal at L={top}: {fracs}"
+
+
+REPORT = BenchReport(
+    schema=SCHEMA,
+    benchmark="optimality-gap-small-instances",
+    measure=run_optgap,
+    tolerance=tolerance,
+    compare=compare,
+    headline=_headline,
+)

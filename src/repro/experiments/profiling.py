@@ -17,7 +17,6 @@ normal cleanup hooks still run (the engine guarantees
 from __future__ import annotations
 
 import cProfile
-import time
 from typing import Sequence
 
 from repro.simulator.cluster import Cluster
@@ -72,30 +71,6 @@ class _SlicedPolicy(SchedulingPolicy):
     def reset(self) -> None:
         self.decisions = 0
         self._inner.reset()
-
-
-def time_decision_slice(
-    workload: Workload, policy: SchedulingPolicy, decisions: int
-) -> tuple[int, float]:
-    """Run (without profiling) the first ``decisions`` decision points and
-    return ``(decisions_executed, wall_seconds)`` — the end-to-end
-    decisions/sec measurement of ``repro bench``, which includes the
-    simulator's event loop and schedule bookkeeping, not just the search
-    node loop."""
-    from repro.simulator.engine import Simulation
-
-    if decisions < 1:
-        raise ValueError("decisions must be >= 1")
-    wrapped = _SlicedPolicy(policy, decisions)
-    sim = Simulation(
-        workload.fresh_jobs(), wrapped, workload.cluster, window=workload.window
-    )
-    t0 = time.perf_counter()
-    try:
-        sim.run()
-    except SliceComplete:
-        pass
-    return wrapped.decisions, time.perf_counter() - t0
 
 
 def profile_decisions(

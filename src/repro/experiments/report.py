@@ -12,27 +12,11 @@ import time
 from pathlib import Path
 from typing import Callable, Sequence
 
-from repro.experiments import figures as fig_mod
 from repro.experiments import parallel
 from repro.experiments.claims import build_context, evaluate_claims, render_claims
 from repro.experiments.config import ExperimentScale, current_scale
-from repro.experiments.figures import FigureSeries
+from repro.experiments.figures import ARTIFACTS
 from repro.util.atomio import atomic_write_text
-
-#: Every reproducible artifact, in report order.  Each callable takes the
-#: active :class:`ExperimentScale` and yields a renderable figure/table.
-ARTIFACTS: tuple[tuple[str, Callable[..., FigureSeries]], ...] = (
-    ("table3", fig_mod.table3_job_mix),
-    ("table4", fig_mod.table4_runtimes),
-    ("fig1", lambda exp: fig_mod.fig1_tree()),
-    ("fig2", fig_mod.fig2_fixed_bound_sensitivity),
-    ("fig3", fig_mod.fig3_original_load),
-    ("fig4", fig_mod.fig4_high_load),
-    ("fig5", fig_mod.fig5_job_classes),
-    ("fig6", fig_mod.fig6_node_limit),
-    ("fig7", fig_mod.fig7_algorithms),
-    ("fig8", fig_mod.fig8_requested_runtimes),
-)
 
 
 def reproduce_all(
@@ -62,15 +46,15 @@ def reproduce_all(
     ]
     selected = [
         (name, fn)
-        for name, fn in ARTIFACTS
+        for name, fn in ARTIFACTS.items()
         if only is None or name in set(only)
     ]
     if only is not None:
-        unknown = set(only) - {name for name, _ in ARTIFACTS}
+        unknown = set(only) - set(ARTIFACTS)
         if unknown:
             raise ValueError(
                 f"unknown artifacts {sorted(unknown)}; "
-                f"choose from {[n for n, _ in ARTIFACTS]}"
+                f"choose from {list(ARTIFACTS)}"
             )
 
     for name, fn in selected:

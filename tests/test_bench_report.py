@@ -1,10 +1,12 @@
 """The ``repro bench`` report machinery, exercised at toy budgets.
 
-``run_bench`` is the committed-baseline writer: every perf claim in
-``BENCH_search.json`` (and the README table derived from it) flows
-through it, so its row families, identity asserts, and the ``--check``
-tolerance band get tier-1 coverage here — at L small enough to run in
-milliseconds.
+``run_bench`` is the row function behind ``BENCH_search.json`` (and the
+README table derived from it), so its row families and identity asserts
+get tier-1 coverage here — at L small enough to run in milliseconds —
+together with what :class:`~repro.experiments.benchreport.BenchReport`
+adds around it: the header, the tolerance band ``--check`` judges
+against, the schema refusal and the ``bench``/``optgap`` CLI handler's
+count validation.
 """
 
 from __future__ import annotations
@@ -14,9 +16,12 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.core.ckernel import have_compiled
 from repro.experiments import bench as bench_mod
-from repro.experiments.bench import POLICIES, check_bench, run_bench
+from repro.experiments.bench import POLICIES, REPORT, run_bench
+
+check_bench = REPORT.check
 
 #: Small enough for milliseconds, big enough to truncate mid-iteration
 #: (the 30-job decision point's iteration 0 alone costs 30 nodes).
@@ -25,7 +30,7 @@ TOY_LIMITS = (40, 80)
 
 @pytest.fixture(scope="module")
 def report():
-    return run_bench(repeats=1, limits=TOY_LIMITS)
+    return REPORT.run(repeats=1, limits=TOY_LIMITS)
 
 
 def test_report_has_every_row_family(report):
@@ -71,15 +76,15 @@ def test_compiled_available_field_is_honest(report):
     assert has_rows == report["compiled_available"]
 
 
-def test_e2e_section_measures_whole_run_throughput(report):
-    """The end-to-end section: a fast-engine replay row always, plus a
-    compiled row exactly when the kernel is importable."""
-    engines = [r["engine"] for r in report["e2e"]]
-    assert engines == (["fast", "compiled"] if have_compiled() else ["fast"])
-    for row in report["e2e"]:
-        assert row["decisions"] > 0
-        assert row["decisions_per_second"] > 0
-        assert row["policy"].startswith("DDS/lxf/dynB")
+def test_header_and_tolerance_are_the_report_types(report):
+    """Header fields, the committed band and the body keys — and no
+    end-to-end section: whole-run throughput is perfbench's to measure."""
+    assert report["benchmark"] == "search-hotpath-30-jobs"
+    assert report["quick"] is False
+    assert {"python", "implementation", "machine"} <= set(report)
+    assert report["tolerance"] == bench_mod.TOLERANCE
+    assert report["repeats"] == 1
+    assert "e2e" not in report
 
 
 def test_prune_quality_assert_fires_on_a_worse_score(monkeypatch):
@@ -159,19 +164,11 @@ def test_check_bench_bands_the_compiled_family(report):
     assert check_bench(degraded, report) == []
 
 
-def test_check_bench_bands_e2e_throughput(report):
-    degraded = json.loads(json.dumps(report))
-    for row in degraded["e2e"]:
-        row["decisions_per_second"] *= 0.01
-    failures = check_bench(degraded, report)
-    assert any("decisions/s below" in f for f in failures)
-
-
 def test_check_bench_refuses_an_older_schema(report):
     """A committed report of another schema is not silently half-compared:
     the check fails and says to regenerate it."""
     old = json.loads(json.dumps(report))
-    old["schema"] = "repro-bench-search/v3"
+    old["schema"] = "repro-bench-search/v4"
     (failure,) = check_bench(report, old)
     assert "regenerate" in failure
 
@@ -186,3 +183,19 @@ def test_quick_run_checks_against_full_baseline(report):
         k: v for k, v in fresh["speedups"].items() if "L=40" in k
     }
     assert check_bench(fresh, report) == []
+
+
+def test_cli_bench_rejects_zero_repeats(capsys):
+    """A count the row function cannot run with is a usage error (exit 2),
+    not a bare AssertionError out of the timing loop."""
+    assert main(["bench", "--repeats", "0"]) == 2
+    assert "repeats must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_bench_writes_a_current_report(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(bench_mod, "QUICK_LIMITS", (40,))
+    out = tmp_path / "BENCH_search.json"
+    assert main(["bench", "--quick", "--repeats", "1", "--out", str(out)]) == 0
+    written = json.loads(out.read_text())
+    assert written["schema"] == bench_mod.SCHEMA and written["quick"] is True
+    assert "worst fast/reference speedup" in capsys.readouterr().out

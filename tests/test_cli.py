@@ -232,3 +232,63 @@ def test_lint_subcommand_baseline_passthrough(tmp_path, capsys):
     capsys.readouterr()
     assert main(["lint", "--baseline", str(baseline), str(bad)]) == 0
     assert "baselined" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# repro serve (JSONL over stdio)
+# ----------------------------------------------------------------------
+def _serve(monkeypatch, capsys, lines):
+    """Run ``repro serve`` over ``lines`` as stdin; return the decoded
+    response objects.  Exit code 0 is part of the contract: no input line
+    may take the service (and every other tenant) down."""
+    import io
+    import json
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{line}\n" for line in lines)))
+    assert main(["serve", "--node-limit", "100"]) == 0
+    return [json.loads(out) for out in capsys.readouterr().out.splitlines()]
+
+
+_REGISTER = '{"op": "register", "tenant": "t", "slo": {"deadline_seconds": 5.0}}'
+_DECIDE = (
+    '{"op": "decide", "tenant": "t", "now": 0.0, '
+    '"arrivals": [{"job_id": 1, "nodes": 4, "runtime": 3600}]}'
+)
+
+
+def test_serve_register_decide_close(monkeypatch, capsys):
+    registered, decided = _serve(
+        monkeypatch, capsys, [_REGISTER, "", _DECIDE, '{"op": "close"}', _DECIDE]
+    )  # nothing after "close" is read, so the second decide gets no answer
+    assert registered == {"tenant": "t", "status": "registered"}
+    assert decided["status"] == "ok" and decided["deadline_seconds"] == 5.0
+    (decision,) = decided["decisions"]
+    assert decision["started"] == [1]
+    assert decision["mode"] == "search" and decision["degraded"] is False
+
+
+def test_serve_answers_bad_lines_and_keeps_serving(monkeypatch, capsys):
+    """Unknown op, malformed JSON, and well-formed JSON of the wrong shape
+    (a non-object line, a scalar ``slo``, a scalar ``arrivals``) each get
+    an error response on their own line; the tenant registered before
+    them is still served after them, and EOF without ``close`` is a clean
+    shutdown."""
+    bad = [
+        '{"op": "frobnicate"}',
+        "not json",
+        "[1]",
+        '{"op": "register", "tenant": "u", "slo": 5}',
+        '{"op": "decide", "tenant": "t", "now": 0.0, "arrivals": 5}',
+        '{"op": "register"}',
+        '{"op": "decide", "tenant": "nobody", "now": 1.0}',
+    ]
+    responses = _serve(monkeypatch, capsys, [_REGISTER, *bad, _DECIDE])
+    assert len(responses) == len(bad) + 2
+    errors = responses[1:-1]
+    assert all(r["status"] == "error" and r["error"] for r in errors)
+    assert "unknown op 'frobnicate'" in errors[0]["error"]
+    assert all("malformed request" in r["error"] for r in errors[1:6])
+    assert "unknown tenant" in errors[6]["error"]
+    # "u" was never admitted by its malformed register; "t" is intact.
+    assert responses[-1]["status"] == "ok"
+    assert responses[-1]["decisions"][0]["started"] == [1]

@@ -1,10 +1,16 @@
-"""Run the doctests embedded in docstrings.
+"""Keep the documentation honest.
 
-Keeps usage examples in the documentation honest — if an API drifts,
-its inline example fails here.
+Runs the doctests embedded in docstrings — if an API drifts, its inline
+example fails here — and checks that every ``repro.*`` dotted name and
+every ``src/``, ``tests/`` or ``benchmarks/`` path the prose documents
+name still imports or exists, so a rename fails a test instead of a
+reader.
 """
 
 import doctest
+import pathlib
+import pkgutil
+import re
 
 import pytest
 
@@ -34,3 +40,30 @@ def test_readme_quickstart_runs():
     assert run.metrics.avg_wait_hours >= 0
     baseline = simulate(workload, fcfs_backfill())
     assert baseline.metrics.n_jobs == run.metrics.n_jobs
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PROSE = [ROOT / "README.md", ROOT / "DESIGN.md", *sorted((ROOT / "docs").glob("*.md"))]
+_DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+_PATH = re.compile(r"\b(?:src|tests|benchmarks)/[\w./*-]+")
+
+
+def _resolves(dotted: str) -> bool:
+    """``dotted`` is a module, or attributes reachable from its longest
+    importable prefix (``repro.core.search.DiscrepancySearch``)."""
+    try:
+        pkgutil.resolve_name(dotted)
+    except (ImportError, AttributeError):
+        return False
+    return True
+
+
+@pytest.mark.parametrize("doc", PROSE, ids=lambda p: p.name)
+def test_docs_name_only_modules_and_paths_that_exist(doc):
+    text = doc.read_text(encoding="utf-8")
+    stale = [name for name in sorted(set(_DOTTED.findall(text))) if not _resolves(name)]
+    for path in sorted(set(_PATH.findall(text))):
+        path = path.rstrip(".,:;")  # sentence punctuation; globs allowed
+        if not list(ROOT.glob(path)):
+            stale.append(path)
+    assert not stale, f"{doc.name} names things that are gone: {stale}"

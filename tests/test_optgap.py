@@ -9,12 +9,14 @@ import pytest
 from repro.cli import main
 from repro.experiments.optgap import (
     DEFAULT_SEED,
+    REPORT,
     SCHEMA,
     build_problems,
-    check_report,
     generate_instance,
     run_optgap,
 )
+
+check_report = REPORT.check
 
 
 def test_instances_are_deterministic_and_integral():
@@ -48,7 +50,7 @@ def test_build_problems_same_leaf_set_per_heuristic():
 
 
 def test_report_shape_and_invariants():
-    report = run_optgap(n_instances=3, budgets=(5, 40), max_jobs=5)
+    report = REPORT.run(n_instances=3, budgets=(5, 40), max_jobs=5)
     assert report["schema"] == SCHEMA
     assert report["seed"] == DEFAULT_SEED
     assert len(report["instances"]) == 3
@@ -73,13 +75,20 @@ def test_report_shape_and_invariants():
 
 
 def test_check_report_within_and_outside_tolerance():
-    report = run_optgap(n_instances=3, budgets=(5, 40), max_jobs=5)
+    report = REPORT.run(n_instances=3, budgets=(5, 40), max_jobs=5)
     assert check_report(report, report) == []
     strict = json.loads(json.dumps(report))
     strict["tolerance"]["min_frac_optimal"] = 1.1
     failures = check_report(report, strict)
     assert failures and "frac_optimal" in failures[0]
-    assert check_report(report, {"schema": "x"})  # no tolerance block
+
+
+def test_check_refuses_a_report_of_another_schema():
+    """Not silently half-compared: the same refusal ``bench --check`` gives."""
+    report = REPORT.run(n_instances=2, budgets=(16,), max_jobs=4)
+    other = {**report, "schema": "repro-bench-search/v5"}
+    (failure,) = check_report(report, other)
+    assert "regenerate" in failure
 
 
 def test_duplicate_budgets_collapse():
@@ -102,6 +111,12 @@ def test_cli_optgap_writes_report_and_checks(tmp_path, capsys):
     )
     assert code == 0
     assert "within tolerance" in capsys.readouterr().out
+
+
+def test_cli_optgap_rejects_zero_instances(capsys):
+    """Exit 2 with a message, not a ZeroDivisionError from the row maths."""
+    assert main(["optgap", "--instances", "0"]) == 2
+    assert "instances must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_optgap_check_missing_report(tmp_path, capsys):
