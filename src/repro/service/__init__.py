@@ -21,9 +21,10 @@ fail, snapshots rot and queues overflow.  The pieces:
   per-request retry with deterministic backoff, periodic tenant
   snapshots, and the choice of where a request runs (the event loop
   when it is cheaper than a thread hop, a worker thread otherwise);
-- :mod:`repro.service.recovery` — checksummed, rotated tenant-state
-  snapshots (same envelope as :mod:`repro.simulator.checkpoint`) and the
-  crash-recovery scan.
+- :mod:`repro.service.recovery` — checksummed, rotated snapshots of a
+  tenant's live state (same envelope as :mod:`repro.simulator.checkpoint`)
+  beside an append-only log of its finished jobs, and the crash-recovery
+  scan over both.
 
 Robustness is verified the same way as the rest of the fault-tolerance
 layer: the ``service.*`` sites in :data:`repro.util.faults.SITES` inject

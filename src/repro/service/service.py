@@ -22,9 +22,10 @@ to innermost:
   (:mod:`repro.service.executor`) down to cheaper rungs until the queue
   drains — the service trades decision quality, never availability.
 - **Recovery**: when a snapshot root is configured, tenant state is
-  persisted every ``snapshot_every_decisions`` decisions and re-admitted
-  tenants resume from the newest loadable snapshot (see
-  :mod:`repro.service.recovery`).
+  persisted every ``snapshot_every_decisions`` decisions — a live
+  snapshot plus what finished since the last one, so a save costs what
+  changed, not the tenant's age — and re-admitted tenants resume from
+  the newest usable snapshot (see :mod:`repro.service.recovery`).
 
 Where the engine work runs is chosen per request from what it is expected
 to cost (:data:`ON_LOOP_MAX_SECONDS`): a request estimated cheaper than a
@@ -49,9 +50,10 @@ from repro.service.api import (
 )
 from repro.service.executor import DecisionLadder
 from repro.service.recovery import (
+    SnapshotWriter,
     latest_tenant_snapshot,
     log,
-    snapshot_tenant,
+    tenant_directory,
     valid_tenant_id,
 )
 from repro.service.tenant import TenantEngine, TenantError
@@ -119,6 +121,9 @@ class _Tenant:
     queue: "asyncio.Queue[_Pending | None]"
     consumer: "asyncio.Task[None] | None" = None
     snapshotted_at: int = 0
+    #: The tenant's snapshot directory, open for writing; ``None`` when
+    #: the service persists nothing.
+    writer: SnapshotWriter | None = None
 
 
 @dataclass
@@ -171,8 +176,11 @@ class DecisionService:
     ) -> TenantEngine:
         """Admit a tenant; resumes from its newest snapshot when present.
 
+        A tenant that does not resume (``resume=False``, or nothing usable
+        on disk) starts its snapshot directory from nothing as well.
         Raises :class:`AdmissionError` on an invalid id, a duplicate
-        registration, or a full service.
+        registration, a full service, or a snapshot directory that cannot
+        be opened for writing.
         """
         if self._closed:
             raise AdmissionError("service is closed")
@@ -184,9 +192,22 @@ class DecisionService:
             raise AdmissionError(
                 f"service is full ({self.config.max_tenants} tenants)"
             )
+        root = self.config.snapshot_root
         engine: TenantEngine | None = None
-        if resume and self.config.snapshot_root is not None:
-            engine = latest_tenant_snapshot(self.config.snapshot_root, tenant_id)
+        writer: SnapshotWriter | None = None
+        if root is not None:
+            if resume:
+                engine = latest_tenant_snapshot(root, tenant_id)
+            try:
+                # A tenant that starts from nothing starts its directory
+                # from nothing too: an earlier life's files are dropped.
+                writer = SnapshotWriter(
+                    tenant_directory(root, tenant_id), fresh=engine is None
+                )
+            except OSError as exc:
+                raise AdmissionError(
+                    f"tenant {tenant_id!r}: snapshot directory unusable: {exc}"
+                ) from exc
             if engine is not None:
                 self.stats["recovered_tenants"] += 1
         if engine is None:
@@ -207,6 +228,7 @@ class DecisionService:
             ladder=DecisionLadder(engine.sim.policy),
             queue=asyncio.Queue(maxsize=slo.queue_limit),
             snapshotted_at=engine.decision_count,
+            writer=writer,
         )
         return engine
 
@@ -393,8 +415,7 @@ class DecisionService:
     # Snapshots
     # ------------------------------------------------------------------
     def _maybe_snapshot(self, tenant: _Tenant) -> None:
-        root = self.config.snapshot_root
-        if root is None:
+        if tenant.writer is None:
             return
         count = tenant.engine.decision_count
         if count - tenant.snapshotted_at < self.config.snapshot_every_decisions:
@@ -407,13 +428,12 @@ class DecisionService:
         A failed save is logged and must not fail the request that
         triggered it; the previous snapshot is still on disk.
         """
-        root = self.config.snapshot_root
-        if root is None:
-            return None
         tenant = self._require(tenant_id)
+        if tenant.writer is None:
+            return None
         try:
-            path = snapshot_tenant(
-                tenant.engine, root, keep=self.config.snapshot_keep
+            path = tenant.writer.save(
+                tenant.engine, keep=self.config.snapshot_keep
             )
         except Exception as exc:
             log.warning(
@@ -440,6 +460,8 @@ class DecisionService:
         for tenant_id, tenant in sorted(self._tenants.items()):
             if final_snapshot:
                 self.snapshot_now(tenant_id)
+            if tenant.writer is not None:
+                tenant.writer.close()
             tenant.engine.close()
 
     async def __aenter__(self) -> "DecisionService":

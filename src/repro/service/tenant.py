@@ -25,6 +25,8 @@ word for a completion time.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 from typing import Callable
 
 from repro.metrics.timeseries import StateTimeSeries
@@ -253,38 +255,76 @@ class TenantEngine:
     # Snapshot / restore (see repro.service.recovery for the disk format)
     # ------------------------------------------------------------------
     def snapshot_record(self) -> dict[str, object]:
-        """Everything needed to rebuild this engine, as one record.
+        """The live state needed to rebuild this engine, as one record.
 
-        The record is pickled as a unit by the recovery layer, so the
-        aliasing between ``jobs``, the event queue, the cluster's running
-        set and the completed list is preserved exactly — the same
-        property the batch checkpoint format relies on.
+        Finished jobs are *not* in it — only how many there are: the
+        recovery layer keeps them in the tenant's append-only log and
+        hands the first ``completed_count`` of them back to
+        :meth:`from_snapshot_record`.  So the record is built from, and as
+        large as, what is live (queue, running set, event queue, policy),
+        not what the tenant has ever seen.  It is pickled as a unit, which
+        preserves the aliasing between the queue, the event queue's
+        payloads and the cluster's running set — the same property the
+        batch checkpoint format relies on; nothing live refers to a
+        finished job, so nothing is lost by their absence.
         """
         return {
             "tenant_id": self.tenant_id,
             "simulation": self.sim,
-            "state": self.loop_state,
-            "jobs": self.jobs,
+            "state": dataclasses.replace(self.loop_state, completed=[]),
+            "completed_count": len(self.loop_state.completed),
             "decided_through": self.decided_through,
         }
 
     @classmethod
-    def from_snapshot_record(cls, record: dict[str, object]) -> "TenantEngine":
-        """Rebuild an engine from :meth:`snapshot_record` output."""
+    def from_snapshot_record(
+        cls, record: dict[str, object], completed: list[Job]
+    ) -> "TenantEngine":
+        """Rebuild an engine from :meth:`snapshot_record` output plus the
+        jobs it counted as finished, in the order they finished.
+
+        A record of the wrong shape raises :class:`TypeError` (a missing
+        key :class:`KeyError`), which the recovery scan treats like a torn
+        file: skip it, fall back to an older snapshot.
+        """
         sim = record["simulation"]
+        state = record["state"]
+        watermark = record["decided_through"]
         if not isinstance(sim, Simulation):
             raise TypeError("snapshot record does not hold a Simulation")
+        if not isinstance(state, LoopState):
+            raise TypeError("snapshot record does not hold a LoopState")
+        if not isinstance(watermark, (int, float)):
+            raise TypeError(f"snapshot record's watermark is {watermark!r}")
+        if record["completed_count"] != len(completed):
+            raise TypeError(
+                f"snapshot record counts {record['completed_count']!r} "
+                f"finished jobs, {len(completed)} were supplied"
+            )
         engine = cls.__new__(cls)
         engine.tenant_id = str(record["tenant_id"])
         engine.sim = sim
-        state = record["state"]
-        assert isinstance(state, LoopState)
+        state.completed = completed
         engine.loop_state = state
-        jobs = record["jobs"]
-        assert isinstance(jobs, dict)
-        engine.jobs = jobs
-        engine.decided_through = float(record["decided_through"])  # type: ignore[arg-type]
+        # Finished first, then live: a dict of the same jobs as the
+        # uninterrupted engine's, not in its (arrival) order.
+        engine.jobs = {
+            job.job_id: job
+            for job in itertools.chain(
+                completed,
+                state.waiting,
+                sim.cluster.running_jobs,
+                _queued_jobs(state.events),
+            )
+        }
+        engine.decided_through = float(watermark)
         # Mirror the batch resume path: the policy's mid-run state rode
         # along in the snapshot, so no reset — only re-acquire resources.
         sim.policy.on_simulation_begin()
         return engine
+
+
+def _queued_jobs(events: EventQueue) -> list[Job]:
+    """Payloads of the queued events (``EventQueue`` has no public
+    iteration; heap order does not matter to the caller)."""
+    return [event.payload for event in events._heap]

@@ -433,10 +433,10 @@ def test_snapshot_fault_corrupts_save_and_recovery_falls_back(tmp_path):
 def test_failed_snapshot_is_logged_and_the_request_still_answered(
     tmp_path, monkeypatch, caplog
 ):
-    def disk_full(engine, root, keep):
+    def disk_full(writer, engine, keep):
         raise OSError("disk full")
 
-    monkeypatch.setattr("repro.service.service.snapshot_tenant", disk_full)
+    monkeypatch.setattr("repro.service.recovery.SnapshotWriter.save", disk_full)
 
     async def scenario():
         service = _chaos_service(

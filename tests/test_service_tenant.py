@@ -11,6 +11,8 @@ finish confirmation) and the checksummed snapshot/restore cycle.
 
 from __future__ import annotations
 
+import logging
+
 import pytest
 
 from repro.cli import parse_policy
@@ -24,7 +26,9 @@ from repro.service.recovery import (
     valid_tenant_id,
 )
 from repro.service.tenant import PRIMARY_MODE, TenantEngine, TenantError
+from repro.simulator.checkpoint import dump_snapshot
 from repro.simulator.engine import Simulation
+from repro.util.atomio import atomic_write_bytes
 from repro.util.timeunits import HOUR, time_eq
 from repro.workloads.synthetic import generate_month
 from tests.conftest import small_cluster
@@ -262,6 +266,78 @@ def test_latest_snapshot_skips_a_torn_newest(tmp_path):
     recovered = latest_tenant_snapshot(tmp_path, "t")
     assert recovered is not None
     assert recovered.decision_count == older_count
+
+
+def _tear(path):
+    raw = path.read_bytes()
+    path.write_bytes(raw[: len(raw) // 2])
+
+
+@pytest.mark.fault_sensitive  # relies on which saves are intact
+def test_restore_deletes_the_torn_newer_snapshot_so_rotation_keeps_a_good_one(
+    tmp_path,
+):
+    """A known-torn file must not count toward ``keep``: it sorts newest
+    for as long as the restored tenant's decision count is below its own,
+    and rotation would drop the good snapshots in its favour."""
+    engine = _engine()
+    engine.handle(_arrival(1, now=10.0))
+    snapshot_tenant(engine, tmp_path, keep=2)  # decision 1, good
+    for i in range(2, 8):
+        engine.handle(_arrival(i, now=10.0 * i))
+    _tear(snapshot_tenant(engine, tmp_path, keep=2))  # decision 7, torn
+
+    engine = restore_tenant(tmp_path, "t")
+    assert engine.decision_count == 1
+    assert [p.name for p in sorted((tmp_path / "t").glob("snap-*.pkl"))] == [
+        "snap-000000000001.pkl"
+    ]
+    for i in (2, 3):
+        engine.handle(_arrival(i, now=10.0 * i))
+    newest = snapshot_tenant(engine, tmp_path, keep=2)  # decision 3
+    assert [p.name for p in sorted((tmp_path / "t").glob("snap-*.pkl"))] == [
+        "snap-000000000001.pkl", "snap-000000000003.pkl",
+    ]
+    _tear(newest)  # one more tear still leaves the tenant its first snapshot
+    assert restore_tenant(tmp_path, "t").decision_count == 1
+
+
+def _without(record, key):
+    return {k: v for k, v in record.items() if k != key}
+
+
+@pytest.mark.fault_sensitive  # relies on the older snapshot being intact
+@pytest.mark.parametrize(
+    "misshape",
+    [
+        pytest.param(lambda r: {**r, "state": None}, id="state-none"),
+        pytest.param(lambda r: {**r, "simulation": "sim"}, id="simulation-str"),
+        pytest.param(
+            lambda r: {**r, "decided_through": "yesterday"}, id="watermark-str"
+        ),
+        pytest.param(lambda r: {**r, "completed_count": None}, id="count-none"),
+        pytest.param(
+            lambda r: {**_without(r, "completed_count"), "jobs": {}},
+            id="whole-tenant-blob-of-an-older-format",
+        ),
+    ],
+)
+def test_latest_snapshot_skips_a_wrong_shaped_newest(tmp_path, caplog, misshape):
+    """Checksum-valid, wrong shape: skipped like a torn file (``TypeError``
+    / ``KeyError`` from explicit checks, not ``assert``), older one restored."""
+    engine = _engine()
+    engine.handle(_arrival(1, now=10.0))
+    snapshot_tenant(engine, tmp_path, keep=4)
+    engine.handle(_arrival(2, now=20.0))
+    wrong = tmp_path / "t" / "snap-000000000002.pkl"
+    atomic_write_bytes(wrong, dump_snapshot(misshape(engine.snapshot_record())))
+
+    with caplog.at_level(logging.WARNING, logger="repro.service.recovery"):
+        recovered = latest_tenant_snapshot(tmp_path, "t")
+    assert recovered is not None and recovered.decision_count == 1
+    (record,) = caplog.records
+    assert "skipping unusable tenant snapshot" in record.getMessage()
+    assert not wrong.exists()
 
 
 def test_restore_tenant_without_snapshots_raises(tmp_path):
