@@ -43,9 +43,8 @@ Policy specs accepted by ``run --policy``:
   bounds ``dynB`` or ``fixB<hours>h``) — search-based policies.
 
 The grid-running commands (``figure``, ``claims``, ``reproduce``) accept
-``--workers N`` (0 = all cores) to fan simulations across a process pool,
-``--cache-dir``/``--no-cache`` to control the on-disk run cache, and
-``--retries K`` to bound the per-cell retry budget; see
+``--workers N`` (0 = all cores) to fan simulations across a process pool
+and ``--cache-dir``/``--no-cache`` to control the on-disk run cache; see
 :mod:`repro.experiments.parallel`.  ``run`` additionally supports
 ``--checkpoint-dir``/``--checkpoint-every``/``--resume`` for
 interrupt-safe long simulations (:mod:`repro.simulator.checkpoint`).
@@ -164,14 +163,6 @@ def _add_execution_args(sub: argparse.ArgumentParser) -> None:
         action="store_true",
         help="never read or write the run cache for this invocation",
     )
-    sub.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        metavar="K",
-        help="re-attempt each failed grid cell up to K times before "
-        "reporting it (default: REPRO_RUN_RETRIES or 1)",
-    )
 
 
 def _configure_execution(args: argparse.Namespace) -> None:
@@ -183,12 +174,7 @@ def _configure_execution(args: argparse.Namespace) -> None:
     from repro.experiments import parallel
     from repro.experiments.cache import RunCache
 
-    if (
-        args.workers is None
-        and args.cache_dir is None
-        and not args.no_cache
-        and args.retries is None
-    ):
+    if args.workers is None and args.cache_dir is None and not args.no_cache:
         return
     base = parallel.default_execution()
     workers = base.max_workers if args.workers is None else args.workers
@@ -198,8 +184,7 @@ def _configure_execution(args: argparse.Namespace) -> None:
         cache = RunCache(args.cache_dir)
     else:
         cache = base.cache
-    retries = base.retries if args.retries is None else args.retries
-    parallel.configure(max_workers=workers, cache=cache, retries=retries)
+    parallel.configure(max_workers=workers, cache=cache)
 
 
 def _add_workload_args(sub: argparse.ArgumentParser) -> None:

@@ -31,7 +31,7 @@
  * a batch with checkpoint()/rollback() (array snapshot, no undo
  * frames), this kernel pushes ordinary undo frames and pops them —
  * both restore the profile exactly, and the in-between states are
- * never observed.  place()'s skip-ahead also omits place_run's
+ * never observed.  place()'s skip-ahead also omits place_run_fold's
  * suffix-min frontier, a pure scan shortcut over segments the plain
  * walk rejects anyway.
  */

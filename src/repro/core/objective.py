@@ -85,8 +85,8 @@ class ScheduleScore:
     per-job terms in placement order: ``((t1 + t2) + t3) + ...`` starting
     from ``+0.0``.  Floating-point addition is not associative, so every
     producer of a ``ScheduleScore`` — the reference engine's tuple
-    accumulator, the fast engine's delta kernel, the numpy-vectorized chain
-    fold, and local search's ``evaluate_order`` — must use exactly this
+    accumulator, the fast engine's delta kernel, its C transcription, and
+    local search's ``evaluate_order`` — must use exactly this
     association to keep scores bit-identical across engines (the
     conformance suite asserts this).  ``avg_slowdown`` derives from
     ``total_slowdown``, so agreement on the totals implies agreement on the

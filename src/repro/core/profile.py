@@ -490,7 +490,7 @@ class SearchProfile:
         """Whether this view runs debug-mode invariant checks per mutation.
 
         Cached at construction (see the class docstring); callers that
-        batch mutations (:meth:`place_run`) must consult it and fall back
+        batch mutations (:meth:`place_run_fold`) must consult it and fall back
         to per-call :meth:`place` so every check still runs.
         """
         return self._sanitize
@@ -619,7 +619,7 @@ class SearchProfile:
     def rollback(self, state: "ProfileCheckpoint") -> None:
         """Restore a :meth:`checkpoint` exactly.
 
-        Any mix of :meth:`place`, :meth:`place_run` and :meth:`unplace`
+        Any mix of :meth:`place`, :meth:`place_run_fold` and :meth:`unplace`
         since the snapshot is undone: the segment arrays and undo stack
         return to their checkpointed state (in place, so locals bound to
         the lists stay valid).  The restore is exact, not merely
@@ -630,7 +630,7 @@ class SearchProfile:
         self._f[:] = f
         del self._undo[depth:]
 
-    def place_run(
+    def place_run_fold(
         self,
         idxs: Sequence[int],
         d0: int,
@@ -639,18 +639,28 @@ class SearchProfile:
         dur_arr: Sequence[float],
         earliest: float,
         starts_out: list[float],
-    ) -> None:
-        """Commit ``count`` earliest-fit placements in one tight loop.
+        submit: Sequence[float],
+        denom: Sequence[float],
+        omega: float,
+        exc: float,
+        slow: float,
+    ) -> tuple[float, float]:
+        """Commit ``count`` earliest-fit placements in one tight loop,
+        folding the two-level objective as it goes.
 
         Job ``j`` of the run (``j`` in ``[0, count)``) requests
         ``nodes_arr[i]`` nodes for ``dur_arr[i]`` seconds, where
         ``i = idxs[d0 + j]``; its start is written to ``starts_out[d0 + j]``.
         Starts are bit-identical to ``count`` successive :meth:`place`
         calls — the scan/commit arithmetic below is the same operations in
-        the same order — but **no undo frames are pushed**: the caller
-        must bracket the run with :meth:`checkpoint`/:meth:`rollback`.
-        Skips the sanitizer (callers check :attr:`sanitizing` and use
-        per-call :meth:`place` when it is on).
+        the same order — and in the same loop iteration each job's
+        ``(excessive wait, bounded slowdown)`` terms are folded into
+        ``(exc, slow)`` left-to-right, the association order of
+        :mod:`repro.core.deltascore`'s contract; the final accumulators
+        are returned.  **No undo frames are pushed**: the caller must
+        bracket the run with :meth:`checkpoint`/:meth:`rollback`.  Skips
+        the sanitizer (callers check :attr:`sanitizing` and use per-call
+        :meth:`place` when it is on).
         """
         t, f = self._t, self._f
         capacity = self.capacity
@@ -683,109 +693,6 @@ class SearchProfile:
                 raise ValueError(f"{nodes} nodes exceeds capacity {capacity}")
             # The final segment always has all of capacity free, so the
             # frontier walk stops before the end of the array.
-            thr = suf[d - d0]
-            while f[fnf] < thr:
-                fnf += 1
-
-            # --- earliest-fit scan (identical to place()) ---------------
-            m = len(t)
-            cand = earliest if earliest > t[0] else t[0]
-            i = 0
-            ni = 1
-            while ni < m and t[ni] <= cand:
-                i = ni
-                ni += 1
-            while True:
-                if f[i] < nodes:
-                    i = fnf if fnf > i + 1 else i + 1
-                    while f[i] < nodes:
-                        i += 1
-                    cand = t[i]
-                end = cand + duration
-                end_eps = end - eps
-                j = i + 1
-                blocked = 0
-                while j < m and t[j] < end_eps:
-                    if f[j] < nodes:
-                        blocked = j
-                        break
-                    j += 1
-                if not blocked:
-                    break
-                i = blocked
-                cand = t[blocked]
-            starts_out[d] = start = cand
-
-            # --- start breakpoint ---------------------------------------
-            if start - t[i] <= eps:
-                si = i
-            else:
-                si = i + 1
-                t.insert(si, start)
-                f.insert(si, f[i])
-                m += 1
-
-            # --- end breakpoint -----------------------------------------
-            j = si + 1
-            while j < m and t[j] <= end:
-                j += 1
-            j -= 1
-            if end - t[j] <= eps:
-                ej = j
-            else:
-                ej = j + 1
-                t.insert(ej, end)
-                f.insert(ej, f[j])
-
-            # --- claim the nodes over [start pos, end pos) --------------
-            for k in range(si, ej):
-                f[k] -= nodes
-
-    def place_run_fold(
-        self,
-        idxs: Sequence[int],
-        d0: int,
-        count: int,
-        nodes_arr: Sequence[int],
-        dur_arr: Sequence[float],
-        earliest: float,
-        starts_out: list[float],
-        submit: Sequence[float],
-        denom: Sequence[float],
-        omega: float,
-        exc: float,
-        slow: float,
-    ) -> tuple[float, float]:
-        """:meth:`place_run` fused with the two-level objective fold.
-
-        Placements are identical to :meth:`place_run`; in the same loop
-        iteration each job's ``(excessive wait, bounded slowdown)`` terms
-        are folded into ``(exc, slow)`` left-to-right — the association
-        order of ``repro.core.deltascore.fold_chain_terms``'s scalar path,
-        bit-for-bit — and the final accumulators are returned.  Fusing
-        skips a second pass over the path arrays on the search's hottest
-        call (the heuristic-completion chain at every leaf).  Same
-        bracketing contract as :meth:`place_run`: no undo frames, caller
-        holds a :meth:`checkpoint`.
-        """
-        t, f = self._t, self._f
-        capacity = self.capacity
-        eps = _EPS
-        # Frontier over suffix-minimum requests; see place_run.
-        suf = [0] * count
-        mv = capacity + 1
-        for q in range(count - 1, -1, -1):
-            v = nodes_arr[idxs[d0 + q]]
-            if v < mv:
-                mv = v
-            suf[q] = mv
-        fnf = 0
-        for d in range(d0, d0 + count):
-            idx = idxs[d]
-            nodes = nodes_arr[idx]
-            duration = dur_arr[idx]
-            if nodes > capacity:
-                raise ValueError(f"{nodes} nodes exceeds capacity {capacity}")
             thr = suf[d - d0]
             while f[fnf] < thr:
                 fnf += 1

@@ -53,9 +53,8 @@ import time as _wallclock
 from dataclasses import dataclass
 from typing import Any, Callable, Union
 
-from repro.core import deltascore
 from repro.core.criteria import CriteriaEvaluator, MultiScore
-from repro.core.deltascore import JobArrays, fold_chain_terms
+from repro.core.deltascore import JobArrays
 from repro.core.objective import ObjectiveConfig, ScheduleScore
 from repro.core.profile import AvailabilityProfile
 from repro.core.search_tree import max_discrepancies
@@ -554,13 +553,12 @@ class _FastSearchRun(_SearchRunBase):
       written at the current depth — every leaf sits at depth n, so
       backtracking never needs to pop them;
     - heuristic-completion chains (``_chain2``) batch all remaining
-      placements through :meth:`SearchProfile.place_run` bracketed by one
-      ``checkpoint``/``rollback`` pair — no per-node budget-check calls
+      placements through :meth:`SearchProfile.place_run_fold` bracketed by
+      one ``checkpoint``/``rollback`` pair — no per-node budget-check calls
       (the allowance is computed up front), no undo frames, no linked-list
       unlink/relink (a chain never branches, so walking ``_nxt`` without
-      mutating it is enough) — and score the tail with
-      :func:`~repro.core.deltascore.fold_chain_terms` (numpy-vectorized
-      above its crossover, pure-python fold below it).
+      mutating it is enough) — which folds each job's objective terms in
+      the placement loop itself, at every chain length.
 
     A custom ``problem.evaluator`` keeps the generic tuple-accumulator
     methods (``_chain``/``_dfs_lds``/``_dfs_dds``).
@@ -669,9 +667,9 @@ class _FastSearchRun(_SearchRunBase):
         """Heuristic completion, batched: the delta kernel's `_chain`.
 
         A chain never branches, so the linked list is walked without
-        unlink/relink, placements commit through ``place_run`` with one
-        ``checkpoint``/``rollback`` bracket instead of ``m`` undo frames,
-        and the tail's objective terms fold in one pass.
+        unlink/relink, and placements commit through ``place_run_fold``
+        with one ``checkpoint``/``rollback`` bracket instead of ``m`` undo
+        frames, folding the tail's objective terms in the same loop.
         """
         if m == 0:
             self._leaf2(exc, slow, d)
@@ -696,9 +694,7 @@ class _FastSearchRun(_SearchRunBase):
                 if left > 0:
                     self.nodes_visited += left
                 raise _StopSearch
-        ja = self._ja
-        assert ja is not None  # callers dispatch on it
-        nxt, path_i, path_s = self._nxt, self._path_i, self._path_s
+        nxt, path_i = self._nxt, self._path_i
         i = self._head
         for p in range(d, d + m):
             i = nxt[i]
@@ -707,34 +703,20 @@ class _FastSearchRun(_SearchRunBase):
         ck = profile.checkpoint()
         try:
             self.nodes_visited += m
-            # Attribute read, not an import-time binding: tests and the
-            # REPRO_CHAIN_VECTOR_MIN override retune the crossover live.
-            if m >= deltascore.CHAIN_VECTOR_MIN:
-                profile.place_run(
-                    path_i, d, m, self._sa_nodes, self._sa_rt, self._now, path_s
-                )
-                exc, slow = fold_chain_terms(
-                    exc, slow, path_i, path_s, d, m, ja, self._omega
-                )
-            else:
-                # Short chains fold inside the placement loop itself —
-                # ``place_run_fold`` performs the same float ops in the
-                # same order as ``place_run`` + the scalar fold, saving a
-                # second pass over the path arrays per leaf.
-                exc, slow = profile.place_run_fold(
-                    path_i,
-                    d,
-                    m,
-                    self._sa_nodes,
-                    self._sa_rt,
-                    self._now,
-                    path_s,
-                    self._sa_submit,
-                    self._sa_denom,
-                    self._omega,
-                    exc,
-                    slow,
-                )
+            exc, slow = profile.place_run_fold(
+                path_i,
+                d,
+                m,
+                self._sa_nodes,
+                self._sa_rt,
+                self._now,
+                self._path_s,
+                self._sa_submit,
+                self._sa_denom,
+                self._omega,
+                exc,
+                slow,
+            )
             self._leaf2(exc, slow, d + m)
         finally:
             profile.rollback(ck)

@@ -21,13 +21,13 @@ Design constraints, in order:
 3. **Graceful degradation.**  ``max_workers=1`` and non-picklable specs
    (e.g. lambda policy factories) run serially in-process through the
    identical code path; nothing requires a pool.
-4. **Bounded self-healing.**  Failed cells are retried up to a per-run
-   retry budget (``retries=`` / ``REPRO_RUN_RETRIES``, default 1) — runs
-   are deterministic, so a retry only helps against *transient* failures
-   (a broken process pool, an interrupted worker), which is exactly the
-   class worth absorbing.  Every failure, recovered or not, is recorded
-   in the grid's :class:`FailureLedger`, the machine-readable account of
-   what failed, how often it was attempted, and why.
+
+There is no retry pass: runs are deterministic, so re-executing a failed
+cell fails the same way, and a cell that kills its worker (a segfault in
+the C kernel, ``os._exit``) must not be re-executed in the leader.  A
+broken pool surfaces as a ``BrokenProcessPool`` :class:`RunError` in each
+affected slot; a rerun with the cache on resumes from the cells that
+finished (``docs/robustness.md``).
 
 ``run_grid`` is the primitive; ``run_all`` is the figure/claims-facing
 wrapper that honours the session-wide :class:`ExecutionConfig` (set by
@@ -44,9 +44,8 @@ import pickle
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.experiments.cache import CACHE_VERSION, RunCache
@@ -181,74 +180,6 @@ class RunError:
         )
 
 
-@dataclass(frozen=True)
-class FailureRecord:
-    """One grid cell's failure history across its retry attempts."""
-
-    index: int
-    workload_name: str
-    policy_key: str
-    #: Total executions of the cell (first attempt + retries).
-    attempts: int
-    #: Whether a retry eventually produced a :class:`PolicyRun`.
-    recovered: bool
-    #: The error of every *failed* attempt, in order.
-    errors: tuple[RunError, ...]
-
-
-@dataclass
-class FailureLedger:
-    """Machine-readable account of everything that failed in a grid.
-
-    A grid under faults completes with partial results; this ledger is
-    the other half of the contract — a durable, structured record of
-    which cells failed, how many attempts each consumed, and the error of
-    every failed attempt.  ``write()`` persists it atomically as JSON.
-    """
-
-    retry_budget: int
-    records: list[FailureRecord] = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return bool(self.records)
-
-    @property
-    def recovered(self) -> list[FailureRecord]:
-        return [r for r in self.records if r.recovered]
-
-    @property
-    def unrecovered(self) -> list[FailureRecord]:
-        return [r for r in self.records if not r.recovered]
-
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "retry_budget": self.retry_budget,
-            "failed_cells": len(self.records),
-            "recovered": len(self.recovered),
-            "unrecovered": len(self.unrecovered),
-            "records": [
-                {
-                    "index": r.index,
-                    "workload": r.workload_name,
-                    "policy": r.policy_key,
-                    "attempts": r.attempts,
-                    "recovered": r.recovered,
-                    "errors": [
-                        {"type": e.error_type, "message": e.message}
-                        for e in r.errors
-                    ],
-                }
-                for r in self.records
-            ],
-        }
-
-    def write(self, path: "str | Path") -> "Path":
-        """Atomically persist the ledger as JSON; returns the path."""
-        from repro.util.atomio import atomic_write_json
-
-        return atomic_write_json(path, self.to_payload(), indent=2, sort_keys=True)
-
-
 # ----------------------------------------------------------------------
 # Cache keys
 # ----------------------------------------------------------------------
@@ -373,8 +304,6 @@ class GridOutcome:
     workers: int
     executed: int
     cache_hits: int
-    #: Failure history of every cell that ever failed (incl. recovered).
-    ledger: FailureLedger = field(default_factory=lambda: FailureLedger(0))
 
     @property
     def errors(self) -> list[RunError]:
@@ -427,39 +356,19 @@ def resolve_workers(value: "int | str | None") -> int:
     return count
 
 
-#: Default per-cell retry budget when neither the ``retries`` argument nor
-#: ``REPRO_RUN_RETRIES`` says otherwise.
-DEFAULT_RUN_RETRIES = 1
-
-
-def resolve_retries(value: "int | str | None" = None) -> int:
-    """Normalize a retry-budget request (``None`` -> env -> default)."""
-    if value is None or value == "":
-        raw = os.environ.get("REPRO_RUN_RETRIES", "").strip()
-        if not raw:
-            return DEFAULT_RUN_RETRIES
-        value = raw
-    try:
-        return max(0, int(value))
-    except ValueError:
-        return DEFAULT_RUN_RETRIES
-
-
 def run_grid(
     specs: Iterable[RunSpec],
     max_workers: "int | None" = None,
     cache: RunCache | None = None,
-    retries: "int | None" = None,
 ) -> GridOutcome:
     """Execute a grid of runs, in parallel where possible.
 
     Cache hits are resolved first; the remaining cells go to a process
     pool when ``max_workers`` resolves above 1 (0 means all cores), with
     non-picklable cells — and everything, when the pool is unavailable —
-    executed serially through the identical worker function.  Failed
-    cells are retried serially up to ``retries`` times (``None`` defers
-    to ``REPRO_RUN_RETRIES``), and every failure lands in the outcome's
-    :class:`FailureLedger`.  Results are returned in spec order
+    executed serially through the identical worker function.  A cell
+    that raises, or whose worker dies, is a :class:`RunError` in its slot
+    and is not re-executed.  Results are returned in spec order
     regardless of completion order.
     """
     specs = list(specs)
@@ -484,7 +393,8 @@ def run_grid(
     serial = pending
     if workers > 1 and len(pending) > 1:
         pooled = [i for i in pending if _picklable(specs[i])]
-        serial = [i for i in pending if i not in set(pooled)]
+        in_pool = set(pooled)
+        serial = [i for i in pending if i not in in_pool]
         if pooled:
             with ProcessPoolExecutor(max_workers=min(workers, len(pooled))) as pool:
                 futures = [pool.submit(_execute, (i, specs[i])) for i in pooled]
@@ -503,40 +413,6 @@ def run_grid(
     for i in serial:
         _, entries[i] = _execute((i, specs[i]))
 
-    # Bounded self-healing: re-execute failed cells serially (the identical
-    # worker function, so a recovered retry is bit-identical to a clean
-    # first attempt) and keep a ledger of every failure either way.
-    retry_budget = resolve_retries(retries)
-    ledger = FailureLedger(retry_budget=retry_budget)
-    failed = [i for i in pending if isinstance(entries[i], RunError)]
-    history: dict[int, list[RunError]] = {
-        i: [entries[i]] for i in failed  # type: ignore[list-item]
-    }
-    for _attempt in range(retry_budget):
-        if not failed:
-            break
-        still_failed: list[int] = []
-        for i in failed:
-            _, outcome = _execute((i, specs[i]))
-            entries[i] = outcome
-            if isinstance(outcome, RunError):
-                history[i].append(outcome)
-                still_failed.append(i)
-        failed = still_failed
-    for i in sorted(history):
-        errors = history[i]
-        recovered = not isinstance(entries[i], RunError)
-        ledger.records.append(
-            FailureRecord(
-                index=i,
-                workload_name=specs[i].workload_name,
-                policy_key=specs[i].policy_key,
-                attempts=len(errors) + (1 if recovered else 0),
-                recovered=recovered,
-                errors=tuple(errors),
-            )
-        )
-
     if cache is not None:
         for i in pending:
             entry = entries[i]
@@ -550,7 +426,6 @@ def run_grid(
         workers=workers,
         executed=len(pending),
         cache_hits=cache_hits,
-        ledger=ledger,
     )
     _session_stats.record(result)
     return result
@@ -565,36 +440,31 @@ class ExecutionConfig:
 
     max_workers: int = 1
     cache: RunCache | None = None
-    retries: int = DEFAULT_RUN_RETRIES
 
 
 _active_config: ExecutionConfig | None = None
 
 
 def default_execution() -> ExecutionConfig:
-    """Config from the environment: ``REPRO_WORKERS``, ``REPRO_CACHE[_DIR]``,
-    ``REPRO_RUN_RETRIES``."""
+    """Config from the environment: ``REPRO_WORKERS``, ``REPRO_CACHE[_DIR]``."""
     cache = None
     if os.environ.get("REPRO_CACHE", "").strip() in {"1", "true", "yes"}:
         cache = RunCache(os.environ.get("REPRO_CACHE_DIR") or None)
     return ExecutionConfig(
         max_workers=resolve_workers(os.environ.get("REPRO_WORKERS")),
         cache=cache,
-        retries=resolve_retries(),
     )
 
 
 def configure(
     max_workers: "int | None" = None,
     cache: RunCache | None = None,
-    retries: "int | None" = None,
 ) -> ExecutionConfig:
     """Set the session execution config (CLI flags, benchmark harness)."""
     global _active_config
     _active_config = ExecutionConfig(
         max_workers=resolve_workers(max_workers),
         cache=cache,
-        retries=resolve_retries(retries),
     )
     return _active_config
 
@@ -617,12 +487,7 @@ def run_all(specs: Sequence[RunSpec]) -> list[PolicyRun]:
     carrying every error record.
     """
     config = active_execution()
-    outcome = run_grid(
-        specs,
-        max_workers=config.max_workers,
-        cache=config.cache,
-        retries=config.retries,
-    )
+    outcome = run_grid(specs, max_workers=config.max_workers, cache=config.cache)
     outcome.raise_errors()
     return outcome.entries  # type: ignore[return-value]  # no errors left
 

@@ -314,7 +314,7 @@ class TenantEngine:
                 completed,
                 state.waiting,
                 sim.cluster.running_jobs,
-                _queued_jobs(state.events),
+                (event.payload for event in state.events),
             )
         }
         engine.decided_through = float(watermark)
@@ -323,8 +323,3 @@ class TenantEngine:
         sim.policy.on_simulation_begin()
         return engine
 
-
-def _queued_jobs(events: EventQueue) -> list[Job]:
-    """Payloads of the queued events (``EventQueue`` has no public
-    iteration; heap order does not matter to the caller)."""
-    return [event.payload for event in events._heap]

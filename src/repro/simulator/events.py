@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
 from repro.util.timeunits import TIME_EPS, time_eq
 
@@ -69,7 +69,7 @@ class EventQueue:
     def count_through(self, time: float, eps: float = TIME_EPS) -> int:
         """How many queued events fall at or before ``time`` (within ``eps``)."""
         bound = time + eps
-        return sum(1 for event in self._heap if event.time <= bound)
+        return sum(1 for event in self if event.time <= bound)
 
     def pop_simultaneous(self, eps: float = TIME_EPS) -> list[Event]:
         """Pop every event sharing the earliest timestamp (within ``eps``).
@@ -86,6 +86,11 @@ class EventQueue:
         while self._heap and time_eq(self._heap[0].time, first.time, eps):
             batch.append(heapq.heappop(self._heap))
         return batch
+
+    def __iter__(self) -> Iterator[Event]:
+        """Every queued event, in no particular order (heap layout, not
+        firing order); the queue is not consumed."""
+        return iter(self._heap)
 
     def __len__(self) -> int:
         return len(self._heap)

@@ -14,9 +14,7 @@ importable); this file owns everything about the *boundary*:
 - fixed-instance fingerprint identity at edge budgets (empty problem,
   single job, exhaustive, prune, anytime traces);
 - ``make_policy`` defaults to the kernel exactly when it is importable
-  and ``REPRO_PURE_PYTHON=1`` does not opt out;
-- the ``CHAIN_VECTOR_MIN`` crossover override (env + live retune) never
-  changes results, only which fold path runs.
+  and ``REPRO_PURE_PYTHON=1`` does not opt out.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import dataclasses
 
 import pytest
 
-from repro.core import ckernel, deltascore
+from repro.core import ckernel
 from repro.core.ckernel import _kernel_eligible, default_engine, have_compiled
 from repro.core.criteria import (
     CriteriaEvaluator,
@@ -209,30 +207,3 @@ def test_make_policy_honours_pure_python_opt_out(monkeypatch):
     assert default_engine() == "fast"
     assert make_policy("dds", "lxf", node_limit=500).searcher.engine == "fast"
 
-
-# ----------------------------------------------------------------------
-# CHAIN_VECTOR_MIN crossover override
-# ----------------------------------------------------------------------
-def test_chain_vector_min_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_CHAIN_VECTOR_MIN", "192")
-    assert deltascore._chain_vector_min() == 192
-    monkeypatch.setenv("REPRO_CHAIN_VECTOR_MIN", "0")
-    assert deltascore._chain_vector_min() == 0
-    monkeypatch.setenv("REPRO_CHAIN_VECTOR_MIN", "not-a-number")
-    assert deltascore._chain_vector_min() == 96
-    monkeypatch.setenv("REPRO_CHAIN_VECTOR_MIN", "-5")
-    assert deltascore._chain_vector_min() == 96
-    monkeypatch.delenv("REPRO_CHAIN_VECTOR_MIN")
-    assert deltascore._chain_vector_min() == 96
-
-
-def test_crossover_retune_never_changes_results(monkeypatch):
-    """Forcing every chain through the vectorized fold (crossover 0) and
-    none of them (huge crossover) gives bit-identical searches — the
-    association-order contract makes the knob purely about wall time."""
-    problem = build_problem("lxf")
-    baseline = fingerprint(_search("fast", problem, "dds", 500))
-    monkeypatch.setattr(deltascore, "CHAIN_VECTOR_MIN", 0)
-    assert fingerprint(_search("fast", problem, "dds", 500)) == baseline
-    monkeypatch.setattr(deltascore, "CHAIN_VECTOR_MIN", 10**9)
-    assert fingerprint(_search("fast", problem, "dds", 500)) == baseline

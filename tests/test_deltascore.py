@@ -8,14 +8,15 @@ so these properties pin the exact association order
 (``((0.0 + t1) + t2) + ...``, see ``ScheduleScore``'s docstring) for
 every producer:
 
-- ``fold_chain_terms``'s pure-python path,
-- ``fold_chain_terms``'s numpy path (``np.add.accumulate`` seeded with
-  the incoming accumulator — a pairwise ``np.sum`` would NOT pass),
-- ``SearchProfile.place_run_fold``'s fused placement+fold loop,
+- ``SearchProfile.place_run_fold``'s fused placement+fold loop — the one
+  batched chain path, which skips the add when the excess term is not
+  positive — against the reference left-to-right tuple fold, over
+  fractional times of any magnitude, non-zero incoming accumulators and
+  chains from one job to well past a hundred,
+- whole searches on the bench decision point, engine against engine,
 
-each against the reference left-to-right tuple fold, compared through
-``struct.pack`` so ``-0.0 != +0.0`` and NaN payloads would be caught.
-``place_run``/``place_run_fold`` are additionally pinned to sequential
+compared through ``struct.pack`` so ``-0.0 != +0.0`` and NaN payloads
+would be caught.  ``place_run_fold`` is additionally pinned to sequential
 ``place()`` calls: same starts, same breakpoints, same free counts.
 """
 
@@ -26,7 +27,6 @@ import struct
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.deltascore import JobArrays, fold_chain_terms
 from repro.core.profile import AvailabilityProfile
 from repro.util.timeunits import MINUTE
 
@@ -63,91 +63,54 @@ runtimes = st.floats(
 
 
 @st.composite
-def fold_cases(draw: st.DrawFn):
-    """A chain of placements plus a non-trivial incoming accumulator."""
-    n = draw(st.integers(min_value=1, max_value=24))
-    submits = [draw(seconds) for _ in range(n)]
-    runtime = [draw(runtimes) for _ in range(n)]
-    starts = [s + draw(seconds) for s in submits]  # wait >= 0
+def run_cases(draw: st.DrawFn):
+    """A capacity, a busy machine, a run of jobs to chain-place and a
+    non-trivial incoming accumulator."""
+    capacity = draw(st.integers(min_value=2, max_value=16))
+    now = draw(st.floats(min_value=7_200.0, max_value=3.0e7))
+    # Drawn first: a bare ``max_size`` almost never yields a long list,
+    # and the property has to hold at queue lengths past any real one.
+    n = draw(st.integers(min_value=1, max_value=130))
+    jobs = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=capacity),  # nodes
+                runtimes,
+                st.floats(min_value=0.0, max_value=now),  # submit: wait >= 0
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    # Pre-place a few jobs so the profile has internal structure.
+    pre = draw(
+        st.lists(
+            st.tuples(st.integers(min_value=1, max_value=capacity), runtimes),
+            max_size=4,
+        )
+    )
     omega = draw(seconds)
     # The incoming accumulator is itself a reference fold over a random
     # prefix, so the property also covers mid-path handoff points.
-    k = draw(st.integers(min_value=0, max_value=4))
+    prefix = draw(st.lists(st.tuples(seconds, runtimes), max_size=4))
     exc0, slow0 = reference_fold(
-        0.0,
-        0.0,
-        [draw(seconds) for _ in range(k)],
-        [draw(runtimes) for _ in range(k)],
-        omega,
+        0.0, 0.0, [w for w, _ in prefix], [d for _, d in prefix], omega
     )
-    return submits, runtime, starts, omega, exc0, slow0
-
-
-@given(case=fold_cases(), vector=st.booleans())
-@settings(max_examples=200, deadline=None)
-def test_fold_chain_terms_bit_equals_reference_tuple_fold(case, vector):
-    """Both fold paths reproduce the reference association exactly.
-
-    ``vector=True`` forces the numpy path regardless of chain length, so
-    the seeded-``accumulate`` trick is exercised on short chains too;
-    ``vector=False`` pins the pure-python loop.  The delta kernel skips
-    the add when the excess term is not positive — exact only because
-    the accumulator is never negative, which this property also
-    witnesses across random magnitudes.
-    """
-    submits, runtime, starts, omega, exc0, slow0 = case
-    n = len(submits)
-    rt = dict(enumerate(runtime))
-
-    class _J:  # JobArrays.build reads just these three attributes
-        def __init__(self, i: int) -> None:
-            self.job_id = i
-            self.submit_time = submits[i]
-            self.nodes = 1
-
-    arrays = JobArrays.build([_J(i) for i in range(n)], rt, MINUTE)
-    got_exc, got_slow = fold_chain_terms(
-        exc0, slow0, list(range(n)), starts, 0, n, arrays, omega, vector=vector
-    )
-    waits = [starts[i] - submits[i] for i in range(n)]
-    want_exc, want_slow = reference_fold(exc0, slow0, waits, arrays.denom, omega)
-    assert bits(got_exc) == bits(want_exc)
-    assert bits(got_slow) == bits(want_slow)
-
-
-@st.composite
-def run_cases(draw: st.DrawFn):
-    """A capacity, a busy machine, and a run of jobs to chain-place."""
-    capacity = draw(st.integers(min_value=2, max_value=16))
-    n = draw(st.integers(min_value=1, max_value=10))
-    jobs = [
-        (
-            draw(st.integers(min_value=1, max_value=capacity)),  # nodes
-            float(draw(st.integers(min_value=60, max_value=36_000))),  # runtime
-            float(draw(st.integers(min_value=0, max_value=7_200))),  # submit
-        )
-        for _ in range(n)
-    ]
-    # Pre-place a few jobs so the profile has internal structure.
-    pre = [
-        (
-            draw(st.integers(min_value=1, max_value=capacity)),
-            float(draw(st.integers(min_value=60, max_value=36_000))),
-        )
-        for _ in range(draw(st.integers(min_value=0, max_value=4)))
-    ]
-    now = float(draw(st.integers(min_value=7_200, max_value=14_400)))
-    omega = float(draw(st.integers(min_value=0, max_value=7_200)))
-    return capacity, jobs, pre, now, omega
+    return capacity, jobs, pre, now, omega, exc0, slow0
 
 
 @given(case=run_cases())
 @settings(max_examples=150, deadline=None)
 def test_place_run_variants_bit_equal_sequential_place(case):
-    """``place_run`` and ``place_run_fold`` commit the same placements —
-    same starts, same breakpoints, same free counts — as job-by-job
-    ``place()``, and the fused fold returns the reference totals."""
-    capacity, jobs, pre, now, omega = case
+    """``place_run_fold`` commits the same placements — same starts, same
+    breakpoints, same free counts — as job-by-job ``place()``, and its
+    fused fold returns the reference totals.
+
+    The fused loop skips the add when the excess term is not positive —
+    exact only because the accumulator is never negative, which this
+    property also witnesses across random magnitudes.
+    """
+    capacity, jobs, pre, now, omega, exc0, slow0 = case
     nodes_arr = [n for n, _, _ in jobs]
     rt_arr = [r for _, r, _ in jobs]
     submit = [s for _, _, s in jobs]
@@ -163,24 +126,16 @@ def test_place_run_variants_bit_equal_sequential_place(case):
     ref = fresh()
     ref_starts = [ref.place(nodes_arr[i], rt_arr[i], now) for i in idxs]
     want = reference_fold(
-        0.0, 0.0, [ref_starts[i] - submit[i] for i in idxs], denom, omega
+        exc0, slow0, [ref_starts[i] - submit[i] for i in idxs], denom, omega
     )
-
-    run = fresh()
-    ck = run.checkpoint()
-    out = [0.0] * len(jobs)
-    run.place_run(idxs, 0, len(jobs), nodes_arr, rt_arr, now, out)
-    assert [bits(s) for s in out] == [bits(s) for s in ref_starts]
-    assert run.segments() == ref.segments()
-    run.rollback(ck)
 
     fused = fresh()
     ck = fused.checkpoint()
-    out2 = [0.0] * len(jobs)
+    out = [0.0] * len(jobs)
     exc, slow = fused.place_run_fold(
-        idxs, 0, len(jobs), nodes_arr, rt_arr, now, out2, submit, denom, omega, 0.0, 0.0
+        idxs, 0, len(jobs), nodes_arr, rt_arr, now, out, submit, denom, omega, exc0, slow0
     )
-    assert [bits(s) for s in out2] == [bits(s) for s in ref_starts]
+    assert [bits(s) for s in out] == [bits(s) for s in ref_starts]
     assert fused.segments() == ref.segments()
     assert bits(exc) == bits(want[0])
     assert bits(slow) == bits(want[1])
@@ -191,20 +146,25 @@ def test_place_run_variants_bit_equal_sequential_place(case):
 
 def test_engine_totals_bit_equal_on_bench_decision():
     """End to end: the fast engine's delta-accumulated best score equals
-    the reference engine's tuple-accumulated one, bit for bit, on the
-    fixed 30-job bench decision point."""
+    the reference engine's tuple-accumulated one (and the compiled
+    engine's, when built), bit for bit, on the fixed 30-job bench
+    decision point and on a 128-job queue of the same recipe."""
+    from repro.core.ckernel import have_compiled
     from repro.core.search import DiscrepancySearch
     from repro.experiments.bench import build_problem
 
+    engines = ["fast", "reference"] + (["compiled"] if have_compiled() else [])
     for heuristic in ("lxf", "fcfs"):
-        problem = build_problem(heuristic)
-        scores = {
-            engine: DiscrepancySearch(
-                "dds", node_limit=2_000, engine=engine
-            ).search(problem).best_score
-            for engine in ("fast", "reference")
-        }
-        fast, ref = scores["fast"], scores["reference"]
-        assert bits(fast.total_excessive_wait) == bits(ref.total_excessive_wait)
-        assert bits(fast.total_slowdown) == bits(ref.total_slowdown)
-        assert bits(fast.avg_slowdown) == bits(ref.avg_slowdown)
+        for n_jobs in (30, 128):
+            problem = build_problem(heuristic, n_jobs=n_jobs)
+            scores = {
+                engine: DiscrepancySearch(
+                    "dds", node_limit=2_000, engine=engine
+                ).search(problem).best_score
+                for engine in engines
+            }
+            ref = scores.pop("reference")
+            for got in scores.values():
+                assert bits(got.total_excessive_wait) == bits(ref.total_excessive_wait)
+                assert bits(got.total_slowdown) == bits(ref.total_slowdown)
+                assert bits(got.avg_slowdown) == bits(ref.avg_slowdown)

@@ -46,6 +46,14 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PROSE = [ROOT / "README.md", ROOT / "DESIGN.md", *sorted((ROOT / "docs").glob("*.md"))]
 _DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
 _PATH = re.compile(r"\b(?:src|tests|benchmarks)/[\w./*-]+")
+_KNOB = re.compile(r"\bREPRO_[A-Z_]+")
+#: Every ``REPRO_*`` name some program source mentions (reads, in practice).
+KNOBS_IN_CODE = {
+    knob
+    for top in ("src", "benchmarks")
+    for source in sorted((ROOT / top).rglob("*.py"))
+    for knob in _KNOB.findall(source.read_text(encoding="utf-8"))
+}
 
 
 def _resolves(dotted: str) -> bool:
@@ -66,4 +74,5 @@ def test_docs_name_only_modules_and_paths_that_exist(doc):
         path = path.rstrip(".,:;")  # sentence punctuation; globs allowed
         if not list(ROOT.glob(path)):
             stale.append(path)
+    stale += sorted(set(_KNOB.findall(text)) - KNOBS_IN_CODE)
     assert not stale, f"{doc.name} names things that are gone: {stale}"

@@ -79,3 +79,14 @@ def test_bool_and_len():
     assert not q
     q.push(0.0, EventKind.ARRIVAL)
     assert q and len(q) == 1
+
+
+def test_iteration_sees_every_event_without_consuming():
+    q = EventQueue()
+    for t, name in ((5.0, "c"), (1.0, "a"), (3.0, "b")):
+        q.push(t, EventKind.ARRIVAL, name)
+    # Heap layout, not firing order: compare as a set.
+    assert {e.payload for e in q} == {"a", "b", "c"}
+    assert len(q) == 3
+    assert q.count_through(3.0) == 2
+    assert [q.pop().payload for _ in range(3)] == ["a", "b", "c"]

@@ -8,6 +8,12 @@ without simulating anything.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.cache import RunCache
@@ -51,6 +57,12 @@ class ExplodingPolicy(SchedulingPolicy):
 
 def exploding_factory() -> SchedulingPolicy:
     return ExplodingPolicy()
+
+
+def dying_factory() -> SchedulingPolicy:
+    """Takes its process down the way a segfault in the C kernel would:
+    no exception, no cleanup.  Only ever called in a throwaway process."""
+    os._exit(3)
 
 
 def run_signature(run: PolicyRun) -> tuple:
@@ -128,6 +140,60 @@ def test_failed_run_yields_error_record_not_abort(workers):
     assert error.policy_key == "exploding"
     with pytest.raises(RuntimeError, match="1/3 runs failed"):
         outcome.raise_errors()
+
+
+_WORKER_DEATH_SCRIPT = """
+import json
+from repro.experiments.parallel import RunError, RunSpec, configure, run_all, run_grid
+from tests.test_parallel_runner import POLICIES, WORKLOADS, dying_factory
+
+specs = [
+    RunSpec(WORKLOADS[0], POLICIES[0]),
+    RunSpec(WORKLOADS[0], dying_factory, label="dying"),
+    RunSpec(WORKLOADS[1], POLICIES[0]),
+]
+outcome = run_grid(specs, max_workers=2)
+configure(max_workers=2)
+try:
+    run_all(specs)
+    raised = None
+except RuntimeError as exc:
+    raised = str(exc)
+print(json.dumps({
+    "kinds": [type(e).__name__ for e in outcome.entries],
+    "error_types": [
+        e.error_type for e in outcome.entries if isinstance(e, RunError)
+    ],
+    "raised": raised,
+}))
+"""
+
+
+def test_worker_death_is_contained_in_its_grid_slots():
+    """A cell that kills its worker breaks the pool, not the leader: the
+    grid returns with ``BrokenProcessPool`` errors in the affected slots
+    and nothing is re-executed in-process.  Which sibling cells the broken
+    pool takes with it depends on timing, so only the dying cell's slot is
+    asserted exactly.  Runs in a subprocess: a leader that did execute the
+    cell would exit with code 3 and take pytest with it."""
+    repo = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(repo), str(repo / "src"), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _WORKER_DEATH_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["kinds"][1] == "RunError"
+    assert set(report["kinds"]) <= {"PolicyRun", "RunError"}
+    assert set(report["error_types"]) == {"BrokenProcessPool"}
+    assert "runs failed" in report["raised"] and "/dying:" in report["raised"]
 
 
 def test_run_matrix_raises_after_grid_completes():
