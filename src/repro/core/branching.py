@@ -47,7 +47,7 @@ def lxf_key(job: Job, now: float, runtime: float) -> tuple[float, ...]:
     The slowdown a job would have if started right now, using the runtime
     the scheduler plans with and the 1-minute floor.
     """
-    denom = max(runtime, MINUTE)
+    denom = runtime if runtime > MINUTE else MINUTE
     slowdown = (now - job.submit_time + denom) / denom
     return (-slowdown, job.submit_time, job.job_id)
 

@@ -29,15 +29,12 @@ fingerprints and the Hypothesis engine-conformance fuzzer in
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING
 
 from repro.core.deltascore import JobArrays
 from repro.core.objective import ScheduleScore
+from repro.core.search import SearchProblem, SearchResult, _FastSearchRun
 from repro.util.sanitize import sanitize_enabled
 from repro.util.timeunits import TIME_EPS
-
-if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.core.search import SearchProblem, SearchResult
 
 try:  # the extension is an optional build artifact
     from repro.core import _ckernel as _impl
@@ -71,36 +68,35 @@ def default_engine() -> str:
     return "fast"
 
 
-def _kernel_eligible(problem: "SearchProblem", time_limit_seconds: float | None) -> bool:
-    """Can this search run in the C kernel with bit-identical results?
+def _kernel_arrays(
+    problem: SearchProblem, time_limit_seconds: float | None
+) -> JobArrays | None:
+    """The job columns to hand the C kernel, or ``None`` when this search
+    has to run in python to give bit-identical results.
 
     Anything the kernel deliberately omits routes to the fast engine:
     wall-clock deadlines (sparse poll cadence), custom evaluators
     (arbitrary Python accumulators), sanitized runs (per-mutation Python
     invariant checks), and malformed inputs whose error behaviour the
     pure engines define (over-capacity jobs, a profile without its
-    all-free tail segment).
+    all-free tail segment).  The capacity check reads the ``nodes``
+    column itself, so it holds for exactly what C walks.
     """
     if _impl is None:
-        return False
+        return None
     if time_limit_seconds is not None:
-        return False
+        return None
     if problem.evaluator is not None:
-        return False
+        return None
     if sanitize_enabled():
-        return False
+        return None
     profile = problem.profile
     if not profile.free or profile.free[-1] != profile.capacity:
-        return False
-    capacity = profile.capacity
-    return all(job.nodes <= capacity for job in problem.jobs)
-
-
-def _job_arrays(problem: "SearchProblem") -> JobArrays:
-    from repro.core.search import resolve_runtimes
-
-    rt = resolve_runtimes(problem)
-    return JobArrays.build(problem.jobs, rt, problem.objective.slowdown_floor)
+        return None
+    arrays = problem.job_arrays()
+    if max(arrays.nodes, default=0) > profile.capacity:
+        return None
+    return arrays
 
 
 def _anytime_scores(
@@ -118,7 +114,7 @@ class _CompiledSearchRun:
 
     def __init__(
         self,
-        problem: "SearchProblem",
+        problem: SearchProblem,
         algorithm: str,
         node_limit: int | None,
         prune: bool,
@@ -132,12 +128,11 @@ class _CompiledSearchRun:
         self.record_anytime = record_anytime
         self.time_limit_seconds = time_limit_seconds
 
-    def run(self) -> "SearchResult":
+    def run(self) -> SearchResult:
         problem = self.problem
-        if not _kernel_eligible(problem, self.time_limit_seconds):
+        ja = _kernel_arrays(problem, self.time_limit_seconds)
+        if ja is None:
             # Silent fallback: bit-identical results, pure-python speed.
-            from repro.core.search import _FastSearchRun
-
             return _FastSearchRun(
                 problem,
                 self.algorithm,
@@ -146,10 +141,8 @@ class _CompiledSearchRun:
                 self.record_anytime,
                 self.time_limit_seconds,
             ).run()
-        from repro.core.search import SearchResult
-
-        ja = _job_arrays(problem)
-        assert _impl is not None  # _kernel_eligible checked
+        assert _impl is not None  # _kernel_arrays checked
+        profile = problem.profile
         (
             b_exc,
             b_slow,
@@ -167,10 +160,10 @@ class _CompiledSearchRun:
             -1 if self.node_limit is None else self.node_limit,
             1 if self.prune else 0,
             1 if self.record_anytime else 0,
-            problem.profile.capacity,
+            profile.capacity,
             TIME_EPS,
-            list(problem.profile.times),
-            list(problem.profile.free),
+            profile.times,  # C copies both lists and writes to neither
+            profile.free,
             ja.submit,
             ja.nodes,
             ja.runtime,
@@ -179,12 +172,10 @@ class _CompiledSearchRun:
             problem.omega,
         )
         jobs = problem.jobs
-        order = tuple(jobs[i] for i in idxs)
+        order = tuple([jobs[i] for i in idxs])
         return SearchResult(
             best_order=order,
-            best_starts={
-                order[p].job_id: starts[p] for p in range(len(order))
-            },
+            best_starts={job.job_id: start for job, start in zip(order, starts)},
             best_score=ScheduleScore(b_exc, b_slow, b_d),
             nodes_visited=nodes_visited,
             leaves_evaluated=leaves,

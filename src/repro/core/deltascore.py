@@ -99,3 +99,12 @@ class JobArrays:
         denom = [r if r >= floor else floor for r in runtime]
         return cls(submit, nodes, runtime, denom)
 
+    def __eq__(self, other: object) -> bool:
+        """Column-for-column equality, exact on the floats."""
+        if not isinstance(other, JobArrays):
+            return NotImplemented
+        return all(
+            getattr(self, column) == getattr(other, column)
+            for column in self.__slots__
+        )
+

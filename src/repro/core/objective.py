@@ -69,7 +69,11 @@ class DynamicBound(TargetBound):
     def value(self, now: float, waiting: Sequence[Job]) -> float:
         if not waiting:
             return 0.0
-        return max(job.current_wait(now) for job in waiting)
+        # The longest ``Job.current_wait(now)`` in the queue, bit for bit:
+        # rounded subtraction is monotone in the subtrahend, so the
+        # earliest submission has the largest ``now - submit_time``, and
+        # clamping at 0.0 commutes with taking that maximum.
+        return max(0.0, now - min([job.submit_time for job in waiting]))
 
 
 @total_ordering

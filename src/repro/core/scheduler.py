@@ -13,10 +13,12 @@ Factory naming follows the paper: ``DDS/lxf/dynB`` is
 
 from __future__ import annotations
 
-import sys
+import dataclasses
+from operator import itemgetter
 from typing import Sequence
 
 from repro.core.branching import HEURISTICS, order_jobs
+from repro.core.deltascore import JobArrays
 from repro.core.objective import (
     DynamicBound,
     FixedBound,
@@ -38,6 +40,8 @@ from repro.util.timeunits import WEEK
 from repro.simulator.cluster import Cluster
 from repro.simulator.job import Job
 from repro.simulator.policy import RunningJob, SchedulingPolicy
+
+_ROW_KEY = itemgetter(0)
 
 
 class SearchSchedulingPolicy(SchedulingPolicy):
@@ -204,17 +208,31 @@ class SearchSchedulingPolicy(SchedulingPolicy):
         running: Sequence[RunningJob],
         profile: AvailabilityProfile,
     ) -> SearchResult:
-        """Order the queue, resolve the bound and search; no statistics."""
-        runtimes = {job.job_id: self.runtime_of(job) for job in waiting}
-        ordered = order_jobs(
-            waiting, self.heuristic, now, runtime_of=lambda j: runtimes[j.job_id]
-        )
-        omega = self.bound.value(now, waiting)
-        if sanitize_enabled():
-            require(
-                omega >= 0,
-                f"target wait bound must be >= 0, got omega={omega} at t={now}",
+        """Marshal the queue, resolve the bound and search; no statistics.
+
+        One pass over ``waiting`` makes a row per job — heuristic key,
+        the job, and the four columns the engines read — with one call
+        for the planning runtime and one for the key; one sort puts the
+        rows in heuristic order and one transposition turns them into the
+        problem's ``jobs`` and ``arrays``.
+        """
+        of = self.runtime_source.of
+        key = HEURISTICS[self.heuristic]
+        floor = self.objective.slowdown_floor
+        rows = [
+            (
+                key(job, now, rt := of(job)),
+                job,
+                job.submit_time,
+                job.nodes,
+                rt,
+                rt if rt >= floor else floor,  # JobArrays.build's clamp
             )
+            for job in waiting
+        ]
+        rows.sort(key=_ROW_KEY)  # keyed: stable, and never compares two jobs
+        _, jobs, submit, nodes, runtime, denom = zip(*rows)
+        omega = self.bound.value(now, waiting)
         evaluator = None
         if self.criteria is not None:
             overuse: dict[str, float] = {}
@@ -225,35 +243,57 @@ class SearchSchedulingPolicy(SchedulingPolicy):
             context = DecisionContext(
                 now=now,
                 omega=omega,
-                runtimes=runtimes,
-                floor=self.objective.slowdown_floor,
+                runtimes={job.job_id: rt for job, rt in zip(jobs, runtime)},
+                floor=floor,
                 user_overuse=overuse,
             )
             evaluator = CriteriaEvaluator(self.criteria, context)
         problem = SearchProblem(
-            jobs=tuple(ordered),
+            jobs=jobs,
             profile=profile,
             now=now,
             omega=omega,
             objective=self.objective,
-            use_actual_runtime=self.use_actual_runtime,
-            runtimes=runtimes,
+            use_actual_runtime=self.runtime_source.is_actual,
             evaluator=evaluator,
+            arrays=JobArrays(list(submit), list(nodes), list(runtime), list(denom)),
         )
+        if sanitize_enabled():
+            require(
+                omega >= 0,
+                f"target wait bound must be >= 0, got omega={omega} at t={now}",
+            )
+            self._check_marshalling(problem, waiting)
+        return self.searcher.search(problem)
 
-        # The DFS recurses one level per waiting job; make sure deep queues
-        # cannot hit the interpreter's recursion limit.  The raised limit is
-        # scoped to this decision — leaking it would let inflated interpreter
-        # state bleed across runs and into experiment worker processes.
-        needed = len(ordered) * 3 + 100
-        prior_limit = sys.getrecursionlimit()
-        try:
-            if prior_limit < needed:
-                sys.setrecursionlimit(needed)
-            return self.searcher.search(problem)
-        finally:
-            if sys.getrecursionlimit() != prior_limit:
-                sys.setrecursionlimit(prior_limit)
+    def _check_marshalling(self, problem: SearchProblem, waiting: Sequence[Job]) -> None:
+        """Sanitizer: the problem marshalled in one pass is, exactly, what
+        the per-job definitions derive — ``order_jobs`` over a runtime
+        dict, the longest ``Job.current_wait`` (dynB), and
+        ``JobArrays.build`` behind ``resolve_runtimes``."""
+        now = problem.now
+        runtimes = {job.job_id: self.runtime_of(job) for job in waiting}
+        ordered = order_jobs(
+            waiting, self.heuristic, now, runtime_of=lambda j: runtimes[j.job_id]
+        )
+        derived = dataclasses.replace(
+            problem, jobs=tuple(ordered), runtimes=runtimes, arrays=None
+        )
+        require(
+            problem.jobs == derived.jobs,
+            f"marshalled job order differs from order_jobs at t={now}",
+        )
+        require(
+            problem.arrays == derived.job_arrays(),
+            f"marshalled job arrays differ from JobArrays.build at t={now}",
+        )
+        if isinstance(self.bound, DynamicBound):
+            longest = max(job.current_wait(now) for job in waiting)
+            require(
+                problem.omega == longest,  # simlint: skip=SIM003 - bit-equality is the claim
+                f"dynB omega={problem.omega} is not the longest current "
+                f"wait {longest} at t={now}",
+            )
 
     def on_start(self, job: Job, now: float) -> None:
         if self.usage_tracker is not None:

@@ -48,9 +48,10 @@ independent.
 
 from __future__ import annotations
 
+import sys
 import time as _wallclock
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Union
 
 from repro.core.criteria import CriteriaEvaluator, MultiScore
@@ -71,13 +72,17 @@ class _StopSearch(Exception):
 
 
 def resolve_runtimes(problem: "SearchProblem") -> dict[int, float]:
-    """The planning runtime of every job in ``problem``."""
+    """The planning runtime of every job in ``problem``, by job id."""
     if problem.runtimes is not None:
         rt = dict(problem.runtimes)
         missing = {j.job_id for j in problem.jobs} - set(rt)
         if missing:
             raise ValueError(f"runtimes missing for jobs {sorted(missing)}")
         return rt
+    if problem.arrays is not None:
+        return {
+            job.job_id: rt for job, rt in zip(problem.jobs, problem.arrays.runtime)
+        }
     use_actual = problem.use_actual_runtime
     return {j.job_id: j.scheduler_runtime(use_actual) for j in problem.jobs}
 
@@ -145,6 +150,21 @@ class SearchProblem:
     #: General N-level objective; when set it supersedes ``objective`` /
     #: ``omega`` for scoring (placement is unaffected).
     evaluator: CriteriaEvaluator | None = None
+    #: The dense-index view of ``jobs`` (row ``i`` describes ``jobs[i]``)
+    #: that the fast and compiled engines read.  The policy supplies it,
+    #: built in the same pass that orders the queue, and then it is also
+    #: where the planning runtimes come from; a problem made without it
+    #: gets one from :meth:`job_arrays`.  Not part of equality or the repr.
+    arrays: JobArrays | None = field(default=None, compare=False, repr=False)
+
+    def job_arrays(self) -> JobArrays:
+        """``arrays``, or the same view built from ``runtimes`` /
+        ``use_actual_runtime`` (a missing runtime raises here)."""
+        if self.arrays is not None:
+            return self.arrays
+        return JobArrays.build(
+            self.jobs, resolve_runtimes(self), self.objective.slowdown_floor
+        )
 
 
 @dataclass
@@ -177,9 +197,8 @@ class SearchResult:
         as what they claim — a plan that holds the nodes from no later
         than ``now`` — so the job starts now, not in the past.
         """
-        return [
-            job for job in self.best_order if self.best_starts[job.job_id] <= now
-        ]
+        starts = self.best_starts
+        return [job for job in self.best_order if starts[job.job_id] <= now]
 
 
 @dataclass
@@ -358,12 +377,23 @@ class _SearchRunBase:
         # anytime record when requested — instead of a bespoke early
         # return that bypassed ``_leaf`` entirely.
         n = len(self.problem.jobs)
+        # The DFS recurses one level per waiting job; make sure deep queues
+        # cannot hit the interpreter's recursion limit.  The raised limit is
+        # scoped to this search — leaking it would let inflated interpreter
+        # state bleed across runs and into experiment worker processes.
+        needed = n * 3 + 100
+        prior_limit = sys.getrecursionlimit()
+        if prior_limit < needed:
+            sys.setrecursionlimit(needed)
         try:
             for iteration in range(0, max_discrepancies(n) + 1):
                 self.iterations_started += 1
                 self._iterate(iteration)
         except _StopSearch:
             self.limit_hit = True
+        finally:
+            if prior_limit < needed:
+                sys.setrecursionlimit(prior_limit)
         assert self.best_score is not None  # iteration 0 always completes
         return SearchResult(
             best_order=self.best_order,
@@ -589,9 +619,7 @@ class _FastSearchRun(_SearchRunBase):
         self._path_s: list[float] = [0.0] * n
         self._sanitizing = self.profile.sanitizing
         if problem.evaluator is None:
-            self._ja = JobArrays.build(
-                problem.jobs, self._rt, problem.objective.slowdown_floor
-            )
+            self._ja = problem.job_arrays()
             self._sa_submit = self._ja.submit
             self._sa_nodes = self._ja.nodes
             self._sa_rt = self._ja.runtime

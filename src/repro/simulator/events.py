@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 from repro.util.timeunits import TIME_EPS, time_eq
 
@@ -22,14 +21,18 @@ class EventKind(enum.Enum):
     FINISH = "finish"
 
 
-@dataclass(order=True)
-class Event:
-    """A scheduled simulator event, ordered by (time, seq)."""
+class Event(NamedTuple):
+    """A scheduled simulator event, ordered by (time, seq).
+
+    A tuple, so the heap's sifts compare in C.  ``seq`` is unique within
+    a queue, which means the comparison is always decided by ``(time,
+    seq)`` and never reaches ``kind`` or ``payload``.
+    """
 
     time: float
     seq: int
-    kind: EventKind = field(compare=False)
-    payload: Any = field(compare=False, default=None)
+    kind: EventKind
+    payload: Any = None
 
 
 class EventQueue:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import os
+from typing import Any
 
 import pytest
 
+from repro.simulator import events
 from repro.simulator.cluster import ClusterConfig, JobLimits
 from repro.simulator.job import Job, JobState
 from repro.util.timeunits import HOUR
@@ -81,3 +84,22 @@ def cluster4() -> ClusterConfig:
 @pytest.fixture
 def cluster128() -> ClusterConfig:
     return small_cluster(128)
+
+
+@pytest.fixture
+def parent_format_events(monkeypatch):
+    """While active, ``EventQueue.push`` makes the ``@dataclass(order=True)``
+    events every release before the tuple ``Event`` made, pickled under
+    the same import path — so what gets saved is byte-for-byte an old
+    snapshot.  Call the returned function to put the real class back."""
+    @dataclasses.dataclass(order=True)
+    class Event:
+        time: float
+        seq: int
+        kind: events.EventKind = dataclasses.field(compare=False)
+        payload: Any = dataclasses.field(compare=False, default=None)
+
+    Event.__module__ = events.__name__
+    Event.__qualname__ = "Event"
+    monkeypatch.setattr(events, "Event", Event)
+    return monkeypatch.undo

@@ -127,6 +127,24 @@ def test_resume_survives_a_corrupt_newest_snapshot(tmp_path):
     assert run_signature(resumed) == run_signature(clean)
 
 
+def test_a_checkpoint_with_the_old_dataclass_events_is_unusable_not_a_crash(
+    tmp_path, parent_format_events, caplog
+):
+    """``Event`` became a tuple; a heap pickled as dataclass instances
+    cannot be rebuilt.  That is one more unusable snapshot — refused by
+    ``load_checkpoint``, skipped with a warning by ``resume`` — never a
+    ``TypeError`` out of the unpickler."""
+    _interrupted_run(tmp_path, after=60)
+    parent_format_events()  # back to the real class
+    snapshots = sorted(tmp_path.glob("ckpt-*.pkl"))
+    assert snapshots
+    with pytest.raises(CorruptCheckpoint, match="unpicklable blob"):
+        load_checkpoint(snapshots[-1])
+    with caplog.at_level("WARNING"), pytest.raises(FileNotFoundError):
+        resume(tmp_path)
+    assert caplog.text.count("skipping unusable checkpoint") == len(snapshots)
+
+
 def test_checkpoint_resume_under_compiled_engine_is_bit_identical(tmp_path):
     """The interrupt/resume differential holds with the compiled search
     kernel active: the engine choice rides inside the snapshot and the

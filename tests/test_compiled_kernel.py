@@ -24,7 +24,7 @@ import dataclasses
 import pytest
 
 from repro.core import ckernel
-from repro.core.ckernel import _kernel_eligible, default_engine, have_compiled
+from repro.core.ckernel import _kernel_arrays, default_engine, have_compiled
 from repro.core.criteria import (
     CriteriaEvaluator,
     DecisionContext,
@@ -33,7 +33,7 @@ from repro.core.criteria import (
 from repro.core.scheduler import make_policy
 from repro.core.search import DiscrepancySearch, resolve_runtimes
 from repro.util.sanitize import sanitized
-from tests.oracles import InstanceSpec, build_problem, fingerprint
+from tests.oracles import InstanceSpec, build_problem, fingerprint, replay_workload
 
 needs_kernel = pytest.mark.skipif(
     not have_compiled(), reason="compiled kernel not built"
@@ -85,7 +85,7 @@ def test_time_limited_search_routes_to_fast_engine():
     kernel deliberately omits; the wrapper must hand the whole search to
     the fast engine rather than drop the deadline."""
     problem = SMALL.to_problem()
-    assert not _kernel_eligible(problem, time_limit_seconds=30.0)
+    assert _kernel_arrays(problem, time_limit_seconds=30.0) is None
     result = DiscrepancySearch(
         "dds", node_limit=None, engine="compiled", time_limit_seconds=30.0
     ).search(problem)
@@ -111,11 +111,11 @@ def test_evaluator_and_sanitizer_disqualify_the_kernel():
         problem, evaluator=CriteriaEvaluator(paper_objective(), ctx)
     )
     with sanitized(False):
-        assert _kernel_eligible(problem, None)
-        assert not _kernel_eligible(with_eval, None)
+        assert _kernel_arrays(problem, None) is not None
+        assert _kernel_arrays(with_eval, None) is None
         with sanitized(True):
-            assert not _kernel_eligible(problem, None)
-        assert _kernel_eligible(problem, None)
+            assert _kernel_arrays(problem, None) is None
+        assert _kernel_arrays(problem, None) is not None
 
 
 @needs_kernel
@@ -131,7 +131,7 @@ def test_malformed_profiles_and_oversized_jobs_route_to_python():
     oversized = dataclasses.replace(
         problem, jobs=(big,) + problem.jobs[1:]
     )
-    assert not _kernel_eligible(oversized, None)
+    assert _kernel_arrays(oversized, None) is None
 
 
 # ----------------------------------------------------------------------
@@ -189,6 +189,42 @@ def test_bench_decision_point_identity(algorithm, heuristic):
             prune=prune, record_anytime=True,
         )
         assert fingerprint(compiled) == fingerprint(fast)
+
+
+# ----------------------------------------------------------------------
+# A paper month through the policy, engine against engine
+# ----------------------------------------------------------------------
+def _replayed_month(scale, engine):
+    """July 2003 under ``DDS/lxf/dynB`` at L=1K on ``engine``: every
+    decision's fingerprint, every job's exact start and end, the decision
+    count and the policy's stats."""
+    decisions, result = replay_workload(
+        engine, node_limit=1000, seed=2005, scale=scale
+    )
+    schedule = sorted(
+        (j.job_id, j.start_time.hex(), j.end_time.hex()) for j in result.jobs
+    )
+    return decisions, schedule, result.decision_count, result.extra
+
+
+@pytest.mark.tier2
+@pytest.mark.parametrize(
+    "scale,engine",
+    [pytest.param(1.0, "compiled", marks=needs_kernel), (0.25, "reference")],
+)
+def test_month_through_the_policy_is_bit_identical_to_the_fast_engine(scale, engine):
+    """The compiled engine is every policy's default, and all engines are
+    fed through one boundary — the ``SearchProblem`` and ``JobArrays``
+    the policy marshals.  So: the whole month at full scale, compiled
+    against pure python, and a quarter of it against the reference
+    engine (which reads runtimes by ``job_id`` where the other two read
+    the arrays).  With sanitizing off, or ``compiled`` would quietly be
+    ``fast``."""
+    with sanitized(False):
+        replayed = _replayed_month(scale, engine)
+        assert replayed == _replayed_month(scale, "fast")
+    stats = replayed[-1]  # policy.stats rides into SimulationResult.extra
+    assert stats["searched_decisions"] > 100 and stats["improved_decisions"] > 0
 
 
 # ----------------------------------------------------------------------

@@ -17,11 +17,17 @@ random-instance sweep tying them together.
 
 from __future__ import annotations
 
+import dataclasses
+import sys
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.criteria import CriteriaEvaluator, DecisionContext, paper_objective
 from repro.core.exact import solve_exact
-from repro.core.search import DiscrepancySearch
+from repro.core.search import DiscrepancySearch, resolve_runtimes
+from repro.experiments.bench import build_problem
 from tests.oracles import (
     CONFORMANCE_ENGINES,
     InstanceSpec,
@@ -129,3 +135,49 @@ def test_exhaustive_search_attains_the_optimum(spec: InstanceSpec, algorithm: st
         problem
     )
     assert result.best_score == optimal
+
+
+# ----------------------------------------------------------------------
+# A queue deeper than the interpreter's default recursion limit
+# ----------------------------------------------------------------------
+DEEP_QUEUE = 1_100  # the python DFS recurses once per waiting job
+
+
+def test_deep_queue_is_bit_identical_and_leaves_the_recursion_limit_alone():
+    """The scoped raise of the recursion limit belongs to the python DFS
+    itself (``_SearchRunBase.run``), so a direct ``DiscrepancySearch``
+    gets it on every engine — not only searches that come through the
+    policy — and the interpreter is left as it was found."""
+    problem = build_problem("lxf", n_jobs=DEEP_QUEUE)
+    limit = sys.getrecursionlimit()
+    assert limit < DEEP_QUEUE  # otherwise this exercises nothing
+    prints = {}
+    for engine in CONFORMANCE_ENGINES:
+        result = DiscrepancySearch("lds", node_limit=5000, engine=engine).search(problem)
+        assert sys.getrecursionlimit() == limit, engine
+        assert result.nodes_visited == 5000 and len(result.best_order) == DEEP_QUEUE
+        prints[engine] = fingerprint(result)
+    assert all(p == prints["fast"] for p in prints.values())
+
+
+class _FailsAtTheBottom(CriteriaEvaluator):
+    """Scores like the paper's objective until the leaf, then raises —
+    from as deep in the recursion as the queue is long."""
+
+    def score(self, acc, n_jobs):
+        raise RuntimeError("scoring failed")
+
+
+@pytest.mark.parametrize("engine", CONFORMANCE_ENGINES)
+def test_recursion_limit_is_restored_when_the_search_raises(engine):
+    base = build_problem("lxf", n_jobs=DEEP_QUEUE)
+    context = DecisionContext(
+        now=base.now, omega=base.omega, runtimes=resolve_runtimes(base)
+    )
+    problem = dataclasses.replace(
+        base, evaluator=_FailsAtTheBottom(paper_objective(), context)
+    )
+    limit = sys.getrecursionlimit()
+    with pytest.raises(RuntimeError, match="scoring failed"):
+        DiscrepancySearch("lds", node_limit=5000, engine=engine).search(problem)
+    assert sys.getrecursionlimit() == limit

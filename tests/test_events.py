@@ -4,7 +4,7 @@ import inspect
 
 import pytest
 
-from repro.simulator.events import EventKind, EventQueue
+from repro.simulator.events import Event, EventKind, EventQueue
 from repro.util.timeunits import TIME_EPS, time_eq
 
 
@@ -90,3 +90,21 @@ def test_iteration_sees_every_event_without_consuming():
     assert len(q) == 3
     assert q.count_through(3.0) == 2
     assert [q.pop().payload for _ in range(3)] == ["a", "b", "c"]
+
+
+def test_order_is_time_then_seq_and_never_reaches_kind_or_payload():
+    """Events are tuples so the heap compares them in C; ``seq`` is unique
+    within a queue, so a comparison is decided before it could reach the
+    unorderable ``kind`` and ``payload``."""
+    assert issubclass(Event, tuple) and Event.__lt__ is tuple.__lt__
+    q = EventQueue()
+    payloads = [object() for _ in range(6)]
+    kinds = [EventKind.ARRIVAL, EventKind.FINISH] * 3
+    for kind, payload in zip(kinds, payloads):  # one instant, six events
+        pushed = q.push(7.0, kind, payload)
+        assert (pushed.time, pushed.kind, pushed.payload) == (7.0, kind, payload)
+    assert [e.seq for e in q.pop_simultaneous()] == list(range(6))
+    # What a tie past ``seq`` would do — only events of two queues can tie.
+    other = EventQueue().push(7.0, EventKind.ARRIVAL)
+    with pytest.raises(TypeError):
+        min(EventQueue().push(7.0, EventKind.FINISH), other)

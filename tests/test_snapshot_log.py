@@ -126,6 +126,25 @@ def test_restore_at_every_cut_is_the_uninterrupted_engine(cut, runtime_source):
     assert len(restored.completed_jobs) == len(_month(SLICE).jobs)
 
 
+def test_a_snapshot_with_the_old_dataclass_events_is_skipped_with_a_warning(
+    tmp_path, parent_format_events, caplog
+):
+    """A live snapshot written before ``Event`` became a tuple holds a
+    heap of dataclass instances; it is skipped like any other unusable
+    snapshot and the tenant starts over — no ``TypeError`` escapes."""
+    engine = _tenant(SLICE)
+    for request in _requests(SLICE)[:20]:
+        engine.handle(request)
+    assert len(engine.loop_state.events) > 0  # queued FINISH events, old format
+    snapshot_tenant(engine, tmp_path)
+    parent_format_events()  # back to the real class
+    with caplog.at_level(logging.WARNING):
+        assert latest_tenant_snapshot(tmp_path, "t") is None
+    assert "skipping unusable tenant snapshot" in caplog.text
+    with pytest.raises(FileNotFoundError):
+        restore_tenant(tmp_path, "t")
+
+
 # ----------------------------------------------------------------------
 # (2) what a save writes follows live state, not the tenant's age
 # ----------------------------------------------------------------------
