@@ -51,12 +51,7 @@ from repro.core.search_tree import (
     num_paths,
 )
 from repro.core.search import DiscrepancySearch, SearchProblem, SearchResult
-from repro.core.exact import (
-    ExactBackendUnavailable,
-    ExactResult,
-    have_ortools,
-    solve_exact,
-)
+from repro.core.exact import ExactResult, solve_exact
 from repro.core.schedule_builder import build_schedule
 from repro.core.scheduler import SearchSchedulingPolicy, make_policy
 
@@ -91,9 +86,7 @@ __all__ = [
     "DiscrepancySearch",
     "SearchProblem",
     "SearchResult",
-    "ExactBackendUnavailable",
     "ExactResult",
-    "have_ortools",
     "solve_exact",
     "build_schedule",
     "SearchSchedulingPolicy",

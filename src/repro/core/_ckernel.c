@@ -3,7 +3,7 @@
  * A hand-written CPython extension that replicates, operation for
  * operation, the fast engine's delta kernel:
  *
- *   - repro/core/search.py      _FastSearchRun._dfs_lds2/_dfs_dds2,
+ *   - repro/core/search.py      child_rule/root_state, _FastSearchRun._dfs2,
  *                               _chain2/_chain2_slow, _leaf2,
  *                               _prune_child2, _check_budget
  *   - repro/core/profile.py     SearchProfile.place/unplace (and the
@@ -313,20 +313,31 @@ ck_prune_child2(Search *s, double exc, double slow, Py_ssize_t left)
 }
 
 /* ------------------------------------------------------------------ */
-/* Heuristic-completion chains (_chain2 / _chain2_slow)                */
+/* Heuristic-completion chain: _chain2 and _chain2_slow in one loop.   */
+/* No leaf lands inside a chain, so _chain2_slow's per-step budget     */
+/* check is the allowance computed up front; only pruning needs a test */
+/* at every step.                                                      */
 /* ------------------------------------------------------------------ */
 static int
-ck_chain2_slow(Search *s, Py_ssize_t m, double exc, double slow, Py_ssize_t d)
+ck_chain(Search *s, Py_ssize_t m, double exc, double slow, Py_ssize_t d)
 {
+    const long long k = ck_chain_allowance(s, m);
+    if (k < (long long)m && !s->prune) {
+        /* Truncated chain: placements would be rolled back unread, so
+         * only the node accounting is observable.  Commit it and stop. */
+        s->nodes_visited += k;
+        return CK_STOP;
+    }
+    /* Walk the list (no unlink — a chain never branches), place + fold
+     * fused in one scalar loop.  Bit-identical to both Python paths by
+     * the association-order contract. */
+    const int prune = s->prune;
+    const Py_ssize_t end = d + m;
+    const Py_ssize_t stop = d + (Py_ssize_t)k;
     Py_ssize_t i = s->head;
     Py_ssize_t p = d;
-    const Py_ssize_t end = d + m;
-    int rc = CK_OK;
-    while (p < end) {
-        if (ck_check_budget(s)) {
-            rc = CK_STOP;
-            goto unwind;
-        }
+    int rc = CK_STOP; /* what a budget-truncated chain returns */
+    while (p < stop) {
         i = s->nxt[i];
         s->nodes_visited++;
         double start = ck_place(s, s->jnodes[i], s->rt[i]);
@@ -339,142 +350,52 @@ ck_chain2_slow(Search *s, Py_ssize_t m, double exc, double slow, Py_ssize_t d)
         double den = s->denom[i];
         slow += (wait + den) / den;
         p++;
-        if (s->prune && ck_prune_child2(s, exc, slow, end - p))
-            goto unwind; /* pruned mid-chain: plain return in Python */
+        if (prune && ck_prune_child2(s, exc, slow, end - p)) {
+            rc = CK_OK; /* pruned mid-chain: plain return in Python */
+            goto unwind;
+        }
     }
-    rc = ck_leaf2(s, exc, slow, end);
+    if (stop == end)
+        rc = ck_leaf2(s, exc, slow, end);
 unwind:
     for (Py_ssize_t q = d; q < p; q++)
         ck_unplace(s);
     return rc;
 }
 
-static int
-ck_chain2(Search *s, Py_ssize_t m, double exc, double slow, Py_ssize_t d)
-{
-    if (m == 0)
-        return ck_leaf2(s, exc, slow, d);
-    if (s->prune)
-        /* Pruning needs per-step bound checks. */
-        return ck_chain2_slow(s, m, exc, slow, d);
-    long long k = ck_chain_allowance(s, m);
-    if (k == 0)
-        return CK_STOP; /* budget gone before the first placement */
-    if (k < (long long)m) {
-        /* Truncated chain: placements would be rolled back unread, so
-         * only the node accounting is observable.  Commit it and stop. */
-        s->nodes_visited += k;
-        return CK_STOP;
-    }
-    /* Full chain: walk the list (no unlink — a chain never branches),
-     * place + fold fused in one scalar loop.  Bit-identical to both
-     * Python paths by the association-order contract. */
-    Py_ssize_t i = s->head;
-    for (Py_ssize_t p = d; p < d + m; p++) {
-        i = s->nxt[i];
-        s->path_i[p] = i;
-    }
-    s->nodes_visited += m;
-    for (Py_ssize_t p = d; p < d + m; p++) {
-        Py_ssize_t idx = s->path_i[p];
-        double start = ck_place(s, s->jnodes[idx], s->rt[idx]);
-        s->path_s[p] = start;
-        double wait = start - s->submit[idx];
-        double e = wait - s->omega;
-        if (e > 0.0)
-            exc += e;
-        double den = s->denom[idx];
-        slow += (wait + den) / den;
-    }
-    int rc = ck_leaf2(s, exc, slow, d + m);
-    for (Py_ssize_t q = 0; q < m; q++)
-        ck_unplace(s);
-    return rc;
-}
-
 /* ------------------------------------------------------------------ */
-/* The DFS proper (_dfs_lds2 / _dfs_dds2)                              */
+/* The DFS proper (_dfs2).  The window [lo, m) and the child states are */
+/* child_rule() of repro/core/search.py written inline — that function  */
+/* is the rule and tests/test_search_rule.py its oracle.  `lds` travels */
+/* as an argument (constant at both call sites) so a node tests a       */
+/* register, or a clone's constant, instead of re-reading s->lds.       */
 /* ------------------------------------------------------------------ */
 static int
-ck_dfs_lds2(Search *s, Py_ssize_t m, Py_ssize_t k_left, double exc,
-            double slow, Py_ssize_t d)
+ck_dfs(Search *s, const int lds, Py_ssize_t m, Py_ssize_t st, double exc,
+       double slow, Py_ssize_t d)
 {
-    if (k_left == 0)
-        /* No discrepancies left: only the heuristic completion remains. */
-        return ck_chain2(s, m, exc, slow, d);
-    if (m == 0)
-        return CK_OK; /* budget k_left > 0 unspent: not a valid leaf */
-    Py_ssize_t *nxt = s->nxt;
-    Py_ssize_t *prv = s->prv;
-    const Py_ssize_t cap = m > 2 ? m - 2 : 0;
-    Py_ssize_t i = nxt[s->head];
-    for (Py_ssize_t idx = 0; idx < m; idx++) {
-        Py_ssize_t child_k;
-        if (idx) {
-            if (k_left < 1) /* a discrepancy costs 1 we don't have */
-                break;
-            child_k = k_left - 1;
-        }
-        else {
-            child_k = k_left;
-        }
-        if (child_k <= cap) { /* enough levels left to spend child_k */
-            if (ck_check_budget(s))
-                return CK_STOP;
-            Py_ssize_t pi = prv[i];
-            Py_ssize_t ni = nxt[i];
-            nxt[pi] = ni;
-            prv[ni] = pi;
-            s->nodes_visited++;
-            double start = ck_place(s, s->jnodes[i], s->rt[i]);
-            s->path_i[d] = i;
-            s->path_s[d] = start;
-            double wait = start - s->submit[i];
-            double e = wait - s->omega;
-            double nexc = e > 0.0 ? exc + e : exc;
-            double den = s->denom[i];
-            double nslow = slow + (wait + den) / den;
-            int rc = CK_OK;
-            if (!s->prune || !ck_prune_child2(s, nexc, nslow, m - 1))
-                rc = ck_dfs_lds2(s, m - 1, child_k, nexc, nslow, d + 1);
-            ck_unplace(s);
-            nxt[pi] = i;
-            prv[ni] = i;
-            if (rc)
-                return rc;
-            i = ni;
-        }
-        else {
-            i = nxt[i];
-        }
+    Py_ssize_t lo, st0;
+    if (lds) {
+        if (st == 0)
+            /* No discrepancies left: only the heuristic completion remains. */
+            return ck_chain(s, m, exc, slow, d);
+        const Py_ssize_t cap = m > 2 ? m - 2 : 0;
+        lo = st <= cap ? 0 : st == cap + 1 ? 1 : m;
+        st0 = st; /* the heuristic child keeps the whole budget */
     }
-    return CK_OK;
-}
-
-static int
-ck_dfs_dds2(Search *s, Py_ssize_t m, Py_ssize_t iteration, Py_ssize_t level,
-            double exc, double slow, Py_ssize_t d)
-{
-    if (level > iteration)
-        /* Below the discrepancy level only the heuristic child remains. */
-        return ck_chain2(s, m, exc, slow, d);
-    if (m == 0)
-        return ck_leaf2(s, exc, slow, d);
-    Py_ssize_t lo;
-    if (level < iteration) {
-        lo = 0;
-    }
-    else { /* level == iteration */
-        if (m < 2)
-            return CK_OK; /* no discrepancy possible here */
-        lo = 1;
+    else {
+        if (st < 0)
+            /* Below the discrepancy level only the heuristic child remains. */
+            return ck_chain(s, m, exc, slow, d);
+        lo = st > 0 ? 0 : 1; /* st == 0: the forced discrepancy */
+        st0 = st - 1;
     }
     Py_ssize_t *nxt = s->nxt;
     Py_ssize_t *prv = s->prv;
     Py_ssize_t i = nxt[s->head];
     for (Py_ssize_t q = 0; q < lo; q++)
         i = nxt[i];
-    for (Py_ssize_t pos = lo; pos < m; pos++) {
+    for (Py_ssize_t rank = lo; rank < m; rank++) {
         if (ck_check_budget(s))
             return CK_STOP;
         Py_ssize_t pi = prv[i];
@@ -492,8 +413,8 @@ ck_dfs_dds2(Search *s, Py_ssize_t m, Py_ssize_t iteration, Py_ssize_t level,
         double nslow = slow + (wait + den) / den;
         int rc = CK_OK;
         if (!s->prune || !ck_prune_child2(s, nexc, nslow, m - 1))
-            rc = ck_dfs_dds2(s, m - 1, iteration, level + 1, nexc, nslow,
-                             d + 1);
+            rc = ck_dfs(s, lds, m - 1, rank ? st - 1 : st0, nexc, nslow,
+                        d + 1);
         ck_unplace(s);
         nxt[pi] = i;
         prv[ni] = i;
@@ -505,7 +426,7 @@ ck_dfs_dds2(Search *s, Py_ssize_t m, Py_ssize_t iteration, Py_ssize_t level,
 }
 
 /* ------------------------------------------------------------------ */
-/* Driver: the full run (_SearchRunBase.run)                           */
+/* Driver: the full run (_SearchRunBase.run; root_state() inline)      */
 /* ------------------------------------------------------------------ */
 static int
 ck_run_full(Search *s)
@@ -514,14 +435,8 @@ ck_run_full(Search *s)
     Py_ssize_t max_disc = n > 1 ? n - 1 : 0; /* max_discrepancies(n) */
     for (Py_ssize_t it = 0; it <= max_disc; it++) {
         s->iterations_started++;
-        int rc;
-        if (s->lds)
-            rc = ck_dfs_lds2(s, n, it, 0.0, 0.0, 0);
-        else if (it == 0)
-            /* DDS iteration 0 == LDS iteration 0: heuristic path. */
-            rc = ck_dfs_lds2(s, n, 0, 0.0, 0.0, 0);
-        else
-            rc = ck_dfs_dds2(s, n, it, 1, 0.0, 0.0, 0);
+        int rc = s->lds ? ck_dfs(s, 1, n, it, 0.0, 0.0, 0)
+                        : ck_dfs(s, 0, n, it - 1, 0.0, 0.0, 0);
         if (rc == CK_ERR)
             return CK_ERR;
         if (rc == CK_STOP) {

@@ -1,19 +1,21 @@
-"""Optional compiled search kernel: probe, wrapper, and silent fallback.
+"""Optional compiled search kernel: probe, eligibility, and the call in.
 
 ``engine="compiled"`` routes a search through ``repro.core._ckernel`` — a
-C transcription of the fast engine's delta kernel (the DFS loops, the
+C transcription of the fast engine's delta kernel (the one DFS, the
 fused chain place+fold, and the flat-array ``SearchProfile``).  This
 module is the boundary that keeps the pure-python engines the single
-source of truth:
+source of truth, and it imports nothing from :mod:`repro.core.search`
+(which imports it, once, and registers the compiled entry beside the
+other engines):
 
-- :func:`have_compiled` probes for the built extension, mirroring the
-  optional-ortools pattern of :mod:`repro.core.exact`;
-- :class:`_CompiledSearchRun` mirrors the engine runner API and
-  **silently falls back** to ``engine="fast"`` whenever the kernel is
-  absent or the search needs a facility the kernel deliberately omits
-  (wall-clock deadlines, custom criteria evaluators, the runtime
-  sanitizer's per-mutation checks) — the results are bit-identical
-  either way, so the fallback is unobservable except in wall time.
+- :func:`have_compiled` probes for the built extension;
+- :func:`run_kernel` runs one whole search in C, or returns ``None``
+  whenever the kernel is absent or the search needs a facility the
+  kernel deliberately omits (wall-clock deadlines, custom criteria
+  evaluators, the runtime sanitizer's per-mutation checks).  The caller
+  then **silently falls back** to ``engine="fast"`` — the results are
+  bit-identical either way, so the fallback is unobservable except in
+  wall time.
 
 Build it with ``pip install -e .[compiled]`` or, for a ``PYTHONPATH=src``
 checkout, ``python setup.py build_ext --inplace`` (see
@@ -29,12 +31,14 @@ fingerprints and the Hypothesis engine-conformance fuzzer in
 from __future__ import annotations
 
 import os
+from typing import TYPE_CHECKING, Any
 
 from repro.core.deltascore import JobArrays
-from repro.core.objective import ScheduleScore
-from repro.core.search import SearchProblem, SearchResult, _FastSearchRun
 from repro.util.sanitize import sanitize_enabled
 from repro.util.timeunits import TIME_EPS
+
+if TYPE_CHECKING:  # pragma: no cover - search.py imports this module
+    from repro.core.search import SearchProblem
 
 try:  # the extension is an optional build artifact
     from repro.core import _ckernel as _impl
@@ -99,88 +103,42 @@ def _kernel_arrays(
     return arrays
 
 
-def _anytime_scores(
-    raw: list[tuple[int, float, float, int]] | None,
-) -> list[tuple[int, ScheduleScore]] | None:
-    if raw is None:
+def run_kernel(
+    problem: SearchProblem,
+    algorithm: str,
+    node_limit: int | None,
+    prune: bool,
+    record_anytime: bool,
+    time_limit_seconds: float | None,
+) -> tuple[Any, ...] | None:
+    """One whole search in C, or ``None`` when it has to run in python;
+    the arguments are those of every ``search._ENGINES`` entry.
+
+    The tuple is ``run_search``'s: ``(best_exc, best_slow, best_d,
+    best_idx, best_starts, nodes_visited, leaves_evaluated,
+    iterations_started, limit_hit, improved_after_first, anytime)`` with
+    jobs named by their index in ``problem.jobs`` and ``anytime`` a list of
+    ``(nodes_visited, exc, slow, d)`` or ``None``.
+    """
+    ja = _kernel_arrays(problem, time_limit_seconds)
+    if ja is None:
         return None
-    return [(nodes, ScheduleScore(exc, slow, d)) for nodes, exc, slow, d in raw]
-
-
-class _CompiledSearchRun:
-    """``engine="compiled"`` runner: C kernel when possible, fast engine
-    otherwise.  Same constructor/``run()`` surface as the engine classes
-    in :mod:`repro.core.search`."""
-
-    def __init__(
-        self,
-        problem: SearchProblem,
-        algorithm: str,
-        node_limit: int | None,
-        prune: bool,
-        record_anytime: bool = False,
-        time_limit_seconds: float | None = None,
-    ) -> None:
-        self.problem = problem
-        self.algorithm = algorithm
-        self.node_limit = node_limit
-        self.prune = prune
-        self.record_anytime = record_anytime
-        self.time_limit_seconds = time_limit_seconds
-
-    def run(self) -> SearchResult:
-        problem = self.problem
-        ja = _kernel_arrays(problem, self.time_limit_seconds)
-        if ja is None:
-            # Silent fallback: bit-identical results, pure-python speed.
-            return _FastSearchRun(
-                problem,
-                self.algorithm,
-                self.node_limit,
-                self.prune,
-                self.record_anytime,
-                self.time_limit_seconds,
-            ).run()
-        assert _impl is not None  # _kernel_arrays checked
-        profile = problem.profile
-        (
-            b_exc,
-            b_slow,
-            b_d,
-            idxs,
-            starts,
-            nodes_visited,
-            leaves,
-            iterations,
-            limit_hit,
-            improved,
-            anytime,
-        ) = _impl.run_search(
-            1 if self.algorithm == "lds" else 0,
-            -1 if self.node_limit is None else self.node_limit,
-            1 if self.prune else 0,
-            1 if self.record_anytime else 0,
-            profile.capacity,
-            TIME_EPS,
-            profile.times,  # C copies both lists and writes to neither
-            profile.free,
-            ja.submit,
-            ja.nodes,
-            ja.runtime,
-            ja.denom,
-            problem.now,
-            problem.omega,
-        )
-        jobs = problem.jobs
-        order = tuple([jobs[i] for i in idxs])
-        return SearchResult(
-            best_order=order,
-            best_starts={job.job_id: start for job, start in zip(order, starts)},
-            best_score=ScheduleScore(b_exc, b_slow, b_d),
-            nodes_visited=nodes_visited,
-            leaves_evaluated=leaves,
-            iterations_started=iterations,
-            limit_hit=bool(limit_hit),
-            improved_after_first=bool(improved),
-            anytime=_anytime_scores(anytime),
-        )
+    assert _impl is not None  # _kernel_arrays checked
+    profile = problem.profile
+    raw: tuple[Any, ...] = _impl.run_search(
+        1 if algorithm == "lds" else 0,
+        -1 if node_limit is None else node_limit,
+        1 if prune else 0,
+        1 if record_anytime else 0,
+        profile.capacity,
+        TIME_EPS,
+        profile.times,  # C copies both lists and writes to neither
+        profile.free,
+        ja.submit,
+        ja.nodes,
+        ja.runtime,
+        ja.denom,
+        problem.now,
+        problem.omega,
+    )
+    return raw

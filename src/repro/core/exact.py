@@ -52,14 +52,6 @@ Backends
     Plain enumeration of all ``n!`` permutations, no pruning.  Exists to
     cross-check ``"bnb"`` (see ``tests/test_exact.py``); also the
     fallback semantics reference.
-``"cpsat"``
-    An `ortools` CP-SAT model of the start-time formulation (interval
-    variables under a cumulative capacity constraint, profile busy time
-    as fixed blocker intervals), available only when the ``ortools``
-    wheel is importable — probe with :func:`have_ortools`; construction
-    raises :class:`ExactBackendUnavailable` otherwise, and tests skip
-    cleanly.  Requires an integral instance (see
-    :func:`cpsat_available_for`) and the paper's two-level objective.
 
 Instances are small by construction: ``solve_exact`` refuses more than
 ``max_jobs`` (default 10) waiting jobs — the tree has ``n!`` leaves and
@@ -69,7 +61,7 @@ this is an oracle, not a scheduler.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.core.search import Score, SearchProblem, build_strategy, resolve_runtimes
 from repro.simulator.job import Job
@@ -80,19 +72,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
 #: Hard ceiling on ``max_jobs`` — beyond this even branch-and-bound is
 #: factorially hopeless in pure Python.
 MAX_EXACT_JOBS = 12
-
-
-class ExactBackendUnavailable(RuntimeError):
-    """A requested backend's optional dependency is not installed."""
-
-
-def have_ortools() -> bool:
-    """Whether the optional `ortools` CP-SAT backend can be imported."""
-    try:
-        import ortools.sat.python.cp_model  # noqa: F401
-    except Exception:
-        return False
-    return True
 
 
 @dataclass
@@ -133,7 +112,7 @@ def solve_exact(
         Refuse instances with more waiting jobs than this (factorial
         blow-up guard); capped at ``MAX_EXACT_JOBS``.
     backend:
-        ``"auto"`` (→ ``"bnb"``), ``"bnb"``, ``"brute"``, or ``"cpsat"``.
+        ``"auto"`` (→ ``"bnb"``), ``"bnb"`` or ``"brute"``.
     """
     n = len(problem.jobs)
     if max_jobs < 1 or max_jobs > MAX_EXACT_JOBS:
@@ -146,11 +125,9 @@ def solve_exact(
         )
     if backend == "auto":
         backend = "bnb"
-    if backend == "cpsat":
-        return _solve_cpsat(problem)
     if backend not in ("bnb", "brute"):
         raise ValueError(
-            f"unknown backend {backend!r}; choose from auto, bnb, brute, cpsat"
+            f"unknown backend {backend!r}; choose from auto, bnb, brute"
         )
     if n == 0:
         acc0, _extend, score_of, _lower = build_strategy(
@@ -256,146 +233,3 @@ class _ExactRun:
             return False
         return not (self._score_of(acc, 0) < self.best_score)
 
-
-# ======================================================================
-# Optional CP-SAT backend (ortools)
-# ======================================================================
-#
-# Models the start-time formulation: one interval variable per waiting
-# job, fixed blocker intervals for the profile's busy background, a
-# single cumulative constraint at machine capacity, and the two-level
-# objective solved lexicographically (minimise total excess, pin it,
-# minimise total scaled slowdown).  By the left-shift argument in the
-# module docstring the start-time optimum equals the permutation-space
-# optimum for this objective, so the model is a genuine second opinion
-# reached by a completely different algorithm — the one cross-check the
-# pure-Python enumeration cannot provide for itself.
-#
-# CP-SAT is integral, so the backend demands an *integral instance*:
-# every time (submits, runtimes, profile breakpoints, omega) must be a
-# whole number of seconds.  It then re-places the optimal permutation
-# through the engines' own profile arithmetic and returns that float
-# score, so results stay comparable with the other backends bit-for-bit.
-
-def cpsat_available_for(problem: SearchProblem) -> tuple[bool, str]:
-    """Whether the CP-SAT backend can model ``problem`` exactly.
-
-    Returns ``(ok, reason)``; ``reason`` explains a ``False``.  The
-    requirements: the `ortools` wheel importable, the paper's two-level
-    objective (no custom evaluator), and an integral instance.
-    """
-    if not have_ortools():
-        return False, "ortools is not installed"
-    if problem.evaluator is not None:
-        return False, "cpsat models the paper's two-level objective only"
-    times = [problem.now, problem.omega]
-    times.extend(job.submit_time for job in problem.jobs)
-    times.extend(resolve_runtimes(problem).values())
-    for t, _free in problem.profile.segments():
-        times.append(t)
-    for t in times:
-        if abs(t - round(t)) > 1e-9:
-            return False, f"non-integral time {t!r} (CP-SAT needs whole seconds)"
-    return True, ""
-
-
-def _solve_cpsat(problem: SearchProblem) -> ExactResult:
-    ok, reason = cpsat_available_for(problem)
-    if not ok:
-        if not have_ortools():
-            raise ExactBackendUnavailable(
-                "backend='cpsat' needs the optional ortools wheel "
-                "(pip install ortools); probe with have_ortools()"
-            )
-        raise ValueError(f"cpsat backend cannot model this problem: {reason}")
-    from ortools.sat.python import cp_model
-
-    jobs = problem.jobs
-    rt = resolve_runtimes(problem)
-    durations = {j.job_id: int(round(rt[j.job_id])) for j in jobs}
-    capacity = problem.profile.capacity
-    segments = problem.profile.segments()
-    origin = int(round(segments[0][0]))
-    omega = int(round(problem.omega))
-    horizon = int(round(segments[-1][0])) + sum(durations.values()) + 1
-
-    model = cp_model.CpModel()
-    intervals: list[Any] = []
-    demands: list[int] = []
-    starts: dict[int, Any] = {}
-    for job in jobs:
-        s = model.NewIntVar(origin, horizon, f"s{job.job_id}")
-        iv = model.NewFixedSizeIntervalVar(s, durations[job.job_id], f"i{job.job_id}")
-        starts[job.job_id] = s
-        intervals.append(iv)
-        demands.append(job.nodes)
-    # Busy background: each profile segment with fewer than ``capacity``
-    # free nodes becomes a fixed blocker interval of the deficit.
-    for k, (t, free) in enumerate(segments):
-        if free >= capacity:
-            continue
-        seg_end = int(round(segments[k + 1][0]))  # last segment is all-free
-        t0 = int(round(t))
-        iv = model.NewFixedSizeIntervalVar(t0, seg_end - t0, f"busy{k}")
-        intervals.append(iv)
-        demands.append(capacity - free)
-    model.AddCumulative(intervals, demands, capacity)
-
-    # Level 1: total excessive wait.
-    excesses = []
-    for job in jobs:
-        submit = int(round(job.submit_time))
-        e = model.NewIntVar(0, horizon, f"e{job.job_id}")
-        model.AddMaxEquality(e, [starts[job.job_id] - submit - omega, 0])
-        excesses.append(e)
-    total_excess = sum(excesses)
-    model.Minimize(total_excess)
-    solver = cp_model.CpSolver()
-    status = solver.Solve(model)
-    if status != cp_model.OPTIMAL:
-        raise RuntimeError(f"cpsat level-1 solve not optimal: {status}")
-    best_excess = sum(solver.Value(e) for e in excesses)
-
-    # Level 2: total slowdown among level-1-optimal schedules.  Slowdown
-    # weights are rational (1/denom); scale to integers.  The scale makes
-    # weight quantisation error < 1/(SCALE) per wait-second — far below
-    # any real tie — and the returned score is recomputed in float from
-    # the chosen order anyway.
-    SCALE = 10**6
-    model.Add(total_excess == best_excess)
-    floor = problem.objective.slowdown_floor
-    terms = []
-    for job in jobs:
-        denom = max(rt[job.job_id], floor)
-        submit = int(round(job.submit_time))
-        wait = model.NewIntVar(0, horizon, f"w{job.job_id}")
-        model.Add(wait == starts[job.job_id] - submit)  # simlint: skip=SIM003
-        terms.append(wait * int(round(SCALE / denom)))
-    model.Minimize(sum(terms))
-    status = solver.Solve(model)
-    if status != cp_model.OPTIMAL:
-        raise RuntimeError(f"cpsat level-2 solve not optimal: {status}")
-
-    # Re-place the optimal permutation (jobs by chosen start, submit and
-    # id as deterministic tie-breaks) through the engines' arithmetic.
-    ordered = sorted(
-        jobs, key=lambda j: (solver.Value(starts[j.job_id]), j.submit_time, j.job_id)
-    )
-    acc, extend, score_of, _lower = build_strategy(problem, rt)
-    profile = problem.profile.search_view()
-    placed: dict[int, float] = {}
-    try:
-        for job in ordered:
-            start = profile.place(job.nodes, rt[job.job_id], problem.now)
-            placed[job.job_id] = start
-            acc = extend(acc, job, start)
-    finally:
-        profile.unwind()
-    return ExactResult(
-        best_order=tuple(ordered),
-        best_starts=placed,
-        best_score=score_of(acc, len(ordered)),
-        nodes_visited=len(ordered),
-        leaves_evaluated=1,
-        backend="cpsat",
-    )

@@ -22,7 +22,9 @@ Branch-and-bound pruning is OFF by default — the paper explicitly leaves it
 to future work and its node accounting would differ — but is available via
 ``prune=True`` for the ablation benchmarks.
 
-Three engines implement the identical traversal:
+LDS and DDS differ only in which children a node may take; that
+difference is written once, as :func:`child_rule`, and each engine path
+keeps one DFS over it.  Three engines implement the identical traversal:
 
 - ``engine="fast"`` (the default) — the allocation-free hot path: the
   remaining-jobs set is an in-place index array threaded into a linked
@@ -30,7 +32,7 @@ Three engines implement the identical traversal:
   placements go through :class:`~repro.core.profile.SearchProfile`, whose
   ``place``/``unplace`` never pay ``insert``/``del`` memmoves or
   ``bisect`` calls (see ``docs/performance.md``).
-- ``engine="reference"`` — the original list-slicing DFS over
+- ``engine="reference"`` — the list-slicing DFS over
   :class:`~repro.core.profile.AvailabilityProfile`, kept as the executable
   specification.  Every :class:`SearchResult` field (order, starts, score,
   node accounting) must be bit-identical between the engines; the
@@ -54,6 +56,7 @@ import time as _wallclock
 from dataclasses import dataclass, field
 from typing import Any, Callable, Union
 
+from repro.core import ckernel
 from repro.core.criteria import CriteriaEvaluator, MultiScore
 from repro.core.deltascore import JobArrays
 from repro.core.objective import ObjectiveConfig, ScheduleScore
@@ -69,6 +72,49 @@ Score = Union[ScheduleScore, MultiScore]
 
 class _StopSearch(Exception):
     """Raised internally when the node budget is exhausted."""
+
+
+def root_state(lds: bool, iteration: int) -> int:
+    """The node state ``s`` (see :func:`child_rule`) at the root of
+    ``iteration``.  DDS iteration 0 starts below zero, which *is* the
+    heuristic chain: it needs no case of its own."""
+    return iteration if lds else iteration - 1
+
+
+def child_rule(lds: bool, s: int, m: int) -> tuple[int, int, int] | None:
+    """Which children a search node may take: the one place LDS and DDS
+    differ (paper §2.2, Fig. 1).
+
+    A node carries one integer ``s`` — for LDS the discrepancies still to
+    spend, for DDS the levels left above the forced discrepancy — and has
+    ``m`` remaining jobs in heuristic order, rank 0 being the heuristic
+    child.  Returns ``None`` when only the heuristic child is allowed from
+    here all the way down (the engines run the chain, which ends in the
+    leaf), else ``(lo, s0, s1)``: ranks ``[lo, m)`` are allowed, the child
+    of rank 0 inherits ``s0`` and every other child ``s1``.
+
+    Every engine's DFS is this rule plus place/score/recurse; the orders it
+    must produce are :mod:`repro.core.search_tree`'s generators, which
+    ``tests/test_search_rule.py`` compares it with leaf for leaf.
+    """
+    if lds:
+        if s == 0:
+            return None
+        # At most max(0, m - 2) discrepancies fit strictly below a child:
+        # the last level has a single child, the heuristic one.
+        cap = m - 2 if m > 2 else 0
+        if s <= cap:
+            lo = 0
+        elif s == cap + 1:
+            lo = 1  # rank 0 would keep a budget it can no longer spend
+        else:
+            lo = m  # even after a discrepancy here too many are left
+        return lo, s, s - 1
+    if s < 0:
+        return None
+    # s == 0 is the forced discrepancy (no child when m < 2); above it
+    # every rank is allowed.
+    return (0 if s > 0 else 1), s - 1, s - 1
 
 
 def resolve_runtimes(problem: "SearchProblem") -> dict[int, float]:
@@ -249,10 +295,9 @@ class DiscrepancySearch:
             raise ValueError("local_search_fraction must be in [0, 1)")
         if self.time_limit_seconds is not None and self.time_limit_seconds <= 0:
             raise ValueError("time_limit_seconds must be > 0 or None")
-        engines = (*_ENGINES, "compiled")
-        if self.engine not in engines:
+        if self.engine not in _ENGINES:
             raise ValueError(
-                f"unknown engine {self.engine!r}; choose from {engines}"
+                f"unknown engine {self.engine!r}; choose from {tuple(_ENGINES)}"
             )
 
     # ------------------------------------------------------------------
@@ -263,31 +308,14 @@ class DiscrepancySearch:
             tree_budget = max(
                 1, round(self.node_limit * (1.0 - self.local_search_fraction))
             )
-        runner: Any
-        if self.engine == "compiled":
-            # Imported lazily (ckernel imports this module's fast engine):
-            # the wrapper falls back to _FastSearchRun when the extension
-            # is absent or the search needs a facility the kernel omits.
-            from repro.core.ckernel import _CompiledSearchRun
-
-            runner = _CompiledSearchRun(
-                problem,
-                self.algorithm,
-                tree_budget,
-                self.prune,
-                self.record_anytime,
-                self.time_limit_seconds,
-            )
-        else:
-            runner = _ENGINES[self.engine](
-                problem,
-                self.algorithm,
-                tree_budget,
-                self.prune,
-                self.record_anytime,
-                self.time_limit_seconds,
-            )
-        result = runner.run()
+        result = _ENGINES[self.engine](
+            problem,
+            self.algorithm,
+            tree_budget,
+            self.prune,
+            self.record_anytime,
+            self.time_limit_seconds,
+        )
         if self.local_search_fraction <= 0.0 or not result.best_order:
             return result
         # Spend what's left of the full budget on hill climbing.
@@ -321,7 +349,7 @@ class _SearchRunBase:
     strategy closures (``_acc0``/``_extend``/``_score_of``/``_lower_of``)
     are bound in ``__init__`` to either the fast two-level path or the
     general criteria evaluator.  Subclasses implement ``_iterate`` — one
-    full DFS for one discrepancy iteration.
+    full DFS from the root state of one discrepancy iteration.
     """
 
     def __init__(
@@ -334,7 +362,7 @@ class _SearchRunBase:
         time_limit_seconds: float | None = None,
     ) -> None:
         self.problem = problem
-        self.algorithm = algorithm
+        self._lds = algorithm == "lds"
         self.node_limit = node_limit
         self.prune = prune
         self.anytime: list[tuple[int, Score]] | None = (
@@ -368,6 +396,11 @@ class _SearchRunBase:
             problem, self._rt
         )
 
+    @classmethod
+    def search(cls, *args: Any) -> SearchResult:
+        """Construct and run in one call: the ``_ENGINES`` entry shape."""
+        return cls(*args).run()
+
     # ------------------------------------------------------------------
     def run(self) -> SearchResult:
         # n == 0 deliberately takes the normal path: ``max_discrepancies(0)
@@ -388,7 +421,7 @@ class _SearchRunBase:
         try:
             for iteration in range(0, max_discrepancies(n) + 1):
                 self.iterations_started += 1
-                self._iterate(iteration)
+                self._iterate(root_state(self._lds, iteration))
         except _StopSearch:
             self.limit_hit = True
         finally:
@@ -407,7 +440,7 @@ class _SearchRunBase:
             anytime=self.anytime,
         )
 
-    def _iterate(self, iteration: int) -> None:
+    def _iterate(self, s: int) -> None:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -449,11 +482,11 @@ class _SearchRunBase:
 
 
 class _ReferenceSearchRun(_SearchRunBase):
-    """The original list-slicing DFS: the fast engine's executable spec.
+    """The list-slicing DFS: the fast engine's executable spec.
 
     Each recursion level materialises the child's remaining-jobs list with
     an O(n) slice, and placements pay the reference profile's
-    ``bisect``/``insert``/``del`` costs.  Kept verbatim so differential
+    ``bisect``/``insert``/``del`` costs.  Kept this plain so differential
     tests (and ``repro bench``) can hold the fast engine to bit-identical
     results and measure its speedup against the pre-optimisation baseline.
     """
@@ -472,15 +505,8 @@ class _ReferenceSearchRun(_SearchRunBase):
         )
         self.profile = problem.profile.copy()  # never mutate the caller's
 
-    def _iterate(self, iteration: int) -> None:
-        jobs = list(self.problem.jobs)
-        if self.algorithm == "lds":
-            self._dfs_lds(jobs, iteration, self._acc0)
-        elif iteration == 0:
-            # DDS iteration 0 == LDS iteration 0: heuristic path.
-            self._dfs_lds(jobs, 0, self._acc0)
-        else:
-            self._dfs_dds(jobs, iteration, 1, self._acc0)
+    def _iterate(self, s: int) -> None:
+        self._dfs(list(self.problem.jobs), s, self._acc0)
 
     def _visit(self, job: Job) -> tuple[object, float]:
         """Place ``job`` at its earliest start; returns (undo token, start)."""
@@ -495,52 +521,19 @@ class _ReferenceSearchRun(_SearchRunBase):
         self._prefix.pop()
         self.profile.release(token)  # type: ignore[arg-type]
 
-    # ------------------------------------------------------------------
-    # LDS: iteration k explores paths with exactly k discrepancies.
-    # ------------------------------------------------------------------
-    def _dfs_lds(self, remaining: list[Job], k_left: int, acc: tuple[float, ...]) -> None:
-        if not remaining:
-            if k_left == 0:
+    def _dfs(self, remaining: list[Job], s: int, acc: tuple[float, ...]) -> None:
+        m = len(remaining)
+        rule = child_rule(self._lds, s, m)
+        if rule is None:
+            # Heuristic child only from here down; the chain ends in the leaf.
+            if not remaining:
                 self._leaf(acc)
-            return
-        m = len(remaining)
-        for idx in range(m):
-            cost = 1 if idx > 0 else 0
-            if cost > k_left:
-                break
-            if k_left - cost > max(0, m - 2):
-                continue
-            self._check_budget()
-            job = remaining[idx]
-            token, start = self._visit(job)
-            try:
-                new_acc = self._extend(acc, job, start)
-                if not self._prune_child(new_acc, m - 1):
-                    rest = remaining[:idx] + remaining[idx + 1 :]
-                    self._dfs_lds(rest, k_left - cost, new_acc)
-            finally:
-                self._unvisit(token)
-
-    # ------------------------------------------------------------------
-    # DDS: iteration i forces a discrepancy at level i, allows anything
-    # above, prohibits any below (levels are 1-based).
-    # ------------------------------------------------------------------
-    def _dfs_dds(
-        self, remaining: list[Job], iteration: int, level: int, acc: tuple[float, ...]
-    ) -> None:
-        if not remaining:
-            self._leaf(acc)
-            return
-        m = len(remaining)
-        if level < iteration:
-            indices = range(m)
-        elif level == iteration:
-            if m < 2:
-                return  # no discrepancy possible; iteration covers nothing here
-            indices = range(1, m)
+                return
+            ranks, s0, s1 = range(1), s, s
         else:
-            indices = range(1)
-        for idx in indices:
+            lo, s0, s1 = rule
+            ranks = range(lo, m)
+        for idx in ranks:
             self._check_budget()
             job = remaining[idx]
             token, start = self._visit(job)
@@ -548,7 +541,7 @@ class _ReferenceSearchRun(_SearchRunBase):
                 new_acc = self._extend(acc, job, start)
                 if not self._prune_child(new_acc, m - 1):
                     rest = remaining[:idx] + remaining[idx + 1 :]
-                    self._dfs_dds(rest, iteration, level + 1, new_acc)
+                    self._dfs(rest, s1 if idx else s0, new_acc)
             finally:
                 self._unvisit(token)
 
@@ -591,7 +584,7 @@ class _FastSearchRun(_SearchRunBase):
       the placement loop itself, at every chain length.
 
     A custom ``problem.evaluator`` keeps the generic tuple-accumulator
-    methods (``_chain``/``_dfs_lds``/``_dfs_dds``).
+    methods (``_chain``/``_dfs``).
     """
 
     def __init__(
@@ -628,25 +621,12 @@ class _FastSearchRun(_SearchRunBase):
             self._sa_submit = self._sa_rt = self._sa_denom = []
             self._sa_nodes = []
 
-    def _iterate(self, iteration: int) -> None:
+    def _iterate(self, s: int) -> None:
         n = len(self._jobs)
         if self._ja is not None:
-            exc0, slow0 = self._acc0[0], self._acc0[1]
-            if self.algorithm == "lds":
-                self._dfs_lds2(n, iteration, exc0, slow0, 0)
-            elif iteration == 0:
-                # DDS iteration 0 == LDS iteration 0: heuristic path.
-                self._dfs_lds2(n, 0, exc0, slow0, 0)
-            else:
-                self._dfs_dds2(n, iteration, 1, exc0, slow0, 0)
-            return
-        if self.algorithm == "lds":
-            self._dfs_lds(n, iteration, self._acc0)
-        elif iteration == 0:
-            # DDS iteration 0 == LDS iteration 0: heuristic path.
-            self._dfs_lds(n, 0, self._acc0)
+            self._dfs2(n, s, self._acc0[0], self._acc0[1], 0)
         else:
-            self._dfs_dds(n, iteration, 1, self._acc0)
+            self._dfs(n, s, self._acc0)
 
     # ------------------------------------------------------------------
     # The delta kernel: two-level objective specialisations
@@ -786,82 +766,15 @@ class _FastSearchRun(_SearchRunBase):
             self.profile.rollback(ck)
 
     # ------------------------------------------------------------------
-    # LDS (delta kernel): iteration k explores paths with exactly k
-    # discrepancies.  Same traversal as ``_dfs_lds`` below, with the
-    # accumulator threaded as two floats and the path in flat arrays.
-    # ------------------------------------------------------------------
-    def _dfs_lds2(
-        self, m: int, k_left: int, exc: float, slow: float, d: int
-    ) -> None:
-        if k_left == 0:
-            # No discrepancies left: only the heuristic completion remains.
+    def _dfs2(self, m: int, s: int, exc: float, slow: float, d: int) -> None:
+        """The delta kernel's DFS: ``child_rule`` says which ranks to take
+        and what each child inherits.  Same traversal as ``_dfs`` below, the
+        accumulator threaded as two floats and the path in flat arrays."""
+        rule = child_rule(self._lds, s, m)
+        if rule is None:
             self._chain2(m, exc, slow, d)
             return
-        if m == 0:
-            return  # budget k_left > 0 unspent: not a valid leaf
-        nxt, prv = self._nxt, self._prv
-        submit, denom = self._sa_submit, self._sa_denom
-        nodes_a, rt_a = self._sa_nodes, self._sa_rt
-        place, unplace = self.profile.place, self.profile.unplace
-        path_i, path_s = self._path_i, self._path_s
-        omega, now = self._omega, self._now
-        prune = self.prune
-        check_budget = self._check_budget
-        cap = m - 2 if m > 2 else 0  # == max(0, m - 2)
-        i = nxt[self._head]
-        for idx in range(m):
-            if idx:
-                if k_left < 1:  # a discrepancy costs 1 we don't have
-                    break
-                child_k = k_left - 1
-            else:
-                child_k = k_left
-            if child_k <= cap:  # enough levels left to spend child_k
-                check_budget()
-                pi, ni = prv[i], nxt[i]
-                nxt[pi] = ni
-                prv[ni] = pi
-                self.nodes_visited += 1
-                start = place(nodes_a[i], rt_a[i], now)
-                path_i[d] = i
-                path_s[d] = start
-                try:
-                    wait = start - submit[i]
-                    e = wait - omega
-                    nexc = exc + e if e > 0.0 else exc
-                    den = denom[i]
-                    nslow = slow + (wait + den) / den
-                    if not prune or not self._prune_child2(nexc, nslow, m - 1):
-                        self._dfs_lds2(m - 1, child_k, nexc, nslow, d + 1)
-                finally:
-                    unplace()
-                    nxt[pi] = i
-                    prv[ni] = i
-                i = ni
-            else:
-                i = nxt[i]
-
-    # ------------------------------------------------------------------
-    # DDS (delta kernel): iteration i forces a discrepancy at level i,
-    # allows anything above, prohibits any below (levels are 1-based).
-    # ------------------------------------------------------------------
-    def _dfs_dds2(
-        self, m: int, iteration: int, level: int, exc: float, slow: float, d: int
-    ) -> None:
-        if level > iteration:
-            # Below the discrepancy level only the heuristic child is
-            # allowed, all the way down: run the batched chain.
-            self._chain2(m, exc, slow, d)
-            return
-        if m == 0:
-            self._leaf2(exc, slow, d)
-            return
-        if level < iteration:
-            lo, hi = 0, m
-        else:  # level == iteration
-            if m < 2:
-                return  # no discrepancy possible; iteration covers nothing here
-            lo, hi = 1, m
+        lo, s0, s1 = rule
         nxt, prv = self._nxt, self._prv
         submit, denom = self._sa_submit, self._sa_denom
         nodes_a, rt_a = self._sa_nodes, self._sa_rt
@@ -873,7 +786,7 @@ class _FastSearchRun(_SearchRunBase):
         i = nxt[self._head]
         for _ in range(lo):
             i = nxt[i]
-        for _pos in range(lo, hi):
+        for rank in range(lo, m):
             check_budget()
             pi, ni = prv[i], nxt[i]
             nxt[pi] = ni
@@ -889,7 +802,7 @@ class _FastSearchRun(_SearchRunBase):
                 den = denom[i]
                 nslow = slow + (wait + den) / den
                 if not prune or not self._prune_child2(nexc, nslow, m - 1):
-                    self._dfs_dds2(m - 1, iteration, level + 1, nexc, nslow, d + 1)
+                    self._dfs2(m - 1, s1 if rank else s0, nexc, nslow, d + 1)
             finally:
                 unplace()
                 nxt[pi] = i
@@ -943,72 +856,14 @@ class _FastSearchRun(_SearchRunBase):
                 nxt[head] = i
 
     # ------------------------------------------------------------------
-    # LDS: iteration k explores paths with exactly k discrepancies.
-    # ------------------------------------------------------------------
-    def _dfs_lds(self, m: int, k_left: int, acc: tuple[float, ...]) -> None:
-        if k_left == 0:
-            # No discrepancies left: only the heuristic completion remains.
+    def _dfs(self, m: int, s: int, acc: tuple[float, ...]) -> None:
+        """``_dfs2`` for a custom evaluator: the accumulator is the
+        evaluator's tuple and the path is the ``(job, start)`` prefix."""
+        rule = child_rule(self._lds, s, m)
+        if rule is None:
             self._chain(m, acc)
             return
-        if m == 0:
-            return  # budget k_left > 0 unspent: not a valid leaf
-        nxt, prv = self._nxt, self._prv
-        jobs, rt = self._jobs, self._rt
-        place, unplace = self.profile.place, self.profile.unplace
-        prefix, extend, now = self._prefix, self._extend, self._now
-        prune = self.prune
-        cap = m - 2 if m > 2 else 0  # == max(0, m - 2)
-        i = nxt[self._head]
-        for idx in range(m):
-            if idx:
-                if k_left < 1:  # a discrepancy costs 1 we don't have
-                    break
-                child_k = k_left - 1
-            else:
-                child_k = k_left
-            if child_k <= cap:  # enough levels left to spend child_k
-                self._check_budget()
-                job = jobs[i]
-                pi, ni = prv[i], nxt[i]
-                nxt[pi] = ni
-                prv[ni] = pi
-                self.nodes_visited += 1
-                start = place(job.nodes, rt[job.job_id], now)
-                prefix.append((job, start))
-                try:
-                    new_acc = extend(acc, job, start)
-                    if not prune or not self._prune_child(new_acc, m - 1):
-                        self._dfs_lds(m - 1, child_k, new_acc)
-                finally:
-                    prefix.pop()
-                    unplace()
-                    nxt[pi] = i
-                    prv[ni] = i
-                i = ni
-            else:
-                i = nxt[i]
-
-    # ------------------------------------------------------------------
-    # DDS: iteration i forces a discrepancy at level i, allows anything
-    # above, prohibits any below (levels are 1-based).
-    # ------------------------------------------------------------------
-    def _dfs_dds(
-        self, m: int, iteration: int, level: int, acc: tuple[float, ...]
-    ) -> None:
-        if level > iteration:
-            # Below the discrepancy level only the heuristic child is
-            # allowed, all the way down: run the chain as a loop.
-            self._chain(m, acc)
-            return
-        if m == 0:
-            self._leaf(acc)
-            return
-        if level < iteration:
-            lo, hi = 0, m
-        else:  # level == iteration
-            if m < 2:
-                return  # no discrepancy possible; iteration covers nothing here
-            lo, hi = 1, m
+        lo, s0, s1 = rule
         nxt, prv = self._nxt, self._prv
         jobs, rt = self._jobs, self._rt
         place, unplace = self.profile.place, self.profile.unplace
@@ -1017,7 +872,7 @@ class _FastSearchRun(_SearchRunBase):
         i = nxt[self._head]
         for _ in range(lo):
             i = nxt[i]
-        for _pos in range(lo, hi):
+        for rank in range(lo, m):
             self._check_budget()
             job = jobs[i]
             pi, ni = prv[i], nxt[i]
@@ -1029,7 +884,7 @@ class _FastSearchRun(_SearchRunBase):
             try:
                 new_acc = extend(acc, job, start)
                 if not prune or not self._prune_child(new_acc, m - 1):
-                    self._dfs_dds(m - 1, iteration, level + 1, new_acc)
+                    self._dfs(m - 1, s1 if rank else s0, new_acc)
             finally:
                 prefix.pop()
                 unplace()
@@ -1038,10 +893,57 @@ class _FastSearchRun(_SearchRunBase):
             i = ni
 
 
-#: Engine name -> run class (the ``DiscrepancySearch.engine`` knob).
-#: ``"compiled"`` is dispatched separately: its runner lives in
-#: :mod:`repro.core.ckernel`, which imports this module.
-_ENGINES: dict[str, type[_SearchRunBase]] = {
-    "fast": _FastSearchRun,
-    "reference": _ReferenceSearchRun,
+def _search_compiled(
+    problem: SearchProblem,
+    algorithm: str,
+    node_limit: int | None,
+    prune: bool,
+    record_anytime: bool = False,
+    time_limit_seconds: float | None = None,
+) -> SearchResult:
+    """``engine="compiled"``: the C kernel when it can give this search's
+    exact result, the fast engine otherwise (same bits, python speed)."""
+    raw = ckernel.run_kernel(
+        problem, algorithm, node_limit, prune, record_anytime, time_limit_seconds
+    )
+    if raw is None:
+        return _FastSearchRun.search(
+            problem, algorithm, node_limit, prune, record_anytime, time_limit_seconds
+        )
+    (
+        b_exc,
+        b_slow,
+        b_d,
+        idxs,
+        starts,
+        nodes_visited,
+        leaves,
+        iterations,
+        limit_hit,
+        improved,
+        anytime,
+    ) = raw
+    jobs = problem.jobs
+    order = tuple([jobs[i] for i in idxs])
+    if anytime is not None:
+        anytime = [(nv, ScheduleScore(exc, slow, d)) for nv, exc, slow, d in anytime]
+    return SearchResult(
+        best_order=order,
+        best_starts={job.job_id: start for job, start in zip(order, starts)},
+        best_score=ScheduleScore(b_exc, b_slow, b_d),
+        nodes_visited=nodes_visited,
+        leaves_evaluated=leaves,
+        iterations_started=iterations,
+        limit_hit=bool(limit_hit),
+        improved_after_first=bool(improved),
+        anytime=anytime,
+    )
+
+
+#: The ``DiscrepancySearch.engine`` knob: name -> ``(problem, algorithm,
+#: node_limit, prune, record_anytime, time_limit_seconds) -> SearchResult``.
+_ENGINES: dict[str, Callable[..., SearchResult]] = {
+    "fast": _FastSearchRun.search,
+    "reference": _ReferenceSearchRun.search,
+    "compiled": _search_compiled,
 }

@@ -68,8 +68,7 @@ def generate_instance(
     """One seeded small decision point: ``(jobs, profile, now, omega)``.
 
     Deterministic in ``(seed, index)`` via :class:`RngStream` (simlint
-    SIM002: no global RNG).  All times are whole seconds, so every
-    instance is eligible for the CP-SAT cross-check backend.  The machine
+    SIM002: no global RNG).  All times are whole seconds.  The machine
     is mid-recovery at ``now``: a fraction of nodes free immediately and
     full capacity one draw later — the regime where ordering decisions
     actually change the objective.

@@ -185,8 +185,7 @@ def instance_specs(
 ) -> InstanceSpec:
     """Random :class:`InstanceSpec` values, sized for the exact solver.
 
-    Integer-valued times (whole seconds) keep shrunk examples readable
-    and make every instance eligible for the CP-SAT backend; the
+    Integer-valued times (whole seconds) keep shrunk examples readable; the
     ``TIME_EPS`` boundary behaviour gets dedicated deterministic
     regressions in ``test_exact.py`` instead of relying on the fuzzer
     stumbling onto a half-nanosecond tie.

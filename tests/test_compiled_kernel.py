@@ -6,8 +6,8 @@ compiled engine joins ``CONFORMANCE_ENGINES`` whenever the extension is
 importable); this file owns everything about the *boundary*:
 
 - ``engine="compiled"`` without the extension silently falls back to the
-  fast engine with bit-identical results (the ISSUE picked fallback over
-  raising, mirroring ``core/exact.py``'s optional-ortools pattern);
+  fast engine with bit-identical results (fallback was picked over
+  raising: an install without a C toolchain must still run);
 - searches needing facilities the kernel omits — wall-clock deadlines,
   criteria evaluators, the runtime sanitizer — route to the fast engine
   even when the kernel is present;

@@ -1,6 +1,5 @@
 """The exact solver's own certificate: brute-force cross-checks, tie
-behaviour at ``TIME_EPS`` boundaries, guard rails, and the optional
-CP-SAT backend probe.
+behaviour at ``TIME_EPS`` boundaries and guard rails.
 
 The solver (:mod:`repro.core.exact`) is the repo's optimality oracle —
 anything wrong here silently corrupts every gap-to-optimal number — so
@@ -24,12 +23,7 @@ from repro.core.criteria import (
     TotalBoundedSlowdown,
     paper_objective,
 )
-from repro.core.exact import (
-    MAX_EXACT_JOBS,
-    ExactBackendUnavailable,
-    have_ortools,
-    solve_exact,
-)
+from repro.core.exact import MAX_EXACT_JOBS, solve_exact
 from repro.core.local_search import evaluate_order
 from repro.core.search import DiscrepancySearch, resolve_runtimes
 from repro.util.timeunits import HOUR, TIME_EPS, time_eq
@@ -146,8 +140,10 @@ def test_max_jobs_bounds():
 
 
 def test_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="unknown backend"):
-        solve_exact(build_problem("lxf", n_jobs=2), backend="simplex")
+    # "cpsat" was an optional ortools backend until PR 21; it is unknown now.
+    for backend in ("simplex", "cpsat"):
+        with pytest.raises(ValueError, match="unknown backend"):
+            solve_exact(build_problem("lxf", n_jobs=2), backend=backend)
 
 
 # ----------------------------------------------------------------------
@@ -237,42 +233,3 @@ def test_sub_eps_boundary_is_a_genuine_tie(offset):
     search = DiscrepancySearch("dds", node_limit=None, engine="fast").search(problem)
     assert search.best_score == exact.best_score  # no spurious gap
 
-
-# ----------------------------------------------------------------------
-# Optional CP-SAT backend
-# ----------------------------------------------------------------------
-@pytest.mark.skipif(have_ortools(), reason="ortools present: probe can't fail")
-def test_cpsat_unavailable_raises_cleanly():
-    with pytest.raises(ExactBackendUnavailable, match="ortools"):
-        solve_exact(build_problem("lxf", n_jobs=2), backend="cpsat")
-
-
-@pytest.mark.skipif(not have_ortools(), reason="ortools not installed")
-@given(spec=instance_specs(max_jobs=4))
-@FUZZ
-def test_cpsat_matches_bnb(spec: InstanceSpec):
-    """Where available, the CP-SAT model (a completely different
-    algorithm over the start-time formulation) lands on the same optimal
-    score as the permutation enumeration."""
-    problem = spec.to_problem()
-    assert solve_exact(problem, backend="cpsat").best_score == (
-        solve_exact(problem, backend="bnb").best_score
-    )
-
-
-@pytest.mark.skipif(not have_ortools(), reason="ortools not installed")
-def test_cpsat_rejects_non_integral_instance():
-    spec = InstanceSpec(
-        capacity=2,
-        jobs=((0.0, 1, HOUR + 0.5),),
-        segments=((NOW, 2),),
-        omega=900.0,
-        heuristic="fcfs",
-    )
-    with pytest.raises(ValueError, match="non-integral"):
-        solve_exact(spec.to_problem(), backend="cpsat")
-
-
-def test_have_ortools_is_a_pure_probe():
-    """The probe never raises; it reports plain availability."""
-    assert have_ortools() in (True, False)
