@@ -3,9 +3,11 @@
  * A hand-written CPython extension that replicates, operation for
  * operation, the fast engine's delta kernel:
  *
- *   - repro/core/search.py      child_rule/root_state, _FastSearchRun._dfs2,
- *                               _chain2/_chain2_slow, _leaf2,
- *                               _prune_child2, _check_budget
+ *   - repro/core/search.py      child_rule/root_state, _FastSearchRun._dfs,
+ *                               _chain/_chain_per_node, _leaf,
+ *                               _prune_child, _check_budget, with the
+ *                               two-level fold of _index_strategy inlined
+ *                               (the accumulator tuple is two doubles)
  *   - repro/core/profile.py     SearchProfile.place/unplace (and the
  *                               place_run_fold fusion: the association-
  *                               order contract makes one fused scalar
@@ -27,7 +29,7 @@
  * engine): wall-clock deadlines (poll cadence), custom evaluators and
  * the runtime sanitizer (needs per-mutation Python checks).
  *
- * One structural liberty, invisible in results: where _chain2 brackets
+ * One structural liberty, invisible in results: where _chain brackets
  * a batch with checkpoint()/rollback() (array snapshot, no undo
  * frames), this kernel pushes ordinary undo frames and pops them —
  * both restore the profile exactly, and the in-between states are
@@ -237,7 +239,7 @@ ck_unplace(Search *s)
 }
 
 /* ------------------------------------------------------------------ */
-/* Budget machinery (_check_budget, and _chain2's batch clamp)         */
+/* Budget machinery (_check_budget, and _chain's batch clamp)          */
 /* ------------------------------------------------------------------ */
 static inline int
 ck_check_budget(Search *s)
@@ -263,10 +265,10 @@ ck_chain_allowance(Search *s, Py_ssize_t m)
 }
 
 /* ------------------------------------------------------------------ */
-/* Leaf evaluation and pruning (the float-pair compare of _leaf2)      */
+/* Leaf evaluation and pruning (_leaf's tuple compare, on two doubles) */
 /* ------------------------------------------------------------------ */
 static int
-ck_leaf2(Search *s, double exc, double slow, Py_ssize_t d)
+ck_leaf(Search *s, double exc, double slow, Py_ssize_t d)
 {
     s->leaves_evaluated++;
     if (s->best_valid) {
@@ -301,7 +303,7 @@ ck_leaf2(Search *s, double exc, double slow, Py_ssize_t d)
 }
 
 static inline int
-ck_prune_child2(Search *s, double exc, double slow, Py_ssize_t left)
+ck_prune_child(Search *s, double exc, double slow, Py_ssize_t left)
 {
     if (!s->best_valid)
         return 0;
@@ -313,8 +315,8 @@ ck_prune_child2(Search *s, double exc, double slow, Py_ssize_t left)
 }
 
 /* ------------------------------------------------------------------ */
-/* Heuristic-completion chain: _chain2 and _chain2_slow in one loop.   */
-/* No leaf lands inside a chain, so _chain2_slow's per-step budget     */
+/* Heuristic-completion chain: _chain and _chain_per_node in one loop. */
+/* No leaf lands inside a chain, so _chain_per_node's per-step budget  */
 /* check is the allowance computed up front; only pruning needs a test */
 /* at every step.                                                      */
 /* ------------------------------------------------------------------ */
@@ -350,13 +352,13 @@ ck_chain(Search *s, Py_ssize_t m, double exc, double slow, Py_ssize_t d)
         double den = s->denom[i];
         slow += (wait + den) / den;
         p++;
-        if (prune && ck_prune_child2(s, exc, slow, end - p)) {
+        if (prune && ck_prune_child(s, exc, slow, end - p)) {
             rc = CK_OK; /* pruned mid-chain: plain return in Python */
             goto unwind;
         }
     }
     if (stop == end)
-        rc = ck_leaf2(s, exc, slow, end);
+        rc = ck_leaf(s, exc, slow, end);
 unwind:
     for (Py_ssize_t q = d; q < p; q++)
         ck_unplace(s);
@@ -364,7 +366,7 @@ unwind:
 }
 
 /* ------------------------------------------------------------------ */
-/* The DFS proper (_dfs2).  The window [lo, m) and the child states are */
+/* The DFS proper (_dfs).  The window [lo, m) and the child states are */
 /* child_rule() of repro/core/search.py written inline — that function  */
 /* is the rule and tests/test_search_rule.py its oracle.  `lds` travels */
 /* as an argument (constant at both call sites) so a node tests a       */
@@ -412,7 +414,7 @@ ck_dfs(Search *s, const int lds, Py_ssize_t m, Py_ssize_t st, double exc,
         double den = s->denom[i];
         double nslow = slow + (wait + den) / den;
         int rc = CK_OK;
-        if (!s->prune || !ck_prune_child2(s, nexc, nslow, m - 1))
+        if (!s->prune || !ck_prune_child(s, nexc, nslow, m - 1))
             rc = ck_dfs(s, lds, m - 1, rank ? st - 1 : st0, nexc, nslow,
                         d + 1);
         ck_unplace(s);

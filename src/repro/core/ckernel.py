@@ -82,9 +82,10 @@ def _kernel_arrays(
     wall-clock deadlines (sparse poll cadence), custom evaluators
     (arbitrary Python accumulators), sanitized runs (per-mutation Python
     invariant checks), and malformed inputs whose error behaviour the
-    pure engines define (over-capacity jobs, a profile without its
-    all-free tail segment).  The capacity check reads the ``nodes``
-    column itself, so it holds for exactly what C walks.
+    pure engines define (over-capacity jobs, a non-positive planning
+    runtime, a profile without its all-free tail segment).  The checks
+    read the ``nodes`` and ``runtime`` columns themselves, so they hold
+    for exactly what C walks.
     """
     if _impl is None:
         return None
@@ -99,6 +100,8 @@ def _kernel_arrays(
         return None
     arrays = problem.job_arrays()
     if max(arrays.nodes, default=0) > profile.capacity:
+        return None
+    if not min(arrays.runtime, default=1.0) > 0:
         return None
     return arrays
 

@@ -217,8 +217,8 @@ class CriteriaEvaluator:
 
     This is the general path evaluator for
     :class:`repro.core.search.DiscrepancySearch`; the paper's two-level
-    objective uses a specialized fast path, but running it through this
-    evaluator gives identical decisions (property-tested).
+    objective has a built-in fold over the same traversal, and running it
+    through this evaluator gives identical decisions (property-tested).
     """
 
     def __init__(self, criteria: Sequence[Criterion], ctx: DecisionContext) -> None:

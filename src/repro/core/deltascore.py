@@ -1,30 +1,31 @@
 """Struct-of-arrays instance view and fold-order contract for delta scoring.
 
 The fast engine's per-node hot path (see :mod:`repro.core.search`) scores
-candidate schedules *incrementally*: instead of threading a freshly
-allocated accumulator tuple through every recursion level and re-reading
-job attributes and a ``job_id``-keyed runtime dict at each placement, it
-keeps every per-job quantity in flat arrays indexed by the job's **dense
-index** (its position in ``SearchProblem.jobs``) and threads two plain
-floats — the accumulated excessive wait and the accumulated bounded
-slowdown — down the path.  This module owns that representation:
+candidate schedules *incrementally* and addresses everything by the job's
+**dense index** (its position in ``SearchProblem.jobs``): instead of
+re-reading job attributes and a ``job_id``-keyed runtime dict at each
+placement, it keeps every per-job quantity in flat arrays and threads one
+accumulator tuple down the path, extended at each visit by a fold
+``fold(acc, i, start)`` bound once per search.  This module owns that
+representation:
 
 - :class:`JobArrays` — the struct-of-arrays view of one decision point's
   job set (submit times, node counts, planning runtimes, and the
   floor-clamped slowdown denominators);
-- the association-order contract below, which every fold of those arrays
-  — ``SearchProfile.place_run_fold``, the ``*2`` DFS methods and
-  ``_chain2_slow`` in :mod:`repro.core.search`, ``run_search`` in C —
-  has to keep.
+- the association-order contract below, which every fold over a path —
+  the ``fold`` closures of ``repro.core.search._index_strategy``,
+  ``SearchProfile.place_run_fold``, ``run_search`` in C — has to keep.
 
-**The association-order contract.**  Every total folded over these arrays
-must be **bit-equal** (ulp-exact, not approximately equal) to the
-reference engine's tuple accumulation, which folds jobs strictly
-left-to-right in placement order::
+**The association-order contract.**  The accumulator is an N-level tuple,
+one float per objective level, each folded over the jobs strictly left to
+right in placement order with the level's own operation (``+`` for a sum,
+``max`` for a bottleneck: :meth:`~repro.core.criteria.Criterion.accumulate`)::
 
-    acc_excess   = ((0.0 + e_1) + e_2) + ... + e_m
-    acc_slowdown = ((0.0 + s_1) + s_2) + ... + s_m
+    acc[k] = op_k(op_k(op_k(initial_k, t_k(job_1)), t_k(job_2)) ..., t_k(job_m))
 
+For the paper's objective that is two sums from ``(0.0, 0.0)``.  Every
+total must be **bit-equal** (ulp-exact, not approximately equal) to the
+reference engine's tuple accumulation, which folds in that order.
 Floating-point addition is not associative, so any re-association — a
 pairwise numpy ``sum``, ``math.fsum``, accumulating the chain tail
 separately and adding it to the prefix — would drift from the spec by
@@ -32,10 +33,11 @@ ulps and break the engines' bit-identity contract.  Every fold is a
 plain left-to-right scalar loop; a Hypothesis property in
 ``tests/test_deltascore.py`` pins the fused placement loop to the
 reference tuple-sum bit-for-bit over arbitrary float magnitudes and
-incoming accumulators.
+incoming accumulators.  Backtracking never subtracts: a child's tuple is
+a new object and the parent's is still there.
 
-The per-term arithmetic also replicates the reference operations exactly
-(:func:`repro.core.search.build_strategy`)::
+The two-level per-term arithmetic also replicates the reference
+operations exactly (:func:`repro.core.search.build_strategy`)::
 
     wait  = start - submit          # seconds waited
     e     = max(0.0, wait - omega)  # level 1: excessive wait
@@ -45,7 +47,9 @@ with ``denom`` pre-clamped to the slowdown floor (the clamp is
 placement-independent, so it is hoisted into :class:`JobArrays` once per
 search).  Skipping the ``+ 0.0`` when ``e`` is not positive is exact:
 the accumulator starts at ``+0.0`` and never goes negative, and
-``x + 0.0 == x`` bit-for-bit for every non-negative ``x``.
+``x + 0.0 == x`` bit-for-bit for every non-negative ``x``.  A custom
+evaluator's terms need no replica: both engines call its ``extend`` on
+the same ``(job, start)`` sequence.
 
 There is no vectorized fold: a numpy ``add.accumulate`` path for long
 chains tied with the fused scalar loop at 96–512 jobs and no workload

@@ -25,14 +25,16 @@ Two implementations share these semantics:
 - :class:`AvailabilityProfile` — the reference: two plain lists with
   ``bisect`` queries and ``insert``/``del`` mutation.  Every non-search
   consumer (backfill, schedule builder, tests) uses it.
-- :class:`SearchProfile` — the search engine's allocation-free fast path:
-  the same step function stored as flat parallel slot arrays linked into a
-  list, so a reserve/release pair does no ``insert``/``del`` memmove, no
-  ``bisect``, and allocates nothing (slots are recycled through a free
-  pool; undo state lives on an explicit LIFO stack).  Built from a
-  reference profile via :meth:`AvailabilityProfile.search_view`, it must
-  return bit-identical ``earliest_start`` answers — a property pinned by
-  the differential hypothesis tests in ``tests/test_profile_properties.py``.
+- :class:`SearchProfile` — the search engine's fast path: the same two
+  sorted lists, but query and commit are one call (``place``) that finds
+  the start and both breakpoints in a single forward walk — no ``bisect``,
+  no token object, no second scan — with ``list.insert``/``del`` for the
+  breakpoints and the undo state on an explicit LIFO stack; a whole
+  heuristic chain can be committed in one loop (``place_run_fold``) and
+  thrown away by restoring a copy of the lists.  Built from a reference
+  profile via :meth:`AvailabilityProfile.search_view`, it must return
+  bit-identical ``earliest_start`` answers — a property pinned by the
+  differential hypothesis tests in ``tests/test_profile_properties.py``.
 """
 
 from __future__ import annotations
@@ -367,7 +369,7 @@ class AvailabilityProfile:
     def search_view(self) -> "SearchProfile":
         """An independent :class:`SearchProfile` rooted at this state.
 
-        The search engine's allocation-free substrate: place/unplace on the
+        The search engine's substrate: place/unplace on the
         view never touches this profile.
         """
         return SearchProfile(self)
@@ -436,17 +438,21 @@ class AvailabilityProfile:
 class SearchProfile:
     """Allocation-light availability profile for the discrepancy search.
 
-    Same step function as :class:`AvailabilityProfile`, stored as two flat
-    sorted parallel arrays — the struct-of-arrays layout of the search's
-    hot path: ``_t[i]`` is segment ``i``'s breakpoint and ``_f[i]`` its
-    free node count over ``[_t[i], _t[i+1])`` (the final segment extends
-    forever and always has all of capacity free).  The flat layout is what
-    makes :meth:`place` fast: the earliest-fit scan positions itself with
-    C-coded ``bisect`` instead of a Python pointer walk, the feasibility
-    check over a candidate window is a single ``min()`` over a slice, and
-    breakpoint creation/removal is ``list.insert``/``del`` — an
-    O(segments) C memmove that beats per-slot Python pointer surgery at
-    any realistic segment count.
+    Same step function as :class:`AvailabilityProfile`, stored the same
+    way — two sorted parallel lists: ``_t[i]`` is segment ``i``'s
+    breakpoint and ``_f[i]`` its free node count over
+    ``[_t[i], _t[i+1])`` (the final segment extends forever and always
+    has all of capacity free).  What differs is the walk: :meth:`place`
+    is one forward pass in python from the first segment — position on
+    ``earliest``, skip segments with too few nodes, test the candidate
+    window segment by segment, then keep walking to the end breakpoint —
+    where the reference pays a ``bisect`` for the query, more to find
+    the same breakpoints again in ``reserve`` and in ``release``, and a
+    token object per reservation.  Searches start every
+    placement at ``now``, the profile's first breakpoint, so the walk a
+    ``bisect`` would save is a step or two.  Breakpoints are created and
+    removed with ``list.insert``/``del``: an O(segments) C memmove, cheap
+    at the tens of segments a decision point has.
 
     Mutation is strictly stack-shaped: :meth:`place` commits an earliest-fit
     reservation and pushes one frame onto the explicit undo stack;
@@ -459,9 +465,8 @@ class SearchProfile:
 
     Results are bit-identical to ``earliest_start`` + ``reserve`` on the
     reference profile: the float arithmetic is the same operations in the
-    same order, and ``bisect`` performs exactly the comparisons the
-    reference's segment walk does.  The differential property tests pin
-    this down.
+    same order, and the forward walk lands on the segment the reference's
+    ``bisect`` finds.  The differential property tests pin this down.
 
     The sanitizer hooks mirror the reference profile's: when debug-mode
     invariant checking is active, every place/unplace verifies structural

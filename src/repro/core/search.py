@@ -13,10 +13,11 @@ The search is *anytime*: the best complete schedule found so far is always
 available.  The pure-heuristic path (iteration 0) is completed even when
 ``L`` is smaller than the queue length, so a valid schedule always exists.
 
-Objectives come in two forms: the paper's two-level objective runs through
-a specialized fast path, and arbitrary lexicographic objectives (fairshare,
-priorities, max-wait — see :mod:`repro.core.criteria`) plug in via
-``SearchProblem.evaluator``.
+Objectives come in two forms: the paper's two-level objective, and
+arbitrary lexicographic objectives (fairshare, priorities, max-wait — see
+:mod:`repro.core.criteria`) plugged in via ``SearchProblem.evaluator``.
+Within an engine both run through the same traversal; only the function
+that folds one placed job into the path's accumulator differs.
 
 Branch-and-bound pruning is OFF by default — the paper explicitly leaves it
 to future work and its node accounting would differ — but is available via
@@ -26,12 +27,13 @@ LDS and DDS differ only in which children a node may take; that
 difference is written once, as :func:`child_rule`, and each engine path
 keeps one DFS over it.  Three engines implement the identical traversal:
 
-- ``engine="fast"`` (the default) — the allocation-free hot path: the
+- ``engine="fast"`` (the default) — the allocation-light hot path: the
   remaining-jobs set is an in-place index array threaded into a linked
-  list (O(1) unlink/relink per visit instead of an O(n) list slice), and
+  list (O(1) unlink/relink per visit instead of an O(n) list slice),
+  per-job data sits in flat columns addressed by that index, and
   placements go through :class:`~repro.core.profile.SearchProfile`, whose
-  ``place``/``unplace`` never pay ``insert``/``del`` memmoves or
-  ``bisect`` calls (see ``docs/performance.md``).
+  ``place`` is query, commit and undo push in one forward walk — no
+  ``bisect`` calls, no token objects (see ``docs/performance.md``).
 - ``engine="reference"`` — the list-slicing DFS over
   :class:`~repro.core.profile.AvailabilityProfile`, kept as the executable
   specification.  Every :class:`SearchResult` field (order, starts, score,
@@ -63,6 +65,7 @@ from repro.core.objective import ObjectiveConfig, ScheduleScore
 from repro.core.profile import AvailabilityProfile
 from repro.core.search_tree import max_discrepancies
 from repro.simulator.job import Job
+from repro.util.validation import check_positive
 
 _ALGORITHMS = ("dds", "lds")
 
@@ -173,6 +176,45 @@ def build_strategy(
     return (0.0, 0.0), extend, score, lower
 
 
+def _index_strategy(
+    problem: "SearchProblem", arrays: JobArrays
+) -> "tuple[tuple[float, ...], Callable[..., Any], Callable[..., Any], Callable[..., Any]]":
+    """:func:`build_strategy` for the fast engine: ``(acc0, fold, score,
+    lower)``, with ``fold(acc, i, start)`` addressed by the job's dense
+    index and ``lower`` returning the raw levels both score types order
+    by.  The two-level ``fold`` does ``build_strategy``'s operations in
+    its order on ``arrays`` (the floor clamp hoisted into ``denom``; adding
+    the excess only when positive is exact, :mod:`repro.core.deltascore`).
+    """
+    evaluator = problem.evaluator
+    if evaluator is not None:
+        jobs, extend, bound = problem.jobs, evaluator.extend, evaluator.lower_bound
+        return (
+            evaluator.start(),
+            lambda acc, i, start: extend(acc, jobs[i], start),
+            evaluator.score,
+            lambda acc, left: bound(acc, left).levels,
+        )
+    submit, denom, omega = arrays.submit, arrays.denom, problem.omega
+
+    def fold(acc: tuple[float, float], i: int, start: float) -> tuple[float, float]:
+        wait = start - submit[i]
+        excess = wait - omega
+        den = denom[i]
+        return (
+            acc[0] + excess if excess > 0.0 else acc[0],
+            acc[1] + (wait + den) / den,
+        )
+
+    return (
+        (0.0, 0.0),
+        fold,
+        lambda acc, n_jobs: ScheduleScore(acc[0], acc[1], n_jobs),
+        # Unplaced jobs add >= 0 excess and >= 1 slowdown each.
+        lambda acc, left: (acc[0], acc[1] + left),
+    )
+
+
 @dataclass(frozen=True)
 class SearchProblem:
     """One scheduling decision point, ready to be searched.
@@ -277,7 +319,7 @@ class DiscrepancySearch:
     #: deployments want the time limit.  Both may be set; whichever is
     #: exhausted first stops the search.
     time_limit_seconds: float | None = None
-    #: ``"fast"`` (allocation-free hot path, the default), ``"reference"``
+    #: ``"fast"`` (index-addressed hot path, the default), ``"reference"``
     #: (the executable specification), or ``"compiled"`` (the C kernel,
     #: falling back to ``"fast"``).  All return bit-identical results; the
     #: knob exists for differential testing and the ``repro bench``
@@ -343,13 +385,12 @@ class DiscrepancySearch:
 
 
 class _SearchRunBase:
-    """Mutable state shared by the python engines for one search invocation.
+    """Mutable state shared by the python engines for one search invocation:
+    the budgets, the node accounting, the incumbent and the iteration loop.
 
-    The DFS threads an opaque accumulator ``acc`` down each path; the
-    strategy closures (``_acc0``/``_extend``/``_score_of``/``_lower_of``)
-    are bound in ``__init__`` to either the fast two-level path or the
-    general criteria evaluator.  Subclasses implement ``_iterate`` — one
-    full DFS from the root state of one discrepancy iteration.
+    Subclasses implement ``_iterate`` — one full DFS from the root state
+    of one discrepancy iteration, threading an accumulator tuple ``acc``
+    down each path — and own how a path is scored and remembered.
     """
 
     def __init__(
@@ -368,7 +409,6 @@ class _SearchRunBase:
         self.anytime: list[tuple[int, Score]] | None = (
             [] if record_anytime else None
         )
-        self.time_limit_seconds = time_limit_seconds
         self._deadline: float | None = None
         if time_limit_seconds is not None:
             self._deadline = _wallclock.perf_counter() + time_limit_seconds
@@ -387,14 +427,6 @@ class _SearchRunBase:
         self.best_score: Score | None = None
         self.best_order: tuple[Job, ...] = ()
         self.best_starts: dict[int, float] = {}
-
-        # Per-job planning runtimes, resolved once for the whole search.
-        self._rt = resolve_runtimes(problem)
-        self._now = problem.now
-        self._prefix: list[tuple[Job, float]] = []
-        self._acc0, self._extend, self._score_of, self._lower_of = build_strategy(
-            problem, self._rt
-        )
 
     @classmethod
     def search(cls, *args: Any) -> SearchResult:
@@ -462,6 +494,30 @@ class _SearchRunBase:
                 if _wallclock.perf_counter() >= self._deadline:
                     raise _StopSearch
 
+
+class _ReferenceSearchRun(_SearchRunBase):
+    """The list-slicing DFS: the fast engine's executable spec.
+
+    Each recursion level materialises the child's remaining-jobs list with
+    an O(n) slice, and placements pay the reference profile's
+    ``bisect``/``insert``/``del`` costs.  Kept this plain so differential
+    tests (and ``repro bench``) can hold the fast engine to bit-identical
+    results and measure its speedup against the pre-optimisation baseline.
+    """
+
+    def __init__(self, problem: SearchProblem, *args: Any) -> None:
+        super().__init__(problem, *args)
+        self.profile = problem.profile.copy()  # never mutate the caller's
+        # Per-job planning runtimes, resolved once for the whole search.
+        self._rt = resolve_runtimes(problem)
+        self._prefix: list[tuple[Job, float]] = []
+        self._acc0, self._extend, self._score_of, self._lower_of = build_strategy(
+            problem, self._rt
+        )
+
+    def _iterate(self, s: int) -> None:
+        self._dfs(list(self.problem.jobs), s, self._acc0)
+
     def _leaf(self, acc: tuple[float, ...]) -> None:
         self.leaves_evaluated += 1
         score = self._score_of(acc, len(self._prefix))
@@ -479,34 +535,6 @@ class _SearchRunBase:
         if not self.prune or self.best_score is None:
             return False
         return not (self._lower_of(acc, left) < self.best_score)
-
-
-class _ReferenceSearchRun(_SearchRunBase):
-    """The list-slicing DFS: the fast engine's executable spec.
-
-    Each recursion level materialises the child's remaining-jobs list with
-    an O(n) slice, and placements pay the reference profile's
-    ``bisect``/``insert``/``del`` costs.  Kept this plain so differential
-    tests (and ``repro bench``) can hold the fast engine to bit-identical
-    results and measure its speedup against the pre-optimisation baseline.
-    """
-
-    def __init__(
-        self,
-        problem: SearchProblem,
-        algorithm: str,
-        node_limit: int | None,
-        prune: bool,
-        record_anytime: bool = False,
-        time_limit_seconds: float | None = None,
-    ) -> None:
-        super().__init__(
-            problem, algorithm, node_limit, prune, record_anytime, time_limit_seconds
-        )
-        self.profile = problem.profile.copy()  # never mutate the caller's
-
-    def _iterate(self, s: int) -> None:
-        self._dfs(list(self.problem.jobs), s, self._acc0)
 
     def _visit(self, job: Job) -> tuple[object, float]:
         """Place ``job`` at its earliest start; returns (undo token, start)."""
@@ -547,7 +575,7 @@ class _ReferenceSearchRun(_SearchRunBase):
 
 
 class _FastSearchRun(_SearchRunBase):
-    """The allocation-free hot path.
+    """The allocation-light hot path: one traversal for every objective.
 
     The remaining-jobs set is the problem's job tuple plus two flat index
     arrays (``_nxt``/``_prv``) linking the un-placed indices in heuristic
@@ -557,136 +585,112 @@ class _FastSearchRun(_SearchRunBase):
     as a discrepancy — is preserved exactly, so the traversal visits the
     same (job, position) sequence as the reference engine.  Placements go
     through :class:`~repro.core.profile.SearchProfile.place`/``unplace``:
-    one call per visit, no bisects, no token objects, no memmoves.
+    one call per visit, no token objects, one forward walk.
 
-    For the paper's two-level objective (no custom evaluator) the run
-    additionally specialises the whole per-node pipeline into a **delta
-    kernel** (the ``*2`` methods; see ``docs/performance.md``):
+    Everything per node is addressed by the job's dense index (see
+    ``docs/performance.md``, "Delta scoring"):
 
-    - the objective accumulators are two plain floats threaded down the
-      recursion (``exc``/``slow``) instead of a tuple allocated per node;
-      backtracking "undoes" a contribution by dropping the callee's
-      locals, so the float association order is *exactly* the reference
-      tuple fold's and bit-identity is preserved by construction;
-    - per-job submit/nodes/runtime and the floor-clamped slowdown
-      denominator live in flat :class:`~repro.core.deltascore.JobArrays`
-      indexed by dense job index — no ``Job`` attribute reads or
-      ``job_id``-keyed dict lookups per visit;
+    - nodes and planning runtimes come from flat
+      :class:`~repro.core.deltascore.JobArrays` columns — no ``Job``
+      attribute reads or ``job_id``-keyed dict lookups per visit;
+    - the objective is one accumulator tuple threaded down the recursion
+      through ``fold(acc, i, start)`` (:func:`_index_strategy`), bound
+      once per search to the paper's two levels or to
+      ``problem.evaluator``; backtracking drops the callee's tuple, so
+      the float association order is *exactly* the reference fold's;
+    - leaves and bounds compare raw tuples (``acc < best``, which is what
+      both score types' ``__lt__`` do); a score object is built only when
+      the incumbent is replaced;
     - the path is a pair of preallocated arrays (``_path_i``/``_path_s``)
       written at the current depth — every leaf sits at depth n, so
       backtracking never needs to pop them;
-    - heuristic-completion chains (``_chain2``) batch all remaining
-      placements through :meth:`SearchProfile.place_run_fold` bracketed by
-      one ``checkpoint``/``rollback`` pair — no per-node budget-check calls
-      (the allowance is computed up front), no undo frames, no linked-list
-      unlink/relink (a chain never branches, so walking ``_nxt`` without
-      mutating it is enough) — which folds each job's objective terms in
-      the placement loop itself, at every chain length.
-
-    A custom ``problem.evaluator`` keeps the generic tuple-accumulator
-    methods (``_chain``/``_dfs``).
+    - heuristic-completion chains never branch, so they walk ``_nxt``
+      without unlinking and undo with one ``rollback``; when nothing can
+      observe the difference (``_batched``) a whole chain commits through
+      :meth:`SearchProfile.place_run_fold`, which folds the two levels in
+      the placement loop itself and is accounted for once.
     """
 
-    def __init__(
-        self,
-        problem: SearchProblem,
-        algorithm: str,
-        node_limit: int | None,
-        prune: bool,
-        record_anytime: bool = False,
-        time_limit_seconds: float | None = None,
-    ) -> None:
-        super().__init__(
-            problem, algorithm, node_limit, prune, record_anytime, time_limit_seconds
-        )
+    def __init__(self, problem: SearchProblem, *args: Any) -> None:
+        super().__init__(problem, *args)
         self.profile = problem.profile.search_view()
         n = len(problem.jobs)
         self._jobs = problem.jobs
+        self._now = problem.now
         self._head = n
         self._nxt = list(range(1, n + 1)) + [0]
         self._prv = [n] + list(range(0, n))
-        # Delta-kernel state (two-level objective only).
-        self._ja: JobArrays | None = None
-        self._omega = problem.omega
         self._path_i: list[int] = [0] * n
         self._path_s: list[float] = [0.0] * n
-        self._sanitizing = self.profile.sanitizing
-        if problem.evaluator is None:
-            self._ja = problem.job_arrays()
-            self._sa_submit = self._ja.submit
-            self._sa_nodes = self._ja.nodes
-            self._sa_rt = self._ja.runtime
-            self._sa_denom = self._ja.denom
-        else:
-            self._sa_submit = self._sa_rt = self._sa_denom = []
-            self._sa_nodes = []
+        ja = problem.job_arrays()
+        self._nodes, self._runtime = ja.nodes, ja.runtime
+        # ``place`` commits what it is given; the reference profile refuses
+        # a non-positive duration, so refuse it here, once per search.
+        check_positive("duration", min(ja.runtime, default=1.0))
+        self._acc0, self._fold, self._score_of, self._lower = _index_strategy(
+            problem, ja
+        )
+        #: ``place_run_fold``'s arguments between the run and the accumulator.
+        self._run_args = (
+            ja.nodes, ja.runtime, problem.now, self._path_s, ja.submit, ja.denom, problem.omega
+        )
+        self._best_acc: tuple[float, ...] | None = None
+        # Batching is invisible only when nothing looks between two steps
+        # of a chain: pruning bounds every step, a deadline counts budget
+        # checks, the sanitizer checks every mutation, and an evaluator's
+        # terms are not the two ``place_run_fold`` folds.
+        self._batched = (
+            problem.evaluator is None
+            and not self.prune
+            and self._deadline is None
+            and not self.profile.sanitizing
+        )
 
     def _iterate(self, s: int) -> None:
-        n = len(self._jobs)
-        if self._ja is not None:
-            self._dfs2(n, s, self._acc0[0], self._acc0[1], 0)
-        else:
-            self._dfs(n, s, self._acc0)
+        self._dfs(len(self._jobs), s, self._acc0, 0)
 
-    # ------------------------------------------------------------------
-    # The delta kernel: two-level objective specialisations
-    # ------------------------------------------------------------------
-    def _leaf2(self, exc: float, slow: float, d: int) -> None:
-        """Leaf evaluation fed by the delta accumulators and path arrays.
+    def _leaf(self, acc: tuple[float, ...]) -> None:
+        """Leaf evaluation off the accumulator and the path arrays.
 
-        ``d`` is the leaf depth — always the full job count, since every
-        complete schedule places every job — and doubles as the score's
-        ``n_jobs``.  The order/starts are only materialised on
-        improvement, exactly like the generic ``_leaf``.
+        A leaf sits at the full job count — every complete schedule places
+        every job — so the path arrays are exactly the schedule.  The
+        score, order and starts are only materialised on improvement.
         """
         self.leaves_evaluated += 1
-        best = self.best_score
-        # Float-pair comparison, identical to ``ScheduleScore.__lt__``'s
-        # lexicographic key compare but without allocating a score for the
-        # (overwhelmingly common) non-improving leaf.
+        best = self._best_acc
         if best is not None:
-            b_exc = best.total_excessive_wait
-            if exc > b_exc or (exc == b_exc and slow >= best.total_slowdown):
+            if not acc < best:
                 return
             self.improved_after_first = True
-        score = ScheduleScore(exc, slow, d)
-        self.best_score = score
-        jobs, path_i, path_s = self._jobs, self._path_i, self._path_s
-        order = tuple(jobs[path_i[p]] for p in range(d))
-        self.best_order = order
-        self.best_starts = {order[p].job_id: path_s[p] for p in range(d)}
+        self._best_acc = acc
+        jobs = self._jobs
+        self.best_score = score = self._score_of(acc, len(jobs))
+        self.best_order = order = tuple([jobs[i] for i in self._path_i])
+        self.best_starts = {job.job_id: s for job, s in zip(order, self._path_s)}
         if self.anytime is not None:
             self.anytime.append((self.nodes_visited, score))
 
-    def _prune_child2(self, exc: float, slow: float, left: int) -> bool:
-        """`_prune_child` on the delta accumulators (same lower bound:
-        each unplaced job adds >= 0 excess and >= 1 slowdown)."""
-        best = self.best_score
-        if best is None:
-            return False
-        b_exc = best.total_excessive_wait
-        if exc > b_exc:
-            return True
-        if exc < b_exc:
-            return False
-        return slow + left >= best.total_slowdown
+    def _prune_child(self, acc: tuple[float, ...], left: int) -> bool:
+        """Branch-and-bound: can this partial schedule still beat the best?"""
+        best = self._best_acc
+        return best is not None and not self._lower(acc, left) < best
 
-    def _chain2(self, m: int, exc: float, slow: float, d: int) -> None:
-        """Heuristic completion, batched: the delta kernel's `_chain`.
+    def _chain(self, m: int, acc: tuple[float, ...], d: int) -> None:
+        """Heuristic completion: the ``m`` remaining jobs first-child all
+        the way down, then the leaf.
 
-        A chain never branches, so the linked list is walked without
-        unlink/relink, and placements commit through ``place_run_fold``
-        with one ``checkpoint``/``rollback`` bracket instead of ``m`` undo
-        frames, folding the tail's objective terms in the same loop.
+        Both algorithms bottom out here — DDS below its discrepancy level
+        and LDS once its discrepancy budget is spent — and these chains
+        carry most of the node visits at practical budgets.  Batched, the
+        placements commit through ``place_run_fold`` under one
+        ``checkpoint``/``rollback`` bracket instead of ``m`` undo frames,
+        the tail's objective terms folded in the same loop.
         """
         if m == 0:
-            self._leaf2(exc, slow, d)
+            self._leaf(acc)
             return
-        if self.prune or self._sanitizing or self._deadline is not None:
-            # Pruning needs per-step bound checks, the sanitizer
-            # per-mutation invariant checks, a wall-clock deadline its
-            # poll cadence.  All three take the per-node path.
-            self._chain2_slow(m, exc, slow, d)
+        if not self._batched:
+            self._chain_per_node(m, acc, d)
             return
         # The whole chain commits as one batch with accounting applied
         # once.  Mirrors ``_check_budget`` exactly: no limit, or the first
@@ -711,35 +715,27 @@ class _FastSearchRun(_SearchRunBase):
         ck = profile.checkpoint()
         try:
             self.nodes_visited += m
-            exc, slow = profile.place_run_fold(
-                path_i,
-                d,
-                m,
-                self._sa_nodes,
-                self._sa_rt,
-                self._now,
-                self._path_s,
-                self._sa_submit,
-                self._sa_denom,
-                self._omega,
-                exc,
-                slow,
+            # Positional, not ``*``-unpacked: a starred call leaves the
+            # interpreter's inlined call path and costs ~3% of a month.
+            nodes_a, rt_a, now, path_s, submit, denom, omega = self._run_args
+            self._leaf(
+                profile.place_run_fold(
+                    path_i, d, m, nodes_a, rt_a, now, path_s, submit, denom, omega, acc[0], acc[1]
+                )
             )
-            self._leaf2(exc, slow, d + m)
         finally:
             profile.rollback(ck)
 
-    def _chain2_slow(self, m: int, exc: float, slow: float, d: int) -> None:
-        """Per-node chain for the cases batching must not paper over:
-        wall-clock deadlines (poll cadence), pruning (per-step bounds)
-        and the sanitizer (per-mutation checks).  Still delta-scored and
-        unlink-free; undo is one rollback."""
+    def _chain_per_node(self, m: int, acc: tuple[float, ...], d: int) -> None:
+        """The chain one visit at a time, for the cases batching must not
+        paper over (see ``_batched``).  Node accounting, budget checks,
+        pruning and the leaf are exactly the recursive engine's; still
+        unlink-free, and undo is one rollback."""
         nxt = self._nxt
-        submit, denom = self._sa_submit, self._sa_denom
-        nodes_a, rt_a = self._sa_nodes, self._sa_rt
+        nodes_a, rt_a = self._nodes, self._runtime
         place = self.profile.place
         path_i, path_s = self._path_i, self._path_s
-        omega, now = self._omega, self._now
+        fold, now = self._fold, self._now
         prune = self.prune
         i = self._head
         p, end = d, d + m
@@ -752,35 +748,27 @@ class _FastSearchRun(_SearchRunBase):
                 start = place(nodes_a[i], rt_a[i], now)
                 path_i[p] = i
                 path_s[p] = start
-                wait = start - submit[i]
-                e = wait - omega
-                if e > 0.0:
-                    exc += e
-                den = denom[i]
-                slow += (wait + den) / den
+                acc = fold(acc, i, start)
                 p += 1
-                if prune and self._prune_child2(exc, slow, end - p):
+                if prune and self._prune_child(acc, end - p):
                     return
-            self._leaf2(exc, slow, end)
+            self._leaf(acc)
         finally:
             self.profile.rollback(ck)
 
-    # ------------------------------------------------------------------
-    def _dfs2(self, m: int, s: int, exc: float, slow: float, d: int) -> None:
-        """The delta kernel's DFS: ``child_rule`` says which ranks to take
-        and what each child inherits.  Same traversal as ``_dfs`` below, the
-        accumulator threaded as two floats and the path in flat arrays."""
+    def _dfs(self, m: int, s: int, acc: tuple[float, ...], d: int) -> None:
+        """The one DFS: ``child_rule`` says which ranks to take and what
+        each child inherits; ``m`` jobs remain below depth ``d``."""
         rule = child_rule(self._lds, s, m)
         if rule is None:
-            self._chain2(m, exc, slow, d)
+            self._chain(m, acc, d)
             return
         lo, s0, s1 = rule
         nxt, prv = self._nxt, self._prv
-        submit, denom = self._sa_submit, self._sa_denom
-        nodes_a, rt_a = self._sa_nodes, self._sa_rt
+        nodes_a, rt_a = self._nodes, self._runtime
         place, unplace = self.profile.place, self.profile.unplace
         path_i, path_s = self._path_i, self._path_s
-        omega, now = self._omega, self._now
+        fold, now = self._fold, self._now
         prune = self.prune
         check_budget = self._check_budget
         i = nxt[self._head]
@@ -796,97 +784,10 @@ class _FastSearchRun(_SearchRunBase):
             path_i[d] = i
             path_s[d] = start
             try:
-                wait = start - submit[i]
-                e = wait - omega
-                nexc = exc + e if e > 0.0 else exc
-                den = denom[i]
-                nslow = slow + (wait + den) / den
-                if not prune or not self._prune_child2(nexc, nslow, m - 1):
-                    self._dfs2(m - 1, s1 if rank else s0, nexc, nslow, d + 1)
-            finally:
-                unplace()
-                nxt[pi] = i
-                prv[ni] = i
-            i = ni
-
-    # ------------------------------------------------------------------
-    def _chain(self, m: int, acc: tuple[float, ...]) -> None:
-        """Heuristic completion: place the ``m`` remaining jobs first-child
-        all the way down, as a loop instead of ``m`` recursion frames.
-
-        Both algorithms bottom out here — DDS below its discrepancy level
-        and LDS once its discrepancy budget is spent permit only the
-        heuristic-order child — and these chains carry most of the node
-        visits at practical budgets, so they are worth the tight loop.
-        Node accounting, budget checks, pruning, and the leaf evaluation
-        are exactly the recursive engine's.
-        """
-        nxt, prv = self._nxt, self._prv
-        jobs, rt = self._jobs, self._rt
-        place, unplace = self.profile.place, self.profile.unplace
-        prefix, extend, now = self._prefix, self._extend, self._now
-        prune = self.prune
-        head = self._head
-        chain: list[int] = []
-        try:
-            pruned = False
-            while m:
-                self._check_budget()
-                i = nxt[head]
-                job = jobs[i]
-                ni = nxt[i]
-                nxt[head] = ni
-                prv[ni] = head
-                self.nodes_visited += 1
-                start = place(job.nodes, rt[job.job_id], now)
-                prefix.append((job, start))
-                chain.append(i)
-                acc = extend(acc, job, start)
-                m -= 1
-                if prune and self._prune_child(acc, m):
-                    pruned = True
-                    break
-            if not pruned:
-                self._leaf(acc)
-        finally:
-            for i in reversed(chain):
-                prefix.pop()
-                unplace()
-                prv[nxt[i]] = i
-                nxt[head] = i
-
-    # ------------------------------------------------------------------
-    def _dfs(self, m: int, s: int, acc: tuple[float, ...]) -> None:
-        """``_dfs2`` for a custom evaluator: the accumulator is the
-        evaluator's tuple and the path is the ``(job, start)`` prefix."""
-        rule = child_rule(self._lds, s, m)
-        if rule is None:
-            self._chain(m, acc)
-            return
-        lo, s0, s1 = rule
-        nxt, prv = self._nxt, self._prv
-        jobs, rt = self._jobs, self._rt
-        place, unplace = self.profile.place, self.profile.unplace
-        prefix, extend, now = self._prefix, self._extend, self._now
-        prune = self.prune
-        i = nxt[self._head]
-        for _ in range(lo):
-            i = nxt[i]
-        for rank in range(lo, m):
-            self._check_budget()
-            job = jobs[i]
-            pi, ni = prv[i], nxt[i]
-            nxt[pi] = ni
-            prv[ni] = pi
-            self.nodes_visited += 1
-            start = place(job.nodes, rt[job.job_id], now)
-            prefix.append((job, start))
-            try:
-                new_acc = extend(acc, job, start)
+                new_acc = fold(acc, i, start)
                 if not prune or not self._prune_child(new_acc, m - 1):
-                    self._dfs(m - 1, s1 if rank else s0, new_acc)
+                    self._dfs(m - 1, s1 if rank else s0, new_acc, d + 1)
             finally:
-                prefix.pop()
                 unplace()
                 nxt[pi] = i
                 prv[ni] = i

@@ -9,7 +9,7 @@ partially busy 128-node machine — the same scenario as
 
 Each configuration is timed for:
 
-- both python search engines (the allocation-free ``"fast"`` hot path and
+- both python search engines (the index-addressed ``"fast"`` hot path and
   the ``"reference"`` executable spec; see :mod:`repro.core.search`),
   asserted bit-identical — a perf number measured against a wrong result
   is worthless;
@@ -21,11 +21,15 @@ Each configuration is timed for:
 - the ``"compiled"`` engine when the optional C kernel is importable
   (``repro.core.ckernel.have_compiled``), asserted bit-identical to
   ``"fast"`` — reports record an honest ``compiled_available`` flag so a
-  pure-python report is never mistaken for a compiled one.
+  pure-python report is never mistaken for a compiled one;
+- for ``DDS/lxf/dynB``, the same objective given as criteria
+  (``paper_objective()`` through ``SearchProblem.evaluator``) on both
+  python engines, asserted bit-identical: the committed number for the
+  evaluator path, which no perfbench workload runs.
 
 The report records nodes/sec and wall seconds per decision per row, plus
-per-config speedup ratios: ``fast`` over ``reference``, ``prune`` over
-``fast``, and ``compiled`` over
+per-config speedup ratios: ``fast`` over ``reference`` (also on the
+criteria form), ``prune`` over ``fast``, and ``compiled`` over
 ``reference`` (the ISSUE's ≥6x acceptance floor is stated against the
 reference spec).  What a kernel win is worth end to end — simulator
 loop, marshalling and all — is ``perfbench``'s question, not this
@@ -40,14 +44,26 @@ owns the header, the tolerance block, ``--check`` and the write; the
 
 from __future__ import annotations
 
+import dataclasses
 import time
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.core.branching import order_jobs
 from repro.core.ckernel import have_compiled
+from repro.core.criteria import (
+    CriteriaEvaluator,
+    Criterion,
+    DecisionContext,
+    paper_objective,
+)
 from repro.core.objective import DynamicBound, ObjectiveConfig
 from repro.core.profile import AvailabilityProfile
-from repro.core.search import DiscrepancySearch, SearchProblem, SearchResult
+from repro.core.search import (
+    DiscrepancySearch,
+    SearchProblem,
+    SearchResult,
+    resolve_runtimes,
+)
 from repro.experiments.benchreport import BenchReport, Report
 from repro.simulator.job import Job
 from repro.util.rng import RngStream
@@ -66,10 +82,14 @@ from repro.util.timeunits import HOUR
 #: v5: the ``e2e`` replay section and its band are gone (120 decisions in
 #: 4-40 ms carried no claim; perfbench's ``batch_L1k`` /
 #: ``batch_purepy_L1k`` measure whole months).
-SCHEMA = "repro-bench-search/v5"
+#: v6: per-row ``objective`` field, criteria rows (the evaluator path on
+#: both python engines) and the banded ``:criteria`` speedup family.
+SCHEMA = "repro-bench-search/v6"
 
 #: The two flagship policy shapes the paper benchmarks (§2.3, §3).
 POLICIES: tuple[tuple[str, str], ...] = (("dds", "lxf"), ("lds", "fcfs"))
+#: The one of them also timed with its objective given as criteria.
+CRITERIA_POLICY: tuple[str, str] = POLICIES[0]
 
 FULL_LIMITS: tuple[int, ...] = (1_000, 10_000, 100_000)
 #: ``--quick`` keeps CI smoke runs in seconds, not minutes.
@@ -109,6 +129,22 @@ def build_problem(heuristic: str = "lxf", n_jobs: int = 30) -> SearchProblem:
         omega=bound.value(now, ordered),
         objective=ObjectiveConfig(bound=bound),
     )
+
+
+def with_criteria(
+    problem: SearchProblem,
+    criteria: Sequence[Criterion],
+    evaluator_type: type[CriteriaEvaluator] = CriteriaEvaluator,
+) -> SearchProblem:
+    """``problem`` scored by ``criteria`` through ``SearchProblem.evaluator``
+    (with ``paper_objective()``: the same scores by the other route)."""
+    context = DecisionContext(
+        now=problem.now,
+        omega=problem.omega,
+        runtimes=resolve_runtimes(problem),
+        floor=problem.objective.slowdown_floor,
+    )
+    return dataclasses.replace(problem, evaluator=evaluator_type(criteria, context))
 
 
 def _fingerprint(result: SearchResult) -> tuple[Any, ...]:
@@ -170,12 +206,16 @@ def run_bench(
         policy_name = f"{algorithm.upper()}/{heuristic}/dynB"
         for node_limit in limits:
 
-            def row(
+            def timed(
                 engine: str,
-                result: SearchResult,
-                seconds: float,
                 prune: bool = False,
-            ) -> None:
+                on: SearchProblem = problem,
+                objective: str = "two-level",
+            ) -> tuple[SearchResult, float]:
+                """Time one configuration and record its row."""
+                result, seconds = time_search(
+                    on, algorithm, node_limit, engine, repeats=repeats, prune=prune
+                )
                 configs.append({
                     "policy": policy_name,
                     "algorithm": algorithm,
@@ -184,41 +224,41 @@ def run_bench(
                     "node_limit": node_limit,
                     "engine": engine,
                     "prune": prune,
+                    "objective": objective,
                     "nodes_visited": result.nodes_visited,
                     "leaves_evaluated": result.leaves_evaluated,
                     "seconds_per_decision": seconds,
                     "nodes_per_second": result.nodes_visited / seconds,
                 })
+                return result, seconds
 
-            per_engine: dict[str, tuple[SearchResult, float]] = {}
-            for engine in ("fast", "reference"):
-                result, seconds = time_search(
-                    problem, algorithm, node_limit, engine, repeats=repeats
+            def python_engines(
+                key: str, **form: Any
+            ) -> tuple[tuple[SearchResult, float], tuple[SearchResult, float]]:
+                """fast against reference on one objective form: two rows,
+                bit-identity, and the speedup recorded under ``key``."""
+                fast, reference = timed("fast", **form), timed("reference", **form)
+                if _fingerprint(fast[0]) != _fingerprint(reference[0]):
+                    raise AssertionError(
+                        f"engines disagree on {key}: "
+                        "fast and reference results must be bit-identical"
+                    )
+                speedups[key] = reference[1] / fast[1]
+                say(
+                    f"{key}: fast {fast[0].nodes_visited / fast[1]:,.0f} n/s, "
+                    f"reference {reference[0].nodes_visited / reference[1]:,.0f} n/s "
+                    f"({speedups[key]:.2f}x)"
                 )
-                per_engine[engine] = (result, seconds)
-                row(engine, result, seconds)
-            fast, reference = per_engine["fast"], per_engine["reference"]
-            if _fingerprint(fast[0]) != _fingerprint(reference[0]):
-                raise AssertionError(
-                    f"engines disagree on {policy_name} at L={node_limit}: "
-                    "fast and reference results must be bit-identical"
-                )
+                return fast, reference
+
             key = f"{policy_name}@L={node_limit}"
-            speedups[key] = reference[1] / fast[1]
-            say(
-                f"{key}: fast {fast[0].nodes_visited / fast[1]:,.0f} n/s, "
-                f"reference {reference[0].nodes_visited / reference[1]:,.0f} n/s "
-                f"({speedups[key]:.2f}x)"
-            )
+            fast, reference = python_engines(key)
 
             # Branch-and-bound ablation: prune=True skips dominated
             # subtrees and spends the saved visits further into the tree,
             # so the row is wall time at an equal node count and the score
             # can only match or beat the unpruned one.
-            prune_result, prune_seconds = time_search(
-                problem, algorithm, node_limit, "fast", repeats=repeats, prune=True
-            )
-            row("fast", prune_result, prune_seconds, prune=True)
+            prune_result, prune_seconds = timed("fast", prune=True)
             if fast[0].best_score < prune_result.best_score:
                 raise AssertionError(
                     f"pruned search is worse than unpruned on {policy_name} "
@@ -240,10 +280,7 @@ def run_bench(
             # is over *reference* (the ISSUE's ≥6x acceptance floor),
             # unlike the over-fast ":prune" family.
             if compiled_available:
-                comp_result, comp_seconds = time_search(
-                    problem, algorithm, node_limit, "compiled", repeats=repeats
-                )
-                row("compiled", comp_result, comp_seconds)
+                comp_result, comp_seconds = timed("compiled")
                 if _fingerprint(comp_result) != _fingerprint(fast[0]):
                     raise AssertionError(
                         f"compiled engine disagrees with fast on {policy_name} "
@@ -255,6 +292,15 @@ def run_bench(
                     f"{comp_key}: "
                     f"{comp_result.nodes_visited / comp_seconds:,.0f} n/s "
                     f"({speedups[comp_key]:.2f}x over reference)"
+                )
+
+            # The evaluator path: the same search with the objective
+            # given as criteria, which the kernel does not take.
+            if (algorithm, heuristic) == CRITERIA_POLICY:
+                python_engines(
+                    f"{key}:criteria",
+                    on=with_criteria(problem, paper_objective()),
+                    objective="criteria",
                 )
 
     return {"repeats": repeats, "configs": configs, "speedups": speedups}
@@ -290,6 +336,8 @@ def compare(fresh: Report, committed: Report, tol: dict[str, float]) -> list[str
             if not both_compiled:
                 continue
             what, frac = "compiled/reference", tol["min_compiled_speedup_frac"]
+        elif key.endswith(":criteria"):
+            what, frac = "criteria fast/reference", tol["min_speedup_frac"]
         elif ":" in key:  # the prune ablation is reported, not gated
             continue
         else:
@@ -305,7 +353,13 @@ def compare(fresh: Report, committed: Report, tol: dict[str, float]) -> list[str
     min_nps = tol["min_nodes_per_second_frac"]
 
     def rowkey(row: dict[str, Any]) -> tuple[Any, ...]:
-        return (row["policy"], row["node_limit"], row["engine"], row["prune"])
+        return (
+            row["policy"],
+            row["node_limit"],
+            row["engine"],
+            row["prune"],
+            row["objective"],
+        )
 
     committed_rows = {rowkey(r): r for r in committed["configs"]}
     for row in fresh["configs"]:

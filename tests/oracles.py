@@ -11,8 +11,10 @@ Three oracle layers validate the search engines (see ``docs/testing.md``):
    from one decision to every decision of a month-long simulation.
 3. **Instance generation** — :func:`instance_specs` (a Hypothesis
    strategy over :class:`InstanceSpec`, shrink-friendly) for fuzzing, and
-   the fixed :func:`build_problem` decision point (re-exported from
-   :mod:`repro.experiments.bench`) for head-to-head tests.
+   the fixed :func:`build_problem` decision point and
+   :func:`with_criteria`, which moves a problem onto the evaluator path
+   (both re-exported from :mod:`repro.experiments.bench`), for
+   head-to-head tests.
 
 ``test_search_fastpath.py``, ``test_compiled_kernel.py``,
 ``test_engine_conformance.py`` and ``test_exact.py`` all draw from here —
@@ -33,7 +35,7 @@ from repro.core.objective import FixedBound, ObjectiveConfig
 from repro.core.profile import AvailabilityProfile
 from repro.core.scheduler import SearchSchedulingPolicy
 from repro.core.search import DiscrepancySearch, Score, SearchProblem, SearchResult
-from repro.experiments.bench import build_problem
+from repro.experiments.bench import build_problem, with_criteria
 from repro.simulator.engine import Simulation
 from repro.simulator.job import Job
 from repro.util.timeunits import HOUR
@@ -47,6 +49,7 @@ __all__ = [
     "optimal_score",
     "RecordingSearcher",
     "replay_workload",
+    "with_criteria",
 ]
 
 #: Every engine the differential tests hold to the bit-identity contract,

@@ -19,7 +19,7 @@ import pytest
 from repro.cli import main
 from repro.core.ckernel import have_compiled
 from repro.experiments import bench as bench_mod
-from repro.experiments.bench import POLICIES, REPORT, run_bench
+from repro.experiments.bench import CRITERIA_POLICY, POLICIES, REPORT, run_bench
 
 check_bench = REPORT.check
 
@@ -34,17 +34,19 @@ def report():
 
 
 def test_report_has_every_row_family(report):
-    """Per (policy, L): fast, reference, prune-ablation — and a compiled
-    row exactly when the kernel is importable on this host."""
+    """Per (policy, L): fast, reference, prune-ablation — a compiled row
+    exactly when the kernel is importable on this host, and for the one
+    criteria policy the evaluator form on both python engines."""
     assert report["schema"] == bench_mod.SCHEMA
     rows = report["configs"]
     expected = [
-        ("fast", False),
-        ("fast", True),
-        ("reference", False),
+        ("fast", False, "two-level"),
+        ("fast", True, "two-level"),
+        ("reference", False, "two-level"),
     ]
     if have_compiled():
-        expected.insert(0, ("compiled", False))
+        expected.insert(0, ("compiled", False, "two-level"))
+    criteria = [("fast", False, "criteria"), ("reference", False, "criteria")]
     for algorithm, heuristic in POLICIES:
         for L in TOY_LIMITS:
             match = [
@@ -52,8 +54,9 @@ def test_report_has_every_row_family(report):
                 for r in rows
                 if r["algorithm"] == algorithm and r["node_limit"] == L
             ]
-            engines = sorted((r["engine"], r["prune"]) for r in match)
-            assert engines == expected
+            engines = sorted((r["engine"], r["prune"], r["objective"]) for r in match)
+            extra = criteria if (algorithm, heuristic) == CRITERIA_POLICY else []
+            assert engines == sorted(expected + extra)
     for row in rows:
         assert row["nodes_per_second"] > 0
 
@@ -62,8 +65,10 @@ def test_speedup_key_families_are_complete(report):
     plain = {k for k in report["speedups"] if ":" not in k}
     prune = {k for k in report["speedups"] if ":prune" in k}
     compiled = {k for k in report["speedups"] if k.endswith(":compiled")}
+    criteria = {k for k in report["speedups"] if k.endswith(":criteria")}
     assert len(plain) == len(POLICIES) * len(TOY_LIMITS)
     assert len(prune) == len(plain)
+    assert len(criteria) == len(TOY_LIMITS)
     assert len(compiled) == (len(plain) if have_compiled() else 0)
     assert all(v > 0 for v in report["speedups"].values())
 
@@ -140,13 +145,39 @@ def test_check_bench_flags_collapsed_throughput(report):
 
 
 def test_check_bench_ignores_machine_dependent_families(report):
-    """The prune ablation is reported, not gated; the fast/reference and
-    compiled/reference families are the banded ones."""
+    """The prune ablation is reported, not gated; the fast/reference
+    (two-level and criteria) and compiled/reference families are the
+    banded ones."""
     degraded = json.loads(json.dumps(report))
     for key in degraded["speedups"]:
         if ":prune" in key:
             degraded["speedups"][key] *= 0.01
     assert check_bench(degraded, report) == []
+
+
+def test_check_bench_bands_the_criteria_family(report):
+    """The evaluator path's fast/reference ratio is held to the same band
+    as the two-level one: a fast engine that lost its lead there fails."""
+    degraded = json.loads(json.dumps(report))
+    for key in degraded["speedups"]:
+        if key.endswith(":criteria"):
+            degraded["speedups"][key] *= 0.2
+    failures = check_bench(degraded, report)
+    assert failures and all("criteria fast/reference" in f for f in failures)
+
+
+def test_criteria_identity_assert_fires_on_divergence(monkeypatch):
+    real = bench_mod.time_search
+
+    def skewed(problem, algorithm, node_limit, engine, **kwargs):
+        result, seconds = real(problem, algorithm, node_limit, engine, **kwargs)
+        if problem.evaluator is not None and engine == "reference":
+            result.leaves_evaluated += 1
+        return result, seconds
+
+    monkeypatch.setattr(bench_mod, "time_search", skewed)
+    with pytest.raises(AssertionError, match=":criteria"):
+        run_bench(repeats=1, limits=(40,))
 
 
 @pytest.mark.skipif(not have_compiled(), reason="compiled kernel not built")
@@ -168,7 +199,7 @@ def test_check_bench_refuses_an_older_schema(report):
     """A committed report of another schema is not silently half-compared:
     the check fails and says to regenerate it."""
     old = json.loads(json.dumps(report))
-    old["schema"] = "repro-bench-search/v4"
+    old["schema"] = "repro-bench-search/v5"
     (failure,) = check_bench(report, old)
     assert "regenerate" in failure
 

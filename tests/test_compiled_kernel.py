@@ -25,15 +25,17 @@ import pytest
 
 from repro.core import ckernel
 from repro.core.ckernel import _kernel_arrays, default_engine, have_compiled
-from repro.core.criteria import (
-    CriteriaEvaluator,
-    DecisionContext,
-    paper_objective,
-)
+from repro.core.criteria import paper_objective
 from repro.core.scheduler import make_policy
 from repro.core.search import DiscrepancySearch, resolve_runtimes
 from repro.util.sanitize import sanitized
-from tests.oracles import InstanceSpec, build_problem, fingerprint, replay_workload
+from tests.oracles import (
+    InstanceSpec,
+    build_problem,
+    fingerprint,
+    replay_workload,
+    with_criteria,
+)
 
 needs_kernel = pytest.mark.skipif(
     not have_compiled(), reason="compiled kernel not built"
@@ -102,14 +104,7 @@ def test_evaluator_and_sanitizer_disqualify_the_kernel():
     """Both states pinned explicitly so the test also holds when the
     whole suite runs under ``REPRO_SANITIZE=1`` (the chaos CI job)."""
     problem = SMALL.to_problem()
-    ctx = DecisionContext(
-        now=problem.now,
-        omega=problem.omega,
-        runtimes=resolve_runtimes(problem),
-    )
-    with_eval = dataclasses.replace(
-        problem, evaluator=CriteriaEvaluator(paper_objective(), ctx)
-    )
+    with_eval = with_criteria(problem, paper_objective())
     with sanitized(False):
         assert _kernel_arrays(problem, None) is not None
         assert _kernel_arrays(with_eval, None) is None
@@ -132,6 +127,22 @@ def test_malformed_profiles_and_oversized_jobs_route_to_python():
         problem, jobs=(big,) + problem.jobs[1:]
     )
     assert _kernel_arrays(oversized, None) is None
+
+
+@needs_kernel
+@pytest.mark.parametrize("runtime", [0.0, -60.0])
+def test_non_positive_planning_runtime_routes_to_python(runtime):
+    """A reservation of no length is an error the python engines raise
+    (``check_positive`` in the reference profile, hoisted to one check per
+    search in the fast engine); C would commit it, so it never gets it."""
+    problem = SMALL.to_problem()
+    runtimes = {**resolve_runtimes(problem), problem.jobs[1].job_id: runtime}
+    degenerate = dataclasses.replace(problem, runtimes=runtimes)
+    with sanitized(False):  # the sanitizer alone would stand it down
+        assert _kernel_arrays(problem, None) is not None
+        assert _kernel_arrays(degenerate, None) is None
+    with pytest.raises(ValueError, match="duration must be > 0"):
+        _search("compiled", degenerate)
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.criteria import CriteriaEvaluator, DecisionContext, paper_objective
+from repro.core.criteria import (
+    CriteriaEvaluator,
+    MaxWait,
+    TotalBoundedSlowdown,
+    TotalExcessiveWait,
+    WeightedWait,
+    paper_objective,
+)
 from repro.core.exact import solve_exact
 from repro.core.search import DiscrepancySearch, resolve_runtimes
 from repro.experiments.bench import build_problem
@@ -33,6 +40,7 @@ from tests.oracles import (
     InstanceSpec,
     fingerprint,
     instance_specs,
+    with_criteria,
 )
 
 FUZZ = settings(
@@ -76,6 +84,105 @@ def test_engines_bit_identical_on_random_instances(
     }
     reference = prints["fast"]
     assert all(p == reference for p in prints.values()), prints
+
+
+#: The objective forms the fast engine folds through its one traversal:
+#: ``None`` is the two-level closure over the job columns, the rest go
+#: through ``evaluator.extend`` — the paper's levels again, a ``max``-folded
+#: level (whose lower bound adds nothing per unplaced job) and a
+#: three-level hierarchy with a per-job weight.
+OBJECTIVE_FORMS = {
+    "two-level": None,
+    "paper-criteria": paper_objective,
+    "max-wait": lambda: (MaxWait(), TotalBoundedSlowdown()),
+    "weighted": lambda: (
+        TotalExcessiveWait(),
+        WeightedWait(lambda job: 1.0 + job.nodes % 3),
+        TotalBoundedSlowdown(),
+    ),
+}
+
+
+@given(
+    spec=instance_specs(min_jobs=0, max_jobs=5),
+    form=st.sampled_from(sorted(OBJECTIVE_FORMS)),
+    algorithm=st.sampled_from(["dds", "lds"]),
+    node_limit=st.sampled_from([7, 64, None]),
+    prune=st.booleans(),
+)
+@FUZZ
+def test_objective_forms_bit_identical_on_random_instances(
+    spec: InstanceSpec, form: str, algorithm: str, node_limit: int | None, prune: bool
+):
+    """fast == reference on every objective form, crossed with the budget,
+    algorithm and pruning draws above.  An evaluator search shares the fast
+    engine's DFS, leaf compare and bound with the two-level one, so its
+    pruned node accounting — raw-tuple bounds against the reference's score
+    objects — is part of the contract too."""
+    problem = spec.to_problem()
+    if OBJECTIVE_FORMS[form] is not None:
+        problem = with_criteria(problem, OBJECTIVE_FORMS[form]())
+    fast, reference = (
+        fingerprint(
+            DiscrepancySearch(
+                algorithm,
+                node_limit=node_limit,
+                engine=engine,
+                prune=prune,
+                record_anytime=True,
+            ).search(problem)
+        )
+        for engine in ("fast", "reference")
+    )
+    assert fast == reference
+
+
+@pytest.mark.parametrize("form", ["two-level", "paper-criteria"])
+@pytest.mark.parametrize("algorithm", ["dds", "lds"])
+@pytest.mark.parametrize("n", [30, 128])
+def test_deadline_that_never_binds_changes_nothing(n, algorithm, form):
+    """A wall-clock limit takes the fast engine's chains one visit at a
+    time; without one the two-level objective commits them in batches.  At
+    budgets that stop mid-chain, mid-iteration and not at all, the two
+    must report the same search."""
+    problem = build_problem("lxf", n_jobs=n)
+    if OBJECTIVE_FORMS[form] is not None:
+        problem = with_criteria(problem, OBJECTIVE_FORMS[form]())
+    for node_limit in (n + 1, n + n // 2, 10 * n + 3, 2000):
+        plain, timed = (
+            fingerprint(
+                DiscrepancySearch(
+                    algorithm,
+                    node_limit=node_limit,
+                    engine="fast",
+                    record_anytime=True,
+                    time_limit_seconds=time_limit,
+                ).search(problem)
+            )
+            for time_limit in (None, 1e6)
+        )
+        assert timed == plain, node_limit
+
+
+def test_non_positive_planning_runtime_is_every_engines_error():
+    """Three 4-node jobs on 8 nodes, one planned at zero seconds: the
+    reference profile refuses the reservation, and the engines that place
+    without asking must refuse the search the same way."""
+    spec = InstanceSpec(
+        capacity=8,
+        jobs=((0.0, 4, 600.0), (0.0, 4, 600.0), (0.0, 4, 600.0)),
+        segments=((14400.0, 8),),
+        omega=900.0,
+        heuristic="fcfs",
+    )
+    base = spec.to_problem()
+    problem = dataclasses.replace(base, runtimes={**resolve_runtimes(base), 1: 0.0})
+    messages = set()
+    for engine in CONFORMANCE_ENGINES:
+        with pytest.raises(ValueError, match="duration must be > 0") as raised:
+            DiscrepancySearch("dds", node_limit=64, engine=engine).search(problem)
+        messages.add(str(raised.value))
+    assert len(messages) == 1
 
 
 @given(
@@ -170,12 +277,8 @@ class _FailsAtTheBottom(CriteriaEvaluator):
 
 @pytest.mark.parametrize("engine", CONFORMANCE_ENGINES)
 def test_recursion_limit_is_restored_when_the_search_raises(engine):
-    base = build_problem("lxf", n_jobs=DEEP_QUEUE)
-    context = DecisionContext(
-        now=base.now, omega=base.omega, runtimes=resolve_runtimes(base)
-    )
-    problem = dataclasses.replace(
-        base, evaluator=_FailsAtTheBottom(paper_objective(), context)
+    problem = with_criteria(
+        build_problem("lxf", n_jobs=DEEP_QUEUE), paper_objective(), _FailsAtTheBottom
     )
     limit = sys.getrecursionlimit()
     with pytest.raises(RuntimeError, match="scoring failed"):

@@ -10,24 +10,23 @@ exhaustive discrepancy search.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.core.criteria import (
-    CriteriaEvaluator,
-    DecisionContext,
-    MaxWait,
-    TotalBoundedSlowdown,
-    paper_objective,
-)
+from repro.core.criteria import MaxWait, TotalBoundedSlowdown, paper_objective
 from repro.core.exact import MAX_EXACT_JOBS, solve_exact
 from repro.core.local_search import evaluate_order
-from repro.core.search import DiscrepancySearch, resolve_runtimes
+from repro.core.search import DiscrepancySearch
 from repro.util.timeunits import HOUR, TIME_EPS, time_eq
-from tests.oracles import NOW, InstanceSpec, build_problem, instance_specs
+from tests.oracles import (
+    NOW,
+    InstanceSpec,
+    build_problem,
+    instance_specs,
+    with_criteria,
+)
 
 FUZZ = settings(
     max_examples=30,
@@ -149,31 +148,19 @@ def test_unknown_backend_rejected():
 # ----------------------------------------------------------------------
 # General criteria objectives
 # ----------------------------------------------------------------------
-def _with_evaluator(problem, criteria):
-    ctx = DecisionContext(
-        now=problem.now,
-        omega=problem.omega,
-        runtimes=resolve_runtimes(problem),
-        floor=problem.objective.slowdown_floor,
-    )
-    return dataclasses.replace(
-        problem, evaluator=CriteriaEvaluator(criteria, ctx)
-    )
-
-
 def test_criteria_evaluator_objective_supported():
     """The oracle scores through ``SearchProblem.evaluator`` exactly like
     the engines: paper criteria give a MultiScore mirroring the fast-path
     levels, and exhaustive search still attains the exact optimum."""
     base = build_problem("lxf", n_jobs=5)
     paper = solve_exact(base)
-    multi = solve_exact(_with_evaluator(base, paper_objective()))
+    multi = solve_exact(with_criteria(base, paper_objective()))
     assert multi.best_score.levels[0] == paper.best_score.total_excessive_wait
     assert multi.best_score.levels[1] == paper.best_score.total_slowdown
 
 
 def test_criteria_evaluator_nonpaper_objective():
-    problem = _with_evaluator(
+    problem = with_criteria(
         build_problem("fcfs", n_jobs=4), (MaxWait(), TotalBoundedSlowdown())
     )
     exact = solve_exact(problem)

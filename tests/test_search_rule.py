@@ -7,8 +7,9 @@ kernel writes it inline).  Two layers hold it to
 
 - the rule alone, driven by a generic enumerator, must yield each
   iteration's permutations leaf for leaf;
-- every engine, on both objective forms (the delta kernel and the
-  tuple-accumulator path a custom evaluator takes), at **every** node
+- every engine, on both objective forms (the built-in two-level fold
+  and a custom evaluator's ``extend``, which keeps the fast engine's
+  chains per node), at **every** node
   budget from 1 to the exhaustive total, must report the accounting and
   the incumbent of a model computed from those generators alone — which
   pins the traversal *order*, not just its totals, since a budget that
@@ -20,25 +21,19 @@ conformance fuzzer's job (``test_engine_conformance.py``).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import pytest
 
-from repro.core.criteria import CriteriaEvaluator, DecisionContext, paper_objective
+from repro.core.criteria import paper_objective
 from repro.core.local_search import evaluate_order
-from repro.core.search import (
-    DiscrepancySearch,
-    child_rule,
-    resolve_runtimes,
-    root_state,
-)
+from repro.core.search import DiscrepancySearch, child_rule, root_state
 from repro.core.search_tree import (
     dds_iteration_paths,
     lds_iteration_paths,
     max_discrepancies,
 )
-from tests.oracles import CONFORMANCE_ENGINES, build_problem
+from tests.oracles import CONFORMANCE_ENGINES, build_problem, with_criteria
 
 _GENERATORS = {"lds": lds_iteration_paths, "dds": dds_iteration_paths}
 
@@ -92,15 +87,6 @@ def test_rule_windows_at_the_edges():
 # ----------------------------------------------------------------------
 # Budget sweep: every engine, both objective forms, every L
 # ----------------------------------------------------------------------
-def _with_evaluator(problem):
-    ctx = DecisionContext(
-        now=problem.now, omega=problem.omega, runtimes=resolve_runtimes(problem)
-    )
-    return dataclasses.replace(
-        problem, evaluator=CriteriaEvaluator(paper_objective(), ctx)
-    )
-
-
 def _model(iterations, limit):
     """What a search over ``iterations`` — per iteration, the scored paths
     in DFS order — reports under node budget ``limit``.
@@ -135,7 +121,7 @@ def _model(iterations, limit):
 def test_budget_sweep_matches_generator_model(n, algorithm, form):
     problem = build_problem("lxf", n_jobs=n)
     if form == "evaluator":
-        problem = _with_evaluator(problem)
+        problem = with_criteria(problem, paper_objective())
     iterations = [
         [
             (path, *evaluate_order(problem, path))
