@@ -23,10 +23,6 @@ Commands
     take ``--quick``, ``--out`` and ``--check`` (judge a fresh run against
     the committed report instead of overwriting it); end-to-end
     performance is ``python3 -m perfbench``'s job, not theirs.
-``profile``
-    cProfile the first N decision points of a run and print the top-k
-    cumulative hot spots (optionally dumping pstats) — the attribution
-    tool behind the compiled-kernel work.
 ``serve``
     Run the resilient scheduler-as-a-service over JSONL stdio: register
     tenants, stream job arrivals, get SLO-bounded (possibly degraded,
@@ -400,30 +396,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
-    import pstats
-
-    from repro.experiments.profiling import profile_decisions
-
-    workload = _load_workload(args)
-    policy = parse_policy(args.policy, args.node_limit, not args.requested_runtimes)
-    try:
-        profiler, ran = profile_decisions(workload, policy, args.decisions)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    print(
-        f"profiled {ran} decision point(s) of {policy.name} "
-        f"on {workload.name} (requested {args.decisions})"
-    )
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.sort_stats("cumulative")
-    stats.print_stats(args.top)
-    if args.out:
-        stats.dump_stats(args.out)
-        print(f"pstats dump written to {args.out} (open with pstats/snakeviz)")
-    return 0
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """JSONL-over-stdio decision service (see ``docs/service.md``).
 
@@ -641,37 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--repeats", type=int, default=3, help="timing repeats per config (best-of)"
     )
     _add_report_args(bench, "BENCH_search.json", params=("repeats",))
-
-    profile = sub.add_parser(
-        "profile",
-        help="cProfile the first N decisions of a run (hot-spot attribution)",
-        description="Simulate a policy and profile its first N decision "
-        "points: print the top-K cumulative hot spots and optionally dump "
-        "pstats for offline analysis — the attribution tool for deciding "
-        "what to compile next (docs/performance.md).",
-    )
-    _add_workload_args(profile)
-    profile.add_argument(
-        "--decisions",
-        type=int,
-        default=50,
-        metavar="N",
-        help="profile the first N decision points (default 50)",
-    )
-    profile.add_argument(
-        "--top",
-        type=int,
-        default=20,
-        metavar="K",
-        help="print the top K functions by cumulative time (default 20)",
-    )
-    profile.add_argument(
-        "--out",
-        default=None,
-        metavar="FILE",
-        help="also dump raw pstats to FILE for offline analysis",
-    )
-    profile.set_defaults(func=cmd_profile)
 
     optgap = sub.add_parser(
         "optgap",

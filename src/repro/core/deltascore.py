@@ -15,6 +15,10 @@ representation:
 - the association-order contract below, which every fold over a path —
   the ``fold`` closures of ``repro.core.search._index_strategy``,
   ``SearchProfile.place_run_fold``, ``run_search`` in C — has to keep.
+  In python the two-level terms are spelled three times:
+  ``build_strategy``'s ``extend`` (the spec) and those two.  Local search
+  has no spelling of its own: ``evaluate_order`` scores an order by
+  running it as iteration 0 of a search.
 
 **The association-order contract.**  The accumulator is an N-level tuple,
 one float per objective level, each folded over the jobs strictly left to

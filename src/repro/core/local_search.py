@@ -9,17 +9,26 @@ local optimum or the node budget runs out.
 
 Node accounting stays commensurable with the tree search: evaluating one
 candidate order costs one node visit per job placed, exactly what the
-same schedule would cost as a root-to-leaf path.
+same schedule would cost as a root-to-leaf path — which it is: a candidate
+is scored as the heuristic path of a search, by the tree search's engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
-from repro.core.objective import ScheduleScore
-from repro.core.search import SearchProblem, build_strategy, resolve_runtimes
+from repro.core.search import (
+    _ENGINES,
+    DiscrepancySearch,
+    SearchProblem,
+    SearchResult,
+    resolve_runtimes,
+)
 from repro.simulator.job import Job
+
+#: What a direct call evaluates through: ``DiscrepancySearch()``'s engine.
+_DEFAULT_ENGINE = _ENGINES[DiscrepancySearch.engine]
 
 
 @dataclass
@@ -39,107 +48,63 @@ def evaluate_order(
     problem: SearchProblem,
     order: Sequence[Job],
     rt: dict[int, float] | None = None,
+    engine: Callable[..., SearchResult] = _DEFAULT_ENGINE,
 ) -> tuple[dict[int, float], object]:
-    """Place ``order`` on a copy of the problem's profile and score it.
+    """Place ``order`` on the problem's profile and score it: ``(starts, score)``.
 
-    Returns ``(starts, score)``; scoring is identical to the tree
-    search's (shared strategy).
+    The heuristic path of a search always completes, whatever the node
+    limit (paper §2.2), so this *is* iteration 0 of a search whose jobs
+    are ``order``: ``engine`` (a ``repro.core.search._ENGINES`` entry) runs
+    its ordinary chain and its ordinary input checks over the reordered
+    problem, whose ``arrays`` it rebuilds (they described the old order).
     """
     rt = rt if rt is not None else resolve_runtimes(problem)
-    # The undo-stack fast path places each candidate without copying the
-    # profile; ``place`` computes the same earliest-fit start bit-for-bit
-    # as ``earliest_start`` + ``reserve`` (see core/profile.py).
-    profile = problem.profile.search_view()
-    starts: dict[int, float] = {}
-    if problem.evaluator is None:
-        # Two-level delta path: same float operations in the same order
-        # as the tree search's kernel and the generic closures below, so
-        # the returned score is bit-identical to either (see
-        # core/deltascore.py for the association-order contract).
-        omega = problem.omega
-        floor = problem.objective.slowdown_floor
-        now = problem.now
-        place = profile.place
-        exc = slow = 0.0
-        try:
-            for job in order:
-                duration = rt[job.job_id]
-                start = place(job.nodes, duration, now)
-                starts[job.job_id] = start
-                wait = start - job.submit_time
-                e = wait - omega
-                if e > 0.0:
-                    exc += e
-                den = duration if duration >= floor else floor
-                slow += (wait + den) / den
-        finally:
-            profile.unwind()
-        return starts, ScheduleScore(exc, slow, len(order))
-    acc, extend, score_of, _ = build_strategy(problem, rt)
-    try:
-        for job in order:
-            start = profile.place(job.nodes, rt[job.job_id], problem.now)
-            starts[job.job_id] = start
-            acc = extend(acc, job, start)
-    finally:
-        profile.unwind()
-    return starts, score_of(acc, len(order))
+    reordered = replace(problem, jobs=tuple(order), runtimes=rt, arrays=None)
+    result = engine(reordered, "dds", 1, False)
+    return result.best_starts, result.best_score
 
 
 def hill_climb(
     problem: SearchProblem,
     order: Sequence[Job],
     node_budget: int | None = None,
+    engine: Callable[..., SearchResult] = _DEFAULT_ENGINE,
 ) -> LocalSearchResult:
     """First-improvement hill climbing over adjacent transpositions.
 
     ``order`` is the starting consideration order (typically the tree
     search's best).  Each candidate evaluation costs ``len(order)`` node
-    visits against ``node_budget`` (``None`` = unlimited).
+    visits against ``node_budget`` (``None`` = unlimited) and runs on
+    ``engine``, the one the tree search used.
     """
-    rt = resolve_runtimes(problem)
-    current = list(order)
-    n = len(current)
-    nodes = 0
-    candidates = 0
+    n = len(order)
     if n == 0:
         return LocalSearchResult((), {}, None, 0, 0, False, True)
+    rt = resolve_runtimes(problem)
+    current = list(order)
+    best_starts, best_score = evaluate_order(problem, current, rt, engine)
+    candidates = 1
+    improved = False
 
     def budget_left() -> bool:
-        return node_budget is None or nodes + n <= node_budget
+        return node_budget is None or (candidates + 1) * n <= node_budget
 
-    best_starts, best_score = evaluate_order(problem, current, rt)
-    nodes += n
-    candidates += 1
-    improved_any = False
-    local_optimum = False
-
-    while True:
-        found_better = False
+    sweeping = True
+    while sweeping:
+        sweeping = False
         for i in range(n - 1):
             if not budget_left():
                 break
             current[i], current[i + 1] = current[i + 1], current[i]
-            starts, score = evaluate_order(problem, current, rt)
-            nodes += n
+            starts, score = evaluate_order(problem, current, rt, engine)
             candidates += 1
             if score < best_score:
-                best_score = score
-                best_starts = starts
-                improved_any = True
-                found_better = True
-                break  # first improvement: restart the sweep from here
+                best_starts, best_score = starts, score
+                improved = sweeping = True
+                break  # first improvement: sweep again from the front
             current[i], current[i + 1] = current[i + 1], current[i]  # undo
-        if not found_better:
-            local_optimum = budget_left()
-            break
 
     return LocalSearchResult(
-        best_order=tuple(current),
-        best_starts=best_starts,
-        best_score=best_score,
-        nodes_visited=nodes,
-        candidates_evaluated=candidates,
-        improved=improved_any,
-        local_optimum=local_optimum,
+        tuple(current), best_starts, best_score, candidates * n, candidates, improved,
+        local_optimum=budget_left(),
     )

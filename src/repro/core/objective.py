@@ -89,10 +89,10 @@ class ScheduleScore:
     per-job terms in placement order: ``((t1 + t2) + t3) + ...`` starting
     from ``+0.0``.  Floating-point addition is not associative, so every
     producer of a ``ScheduleScore`` — the reference engine's tuple
-    accumulator, the fast engine's delta kernel, its C transcription, and
-    local search's ``evaluate_order`` — must use exactly this
-    association to keep scores bit-identical across engines (the
-    conformance suite asserts this).  ``avg_slowdown`` derives from
+    accumulator, the fast engine's delta kernel and its C transcription —
+    must use exactly this association to keep scores bit-identical across
+    engines (the conformance suite asserts this; local search's
+    ``evaluate_order`` produces none of its own, it returns an engine's).  ``avg_slowdown`` derives from
     ``total_slowdown``, so agreement on the totals implies agreement on the
     average.  See ``core/deltascore.py`` for why the delta kernel's
     skip-add of non-positive excess terms preserves bit-identity.

@@ -100,6 +100,54 @@ def _fold_releases(
     return times, released, occupied
 
 
+# ----------------------------------------------------------------------
+# Debug-mode invariant checks (see repro.util.sanitize), written once over
+# the ``(times, free, capacity)`` both profile classes store
+# ----------------------------------------------------------------------
+def _check_invariants(times: list[float], free: list[int], capacity: int) -> None:
+    """Assert the structural invariants of a step function's two lists."""
+    if len(times) != len(free):
+        raise AssertionError("times/free length mismatch")
+    if not times:
+        raise AssertionError("profile has no segments")
+    for a, b in zip(times, times[1:]):
+        if not a < b:
+            raise AssertionError("breakpoints not strictly increasing")
+    for f in free:
+        if not (0 <= f <= capacity):
+            raise AssertionError(f"free count {f} outside [0, {capacity}]")
+    if free[-1] != capacity:
+        raise AssertionError("final segment must have all nodes free")
+
+
+def _occupied_node_seconds(times: list[float], free: list[int], capacity: int) -> float:
+    """Integral of occupied nodes over the breakpoint span.
+
+    The implicit tail beyond the last breakpoint has all nodes free, so
+    it contributes nothing; extending the span with new breakpoints
+    therefore never changes the integral by itself, which makes this a
+    sound conservation measure across reserve/release pairs.
+    """
+    total = 0.0
+    for i in range(len(times) - 1):
+        total += (capacity - free[i]) * (times[i + 1] - times[i])
+    return total
+
+
+def _sanitize_delta(
+    times: list[float], free: list[int], capacity: int, before: float, expected: float, op: str
+) -> None:
+    """A reservation or its undo (``op``) must change the occupancy measured
+    ``before`` it by exactly its area, ``expected``."""
+    _check_invariants(times, free, capacity)
+    delta = _occupied_node_seconds(times, free, capacity) - before
+    require(
+        abs(delta - expected) <= 1e-6 * max(1.0, abs(expected)),
+        f"profile {op} does not conserve node-seconds: occupancy "
+        f"changed by {delta!r}, expected {expected!r}",
+    )
+
+
 class AvailabilityProfile:
     """Free-node step function with earliest-fit queries.
 
@@ -210,18 +258,6 @@ class AvailabilityProfile:
         Raises ``ValueError`` if ``nodes`` exceeds capacity (it can never
         fit) — callers should have validated admission already.
         """
-        return self.earliest_fit(nodes, duration, earliest)[0]
-
-    def earliest_fit(
-        self, nodes: int, duration: float, earliest: float
-    ) -> tuple[float, int]:
-        """:meth:`earliest_start` plus the index of the segment it lies in.
-
-        The index is valid until the next mutation and may be passed as the
-        ``hint`` of an immediately following :meth:`reserve` at the returned
-        start, which then skips the ``bisect`` the fit already performed —
-        the planners' hottest reserve pattern.
-        """
         if nodes > self.capacity:
             raise ValueError(f"{nodes} nodes exceeds capacity {self.capacity}")
         check_positive("duration", duration)
@@ -246,7 +282,7 @@ class AvailabilityProfile:
                     blocked = j
                     break
             if blocked < 0:
-                return candidate, i
+                return candidate
             i = blocked
             candidate = times[blocked]
 
@@ -261,8 +297,8 @@ class AvailabilityProfile:
         """Index of the segment starting at ``t``, inserting it if needed.
 
         A non-negative ``hint`` proposes the index of the segment containing
-        ``t`` (e.g. from :meth:`earliest_fit`); after a cheap validity check
-        it replaces the ``bisect``.  An invalid hint falls back silently.
+        ``t``; after a cheap validity check it replaces the ``bisect``.  An
+        invalid hint falls back silently.
         """
         times = self.times
         if (
@@ -287,27 +323,21 @@ class AvailabilityProfile:
         duration: float,
         nodes: int,
         check: bool = True,
-        hint: int = -1,
     ) -> ReservationToken:
         """Claim ``nodes`` nodes over ``[start, start + duration)``.
 
         Returns a token for :meth:`release`.  With ``check`` (the default)
         raises if the claim would drive any segment negative.  Callers that
         just obtained ``start`` from :meth:`earliest_start` may pass
-        ``check=False`` to skip the redundant feasibility scan.  ``hint``
-        optionally names the segment containing ``start`` (the index from
-        :meth:`earliest_fit`), eliminating the start-breakpoint ``bisect``
-        and bounding the end-breakpoint one — together with the fit's own
-        bisect the hottest reserve pattern then bisects once, not three
-        times.
+        ``check=False`` to skip the redundant feasibility scan.
         """
         if check:
             check_positive("duration", duration)
             check_positive("nodes", nodes)
         sanitize = sanitize_enabled()
-        occupied_before = self._occupied_node_seconds() if sanitize else 0.0
+        before = _occupied_node_seconds(self.times, self.free, self.capacity) if sanitize else 0.0
         end = start + duration
-        i, created_start = self._ensure_breakpoint(start, hint)
+        i, created_start = self._ensure_breakpoint(start)
         # ``i`` starts at or before ``end``, so it is a valid proposal for
         # the end breakpoint too (exact for within-segment reservations).
         j, created_end = self._ensure_breakpoint(end, i)
@@ -326,7 +356,9 @@ class AvailabilityProfile:
             free[k] -= nodes
         token = ReservationToken(start, end, nodes, created_start, created_end)
         if sanitize:
-            self._sanitize_delta(occupied_before, nodes * (end - start), "reserve")
+            _sanitize_delta(
+                self.times, self.free, self.capacity, before, nodes * (end - start), "reserve"
+            )
         return token
 
     def release(self, token: ReservationToken) -> None:
@@ -337,7 +369,7 @@ class AvailabilityProfile:
         profile is then restored exactly.
         """
         sanitize = sanitize_enabled()
-        occupied_before = self._occupied_node_seconds() if sanitize else 0.0
+        before = _occupied_node_seconds(self.times, self.free, self.capacity) if sanitize else 0.0
         i = bisect_right(self.times, token.start) - 1
         j = bisect_right(self.times, token.end) - 1
         if i < 0 or not time_eq(self.times[i], token.start):
@@ -353,11 +385,8 @@ class AvailabilityProfile:
         if token.created_start:
             del self.times[i], self.free[i]
         if sanitize:
-            self._sanitize_delta(
-                occupied_before,
-                -token.nodes * (token.end - token.start),
-                "release",
-            )
+            area = token.nodes * (token.end - token.start)
+            _sanitize_delta(self.times, self.free, self.capacity, before, -area, "release")
 
     def copy(self) -> "AvailabilityProfile":
         """An independent deep copy."""
@@ -374,49 +403,9 @@ class AvailabilityProfile:
         """
         return SearchProfile(self)
 
-    # ------------------------------------------------------------------
-    # Debug-mode invariant checks (see repro.util.sanitize)
-    # ------------------------------------------------------------------
-    def _occupied_node_seconds(self) -> float:
-        """Integral of occupied nodes over the breakpoint span.
-
-        The implicit tail beyond the last breakpoint has all nodes free, so
-        it contributes nothing; extending the span with new breakpoints
-        therefore never changes the integral by itself, which makes this a
-        sound conservation measure across reserve/release pairs.
-        """
-        total = 0.0
-        times, free = self.times, self.free
-        for i in range(len(times) - 1):
-            total += (self.capacity - free[i]) * (times[i + 1] - times[i])
-        return total
-
-    def _sanitize_delta(
-        self, occupied_before: float, expected_delta: float, operation: str
-    ) -> None:
-        """A reserve/release must change occupancy by exactly its area."""
-        self.check_invariants()
-        delta = self._occupied_node_seconds() - occupied_before
-        tolerance = 1e-6 * max(1.0, abs(expected_delta))
-        require(
-            abs(delta - expected_delta) <= tolerance,
-            f"profile {operation} does not conserve node-seconds: occupancy "
-            f"changed by {delta!r}, expected {expected_delta!r}",
-        )
-
-    # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         """Assert structural invariants (used heavily by property tests)."""
-        if len(self.times) != len(self.free):
-            raise AssertionError("times/free length mismatch")
-        for a, b in zip(self.times, self.times[1:]):
-            if not a < b:
-                raise AssertionError("breakpoints not strictly increasing")
-        for f in self.free:
-            if not (0 <= f <= self.capacity):
-                raise AssertionError(f"free count {f} outside [0, {self.capacity}]")
-        if self.free[-1] != self.capacity:
-            raise AssertionError("final segment must have all nodes free")
+        _check_invariants(self.times, self.free, self.capacity)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AvailabilityProfile):
@@ -468,11 +457,11 @@ class SearchProfile:
     same order, and the forward walk lands on the segment the reference's
     ``bisect`` finds.  The differential property tests pin this down.
 
-    The sanitizer hooks mirror the reference profile's: when debug-mode
-    invariant checking is active, every place/unplace verifies structural
-    invariants and node-second conservation.  The enabled flag is cached at
-    construction — a view lives for one search, well inside any sanitize
-    scope.
+    The sanitizer hooks are the reference profile's (one set of helpers
+    over the two lists): when debug-mode invariant checking is active,
+    every place/unplace verifies structural invariants and node-second
+    conservation.  The enabled flag is cached at construction — a view
+    lives for one search, well inside any sanitize scope.
     """
 
     __slots__ = ("capacity", "_t", "_f", "_undo", "_sanitize")
@@ -512,9 +501,7 @@ class SearchProfile:
             raise ValueError(f"{nodes} nodes exceeds capacity {self.capacity}")
         t, f = self._t, self._f
         eps = _EPS
-        occupied_before = (
-            self._occupied_node_seconds() if self._sanitize else 0.0
-        )
+        before = _occupied_node_seconds(t, f, self.capacity) if self._sanitize else 0.0
 
         # --- earliest-fit scan (same arithmetic as the reference) -------
         m = len(t)
@@ -577,18 +564,14 @@ class SearchProfile:
             f[k] -= nodes
         self._undo.append((si, ej, nodes, created_start, created_end))
         if self._sanitize:
-            self._sanitize_delta(
-                occupied_before, nodes * (end - start), "place"
-            )
+            _sanitize_delta(t, f, self.capacity, before, nodes * (end - start), "place")
         return start
 
     def unplace(self) -> None:
         """Pop the top :meth:`place` frame, restoring the profile exactly."""
         si, ej, nodes, created_start, created_end = self._undo.pop()
         t, f = self._t, self._f
-        occupied_before = (
-            self._occupied_node_seconds() if self._sanitize else 0.0
-        )
+        before = _occupied_node_seconds(t, f, self.capacity) if self._sanitize else 0.0
         area = nodes * (t[ej] - t[si])
         for k in range(si, ej):
             f[k] += nodes
@@ -600,12 +583,7 @@ class SearchProfile:
             del t[si]
             del f[si]
         if self._sanitize:
-            self._sanitize_delta(occupied_before, -area, "unplace")
-
-    def unwind(self) -> None:
-        """Pop every outstanding frame (back to the as-constructed state)."""
-        while self._undo:
-            self.unplace()
+            _sanitize_delta(t, f, self.capacity, before, -area, "unplace")
 
     # ------------------------------------------------------------------
     # Batched placement (the search's heuristic-completion chains)
@@ -766,7 +744,7 @@ class SearchProfile:
         return exc, slow
 
     # ------------------------------------------------------------------
-    # Queries (parity with the reference; used by tests and local search)
+    # Queries (parity with the reference; used by tests)
     # ------------------------------------------------------------------
     def earliest_start(self, nodes: int, duration: float, earliest: float) -> float:
         """Pure earliest-fit query (no mutation survives).
@@ -783,46 +761,9 @@ class SearchProfile:
         """The ``(time, free)`` breakpoint list, in time order (a copy)."""
         return list(zip(self._t, self._f))
 
-    # ------------------------------------------------------------------
-    # Debug-mode invariant checks (see repro.util.sanitize)
-    # ------------------------------------------------------------------
-    def _occupied_node_seconds(self) -> float:
-        total = 0.0
-        t, f = self._t, self._f
-        cap = self.capacity
-        for k in range(len(t) - 1):
-            total += (cap - f[k]) * (t[k + 1] - t[k])
-        return total
-
-    def _sanitize_delta(
-        self, occupied_before: float, expected_delta: float, operation: str
-    ) -> None:
-        self.check_invariants()
-        delta = self._occupied_node_seconds() - occupied_before
-        tolerance = 1e-6 * max(1.0, abs(expected_delta))
-        require(
-            abs(delta - expected_delta) <= tolerance,
-            f"search profile {operation} does not conserve node-seconds: "
-            f"occupancy changed by {delta!r}, expected {expected_delta!r}",
-        )
-
     def check_invariants(self) -> None:
         """Assert structural invariants of the segment arrays."""
-        t, f = self._t, self._f
-        if len(t) != len(f):
-            raise AssertionError("times/free length mismatch")
-        if not t:
-            raise AssertionError("profile has no segments")
-        for a, b in zip(t, t[1:]):
-            if not a < b:
-                raise AssertionError("breakpoints not strictly increasing")
-        for n in f:
-            if not (0 <= n <= self.capacity):
-                raise AssertionError(
-                    f"free count {n} outside [0, {self.capacity}]"
-                )
-        if f[-1] != self.capacity:
-            raise AssertionError("final segment must have all nodes free")
+        _check_invariants(self._t, self._f, self.capacity)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         segs = ", ".join(f"{t:.0f}:{n}" for t, n in self.segments())

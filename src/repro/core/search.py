@@ -141,8 +141,9 @@ def build_strategy(
 ) -> "tuple[tuple[float, ...], Callable[..., Any], Callable[..., Any], Callable[..., Any]]":
     """The scoring strategy for a problem: ``(acc0, extend, score, lower)``.
 
-    Shared by the tree search and the local-search improver so both score
-    schedules identically.
+    The reference engine's fold, and the spec the other spellings of the
+    two-level terms (:func:`_index_strategy`,
+    ``SearchProfile.place_run_fold``, the C kernel) are held to.
     """
     evaluator = problem.evaluator
     if evaluator is not None:
@@ -350,7 +351,8 @@ class DiscrepancySearch:
             tree_budget = max(
                 1, round(self.node_limit * (1.0 - self.local_search_fraction))
             )
-        result = _ENGINES[self.engine](
+        engine = _ENGINES[self.engine]
+        result = engine(
             problem,
             self.algorithm,
             tree_budget,
@@ -360,7 +362,8 @@ class DiscrepancySearch:
         )
         if self.local_search_fraction <= 0.0 or not result.best_order:
             return result
-        # Spend what's left of the full budget on hill climbing.
+        # Spend what's left of the full budget on hill climbing, each
+        # candidate order scored by the engine that ran the tree search.
         from repro.core.local_search import hill_climb
 
         remaining = (
@@ -370,7 +373,7 @@ class DiscrepancySearch:
         )
         if remaining is not None and remaining < len(result.best_order) * 2:
             return result  # not enough budget for even one neighbour
-        climb = hill_climb(problem, result.best_order, remaining)
+        climb = hill_climb(problem, result.best_order, remaining, engine)
         result.nodes_visited += climb.nodes_visited
         if climb.improved and climb.best_score < result.best_score:
             result.best_order = climb.best_order

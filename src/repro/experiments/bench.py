@@ -3,9 +3,12 @@
 The scheduler's cost is dominated by the per-decision discrepancy search
 (the paper's §2.3 overhead measurement), so this module times exactly that
 operation: one node-limited search over a fixed 30-job decision point on a
-partially busy 128-node machine — the same scenario as
-``benchmarks/bench_overhead.py`` — for the paper's two flagship policies
-(``DDS/lxf/dynB`` and ``LDS/fcfs/dynB``) at L ∈ {1K, 10K, 100K}.
+partially busy 128-node machine, for the paper's two flagship policies
+(``DDS/lxf/dynB`` and ``LDS/fcfs/dynB``) at L ∈ {1K, 10K, 100K}.  The
+report's headline block, ``paper_overhead``, is the paper's own figure
+re-measured — "30-65 milliseconds to visit 1K-8K nodes in a tree of 30
+jobs" — on the engine a policy defaults to here and on ``"fast"``; it is
+the one place that number is timed.
 
 Each configuration is timed for:
 
@@ -49,7 +52,7 @@ import time
 from typing import Any, Callable, Sequence
 
 from repro.core.branching import order_jobs
-from repro.core.ckernel import have_compiled
+from repro.core.ckernel import default_engine, have_compiled
 from repro.core.criteria import (
     CriteriaEvaluator,
     Criterion,
@@ -84,12 +87,17 @@ from repro.util.timeunits import HOUR
 #: ``batch_purepy_L1k`` measure whole months).
 #: v6: per-row ``objective`` field, criteria rows (the evaluator path on
 #: both python engines) and the banded ``:criteria`` speedup family.
-SCHEMA = "repro-bench-search/v6"
+#: v7: the ``paper_overhead`` headline block (§2.3's 1K/8K pair).
+SCHEMA = "repro-bench-search/v7"
 
 #: The two flagship policy shapes the paper benchmarks (§2.3, §3).
 POLICIES: tuple[tuple[str, str], ...] = (("dds", "lxf"), ("lds", "fcfs"))
 #: The one of them also timed with its objective given as criteria.
 CRITERIA_POLICY: tuple[str, str] = POLICIES[0]
+
+#: §2.3: "it takes 30-65 milliseconds to visit 1K-8K nodes in a tree of 30
+#: jobs" (Java on a 2-GHz Pentium 4, 2005) — ``(L, the paper's ms)``.
+PAPER_OVERHEAD: tuple[tuple[int, float], ...] = ((1_000, 30.0), (8_000, 65.0))
 
 FULL_LIMITS: tuple[int, ...] = (1_000, 10_000, 100_000)
 #: ``--quick`` keeps CI smoke runs in seconds, not minutes.
@@ -100,10 +108,9 @@ def build_problem(heuristic: str = "lxf", n_jobs: int = 30) -> SearchProblem:
     """A fixed, deterministic decision point: ``n_jobs`` waiting jobs
     ordered by ``heuristic`` on a partially busy 128-node machine.
 
-    Mirrors the 30-job scenario of ``benchmarks/bench_overhead.py`` (the
-    paper's own overhead measurement uses a 30-job tree) but routes the
-    consideration order through the real branching heuristic, so lxf and
-    fcfs benchmarks explore genuinely different trees.
+    The paper's own overhead measurement (§2.3) uses a 30-job tree; the
+    consideration order goes through the real branching heuristic, so lxf
+    and fcfs benchmarks explore genuinely different trees.
     """
     rng = RngStream(7, "overhead")
     jobs = []
@@ -178,6 +185,32 @@ def time_search(
         best = min(best, time.perf_counter() - t0)
     assert result is not None
     return result, best
+
+
+def paper_overhead(repeats: int) -> dict[str, Any]:
+    """The paper's §2.3 measurement on this implementation: one search by
+    the first of :data:`POLICIES` of the 30-job point at L=1K and L=8K, on the
+    engine a policy defaults to in this install and on ``"fast"`` (one row
+    each where those are the same engine), beside the paper's figure."""
+    algorithm, heuristic = POLICIES[0]
+    problem = build_problem(heuristic)
+    engines = dict.fromkeys((default_engine(), "fast"))
+    rows = []
+    for node_limit, paper_ms in PAPER_OVERHEAD:
+        for engine in engines:
+            result, seconds = time_search(problem, algorithm, node_limit, engine, repeats)
+            rows.append({
+                "node_limit": node_limit,
+                "engine": engine,
+                "nodes_visited": result.nodes_visited,
+                "ms_per_decision": seconds * 1e3,
+                "paper_ms": paper_ms,
+            })
+    return {
+        "policy": f"{algorithm.upper()}/{heuristic}/dynB",
+        "n_jobs": len(problem.jobs),
+        "rows": rows,
+    }
 
 
 def run_bench(
@@ -303,7 +336,12 @@ def run_bench(
                     objective="criteria",
                 )
 
-    return {"repeats": repeats, "configs": configs, "speedups": speedups}
+    return {
+        "repeats": repeats,
+        "paper_overhead": paper_overhead(repeats),
+        "configs": configs,
+        "speedups": speedups,
+    }
 
 
 #: The ``--check`` band a fresh smoke run is judged against.  The
@@ -380,7 +418,15 @@ def compare(fresh: Report, committed: Report, tol: dict[str, float]) -> list[str
 def _headline(report: Report) -> str:
     # The fast/reference keys are the ones without a ":variant" suffix.
     worst = min(v for k, v in report["speedups"].items() if ":" not in k)
-    return f"worst fast/reference speedup {worst:.2f}x"
+    by_engine: dict[str, list[str]] = {}
+    for row in report["paper_overhead"]["rows"]:
+        by_engine.setdefault(row["engine"], []).append(f"{row['ms_per_decision']:.2f}")
+    overhead = ", ".join(f"{'/'.join(ms)} ms on {engine}" for engine, ms in by_engine.items())
+    paper = "/".join(f"{ms:.0f}" for _, ms in PAPER_OVERHEAD)
+    return (
+        f"worst fast/reference speedup {worst:.2f}x; "
+        f"1K/8K nodes in a tree of 30 jobs: {overhead} (paper: {paper} ms)"
+    )
 
 
 REPORT = BenchReport(

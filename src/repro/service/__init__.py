@@ -7,7 +7,7 @@ answers **every** request within a per-tenant deadline even while decisions
 fail, snapshots rot and queues overflow.  The pieces:
 
 - :mod:`repro.service.api` — the request/response dataclasses and the
-  per-tenant SLO (deadline, grace, queue bound, retry budget);
+  per-tenant SLO (deadline, queue bound, retry budget);
 - :mod:`repro.service.tenant` — :class:`~repro.service.tenant.TenantEngine`,
   a resumable incremental engine built directly on
   :meth:`repro.simulator.engine.Simulation.consume_batch`, so a fault-free

@@ -92,15 +92,12 @@ class TenantSLO:
     """Per-tenant service-level objective.
 
     ``deadline_seconds`` bounds the wall-clock latency of one decision;
-    the ladder degrades as the remaining budget shrinks.  ``grace_seconds``
-    is the measurement slack the chaos suite allows on shared CI runners
-    before calling a response late — it is *not* extra scheduling budget.
+    the ladder degrades as the remaining budget shrinks.
     ``queue_limit`` bounds the tenant's pending-request queue (admission
     control); ``max_retries`` bounds intake retries on transient faults.
     """
 
     deadline_seconds: float = 2.0
-    grace_seconds: float = 8.0
     queue_limit: int = 64
     max_retries: int = 3
 
@@ -108,10 +105,6 @@ class TenantSLO:
         if self.deadline_seconds <= 0:
             raise ValueError(
                 f"deadline_seconds must be > 0, got {self.deadline_seconds}"
-            )
-        if self.grace_seconds < 0:
-            raise ValueError(
-                f"grace_seconds must be >= 0, got {self.grace_seconds}"
             )
         if self.queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {self.queue_limit}")
@@ -121,7 +114,6 @@ class TenantSLO:
     def to_dict(self) -> dict[str, Any]:
         return {
             "deadline_seconds": self.deadline_seconds,
-            "grace_seconds": self.grace_seconds,
             "queue_limit": self.queue_limit,
             "max_retries": self.max_retries,
         }
@@ -130,7 +122,6 @@ class TenantSLO:
     def from_dict(cls, data: Mapping[str, Any]) -> "TenantSLO":
         return cls(
             deadline_seconds=float(data.get("deadline_seconds", 2.0)),
-            grace_seconds=float(data.get("grace_seconds", 8.0)),
             queue_limit=int(data.get("queue_limit", 64)),
             max_retries=int(data.get("max_retries", 3)),
         )

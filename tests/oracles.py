@@ -4,7 +4,11 @@ Three oracle layers validate the search engines (see ``docs/testing.md``):
 
 1. **Optimality** — :func:`optimal_score` wraps the exact solver
    (:mod:`repro.core.exact`): no engine may ever return a score *below*
-   it, and an exhaustive run must return exactly it.
+   it, and an exhaustive run must return exactly it.  :func:`spec_score`
+   is the model of a single leaf — an order placed and scored by the
+   reference builder and the objective's own ``score_schedule``, sharing
+   no code with the engines (``evaluate_order`` *is* an engine call, so
+   it cannot judge one).
 2. **Bit-identity** — :func:`fingerprint` projects a ``SearchResult``
    onto every field of the engines' bit-identity contract;
    :class:`RecordingSearcher` + :func:`replay_workload` extend the check
@@ -24,7 +28,7 @@ one definition of "identical" and one of "optimal", not four.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 from hypothesis import strategies as st
 
@@ -33,6 +37,7 @@ from repro.core.ckernel import have_compiled
 from repro.core.exact import solve_exact
 from repro.core.objective import FixedBound, ObjectiveConfig
 from repro.core.profile import AvailabilityProfile
+from repro.core.schedule_builder import build_schedule
 from repro.core.scheduler import SearchSchedulingPolicy
 from repro.core.search import DiscrepancySearch, Score, SearchProblem, SearchResult
 from repro.experiments.bench import build_problem, with_criteria
@@ -49,6 +54,7 @@ __all__ = [
     "optimal_score",
     "RecordingSearcher",
     "replay_workload",
+    "spec_score",
     "with_criteria",
 ]
 
@@ -84,6 +90,26 @@ def fingerprint(result: SearchResult) -> tuple[Any, ...]:
 def optimal_score(problem: SearchProblem, max_jobs: int = 10) -> Score:
     """The provably optimal score for ``problem`` (exact-solver oracle)."""
     return solve_exact(problem, max_jobs=max_jobs).best_score
+
+
+def spec_score(
+    problem: SearchProblem, order: Sequence[Job]
+) -> tuple[dict[int, float], Score]:
+    """``(starts, score)`` of ``order`` by the specification alone:
+    :func:`build_schedule` on the reference profile, then the objective's
+    ``score_schedule`` (left-to-right sums from ``+0.0``: the engines'
+    association order, and adding a ``+0.0`` excess is exact)."""
+    assert problem.runtimes is None and problem.arrays is None  # build_schedule reads the jobs
+    placed = build_schedule(
+        order, problem.profile, problem.now, problem.use_actual_runtime
+    )
+    if problem.evaluator is not None:
+        score: Score = problem.evaluator.score_schedule(placed)
+    else:
+        score = problem.objective.score_schedule(
+            placed, problem.now, problem.use_actual_runtime, omega=problem.omega
+        )
+    return {job.job_id: start for job, start in placed}, score
 
 
 class RecordingSearcher:

@@ -17,9 +17,15 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.core.ckernel import have_compiled
+from repro.core.ckernel import default_engine, have_compiled
 from repro.experiments import bench as bench_mod
-from repro.experiments.bench import CRITERIA_POLICY, POLICIES, REPORT, run_bench
+from repro.experiments.bench import (
+    CRITERIA_POLICY,
+    PAPER_OVERHEAD,
+    POLICIES,
+    REPORT,
+    run_bench,
+)
 
 check_bench = REPORT.check
 
@@ -59,6 +65,22 @@ def test_report_has_every_row_family(report):
             assert engines == sorted(expected + extra)
     for row in rows:
         assert row["nodes_per_second"] > 0
+
+
+def test_paper_overhead_block_is_the_papers_pair(report):
+    """§2.3's measurement — 1K and 8K nodes in the 30-job tree — whatever
+    budget sweep the rows ran at, on the engine a policy defaults to here
+    and on ``fast`` (one row where they coincide), the budget spent."""
+    block = report["paper_overhead"]
+    assert (block["policy"], block["n_jobs"]) == ("DDS/lxf/dynB", 30)
+    engines = list(dict.fromkeys((default_engine(), "fast")))
+    assert [(r["node_limit"], r["paper_ms"], r["engine"]) for r in block["rows"]] == [
+        (L, ms, engine) for L, ms in PAPER_OVERHEAD for engine in engines
+    ]
+    for row in block["rows"]:
+        assert row["nodes_visited"] == row["node_limit"]
+        assert row["ms_per_decision"] > 0
+    assert "ms on fast (paper: 30/65 ms)" in REPORT.headline(report)
 
 
 def test_speedup_key_families_are_complete(report):

@@ -33,7 +33,8 @@ from repro.core.criteria import (
     paper_objective,
 )
 from repro.core.exact import solve_exact
-from repro.core.search import DiscrepancySearch, resolve_runtimes
+from repro.core.local_search import evaluate_order
+from repro.core.search import _ENGINES, DiscrepancySearch, resolve_runtimes
 from repro.experiments.bench import build_problem
 from tests.oracles import (
     CONFORMANCE_ENGINES,
@@ -48,6 +49,23 @@ FUZZ = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
+
+
+def _prints(problem, algorithm, node_limit, **knobs):
+    """Every conformance engine's fingerprint of one search, anytime trace
+    included."""
+    return {
+        engine: fingerprint(
+            DiscrepancySearch(
+                algorithm,
+                node_limit=node_limit,
+                engine=engine,
+                record_anytime=True,
+                **knobs,
+            ).search(problem)
+        )
+        for engine in CONFORMANCE_ENGINES
+    }
 
 
 @given(
@@ -69,21 +87,8 @@ def test_engines_bit_identical_on_random_instances(
     extends identity to the improvement trace.  The compiled kernel
     participates whenever its extension is importable
     (``CONFORMANCE_ENGINES`` resolves that once for the suite)."""
-    problem = spec.to_problem()
-    prints = {
-        engine: fingerprint(
-            DiscrepancySearch(
-                algorithm,
-                node_limit=node_limit,
-                engine=engine,
-                prune=prune,
-                record_anytime=True,
-            ).search(problem)
-        )
-        for engine in CONFORMANCE_ENGINES
-    }
-    reference = prints["fast"]
-    assert all(p == reference for p in prints.values()), prints
+    prints = _prints(spec.to_problem(), algorithm, node_limit, prune=prune)
+    assert all(p == prints["fast"] for p in prints.values()), prints
 
 
 #: The objective forms the fast engine folds through its one traversal:
@@ -137,6 +142,40 @@ def test_objective_forms_bit_identical_on_random_instances(
     assert fast == reference
 
 
+@given(
+    spec=instance_specs(min_jobs=0, max_jobs=6),
+    form=st.sampled_from(sorted(OBJECTIVE_FORMS)),
+    algorithm=st.sampled_from(["dds", "lds"]),
+    node_limit=st.sampled_from([24, 64, 200]),
+    fraction=st.sampled_from([0.25, 0.5]),
+)
+@FUZZ
+def test_hill_climbed_search_bit_identical_across_engines(
+    spec: InstanceSpec, form: str, algorithm: str, node_limit: int, fraction: float
+):
+    """The climb scores each candidate order on the engine that ran the
+    tree search, so a hill-climbed result — the climb's node visits, its
+    improvement and its anytime entry included — is part of the contract:
+    orders no discrepancy iteration produces, through every engine's chain
+    (the compiled kernel's when the form is the two-level one)."""
+    problem = spec.to_problem()
+    if OBJECTIVE_FORMS[form] is not None:
+        problem = with_criteria(problem, OBJECTIVE_FORMS[form]())
+    prints = _prints(problem, algorithm, node_limit, local_search_fraction=fraction)
+    assert all(p == prints["fast"] for p in prints.values()), prints
+
+
+@pytest.mark.parametrize("algorithm", ["dds", "lds"])
+def test_hill_climb_that_improves_is_bit_identical_across_engines(algorithm):
+    """The 30-job point at L=2000, half of it for the climb, which is known
+    to beat the tree phase there: the last anytime entry is the climb's, on
+    every engine."""
+    prints = _prints(build_problem("lxf"), algorithm, 2000, local_search_fraction=0.5)
+    assert all(p == prints["fast"] for p in prints.values())
+    *_, nodes_visited, _, _, _, improved, anytime = prints["fast"]
+    assert improved and anytime[-1][0] == nodes_visited
+
+
 @pytest.mark.parametrize("form", ["two-level", "paper-criteria"])
 @pytest.mark.parametrize("algorithm", ["dds", "lds"])
 @pytest.mark.parametrize("n", [30, 128])
@@ -167,7 +206,8 @@ def test_deadline_that_never_binds_changes_nothing(n, algorithm, form):
 def test_non_positive_planning_runtime_is_every_engines_error():
     """Three 4-node jobs on 8 nodes, one planned at zero seconds: the
     reference profile refuses the reservation, and the engines that place
-    without asking must refuse the search the same way."""
+    without asking must refuse the search the same way — and so must an
+    order scored directly, which is a search."""
     spec = InstanceSpec(
         capacity=8,
         jobs=((0.0, 4, 600.0), (0.0, 4, 600.0), (0.0, 4, 600.0)),
@@ -181,6 +221,9 @@ def test_non_positive_planning_runtime_is_every_engines_error():
     for engine in CONFORMANCE_ENGINES:
         with pytest.raises(ValueError, match="duration must be > 0") as raised:
             DiscrepancySearch("dds", node_limit=64, engine=engine).search(problem)
+        messages.add(str(raised.value))
+        with pytest.raises(ValueError, match="duration must be > 0") as raised:
+            evaluate_order(problem, problem.jobs, engine=_ENGINES[engine])
         messages.add(str(raised.value))
     assert len(messages) == 1
 

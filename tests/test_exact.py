@@ -17,7 +17,6 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.core.criteria import MaxWait, TotalBoundedSlowdown, paper_objective
 from repro.core.exact import MAX_EXACT_JOBS, solve_exact
-from repro.core.local_search import evaluate_order
 from repro.core.search import DiscrepancySearch
 from repro.util.timeunits import HOUR, TIME_EPS, time_eq
 from tests.oracles import (
@@ -25,6 +24,7 @@ from tests.oracles import (
     InstanceSpec,
     build_problem,
     instance_specs,
+    spec_score,
     with_criteria,
 )
 
@@ -77,7 +77,7 @@ def test_exhaustive_search_attains_exact_optimum(algorithm):
         problem
     )
     assert search.best_score == exact.best_score
-    starts, score = evaluate_order(problem, search.best_order)
+    starts, score = spec_score(problem, search.best_order)
     assert score == search.best_score
 
 
@@ -93,11 +93,11 @@ def test_budgeted_search_never_beats_oracle():
 
 def test_exact_best_is_reproducible_through_evaluate_order():
     """The oracle's certificate (order, starts, score) replays through
-    ``evaluate_order`` bit-for-bit — the same arithmetic contract the
-    engines rely on."""
+    the leaf model ``evaluate_order`` is held to (``oracles.spec_score``)
+    bit-for-bit — the same arithmetic contract the engines rely on."""
     problem = build_problem("fcfs", n_jobs=5)
     exact = solve_exact(problem)
-    starts, score = evaluate_order(problem, exact.best_order)
+    starts, score = spec_score(problem, exact.best_order)
     assert score == exact.best_score
     assert starts == exact.best_starts
 
@@ -116,7 +116,7 @@ def test_zero_jobs():
 def test_single_job_matches_evaluate_order():
     problem = build_problem("lxf", n_jobs=1)
     result = solve_exact(problem)
-    starts, score = evaluate_order(problem, problem.jobs)
+    starts, score = spec_score(problem, problem.jobs)
     assert result.best_score == score
     assert result.best_starts == starts
     assert result.leaves_evaluated == 1
@@ -173,7 +173,8 @@ def test_criteria_evaluator_nonpaper_objective():
 # ----------------------------------------------------------------------
 # TIME_EPS boundary ties (the satellite fix)
 # ----------------------------------------------------------------------
-# The oracle and ``evaluate_order`` must agree on placements when a
+# The oracle and the leaf model (``spec_score``: the reference profile,
+# where ``evaluate_order`` runs an engine) must agree on placements when a
 # profile breakpoint sits a sub-epsilon (or barely-super-epsilon) offset
 # from a job's natural start: a disagreement here would surface as a
 # spurious nonzero "gap to optimal" that no budget could ever close.
@@ -192,13 +193,13 @@ def _eps_spec(offset: float) -> InstanceSpec:
 @pytest.mark.parametrize("offset", [-TIME_EPS / 2, 0.0, TIME_EPS / 2, 2 * TIME_EPS])
 def test_exact_agrees_with_evaluate_order_at_eps_boundaries(offset):
     """At every offset around the epsilon boundary, the oracle's optimum
-    equals the true minimum over all permutations *as evaluated by
-    evaluate_order* — the same floats, not merely time_eq-close."""
+    equals the true minimum over all permutations *as placed and scored
+    by the spec* — the same floats, not merely time_eq-close."""
     problem = _eps_spec(offset).to_problem()
     exact = solve_exact(problem)
     scores = []
     for perm in itertools.permutations(problem.jobs):
-        starts, score = evaluate_order(problem, perm)
+        starts, score = spec_score(problem, perm)
         scores.append(score)
         if perm == exact.best_order:
             assert starts == exact.best_starts

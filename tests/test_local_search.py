@@ -4,13 +4,15 @@ import itertools
 
 import pytest
 
+from repro.core.criteria import paper_objective
 from repro.core.local_search import evaluate_order, hill_climb
 from repro.core.objective import FixedBound, ObjectiveConfig
 from repro.core.profile import AvailabilityProfile
-from repro.core.search import DiscrepancySearch, SearchProblem
+from repro.core.search import _ENGINES, DiscrepancySearch, SearchProblem
 from repro.util.timeunits import HOUR
 
 from tests.conftest import make_job
+from tests.oracles import CONFORMANCE_ENGINES, build_problem, spec_score, with_criteria
 
 
 def _problem(jobs, capacity=4, profile=None, omega=0.0):
@@ -42,6 +44,24 @@ def test_evaluate_order_matches_tree_search_leaf():
         (evaluate_order(problem, perm)[1] for perm in itertools.permutations(jobs)),
     )
     assert result.best_score == best
+
+
+@pytest.mark.parametrize("form", ["two-level", "evaluator"])
+@pytest.mark.parametrize("n", [0, 1, 10, 30, 63])
+@pytest.mark.parametrize("engine", CONFORMANCE_ENGINES)
+def test_evaluate_order_is_the_spec_on_every_engine(engine, n, form):
+    """An order scored as iteration 0 of a search gets the starts and the
+    score the reference builder and ``score_schedule`` give it, bit for
+    bit — the heuristic order, its reverse (which no early discrepancy
+    iteration visits) and a rotation, on both objective forms."""
+    problem = build_problem("lxf", n_jobs=n)
+    if form == "evaluator":
+        problem = with_criteria(problem, paper_objective())
+    jobs = problem.jobs
+    for order in (jobs, jobs[::-1], jobs[n // 3 :] + jobs[: n // 3]):
+        assert evaluate_order(problem, order, engine=_ENGINES[engine]) == spec_score(
+            problem, order
+        )
 
 
 def test_hill_climb_improves_bad_start():

@@ -223,8 +223,8 @@ def test_search_view_does_not_touch_source_profile(reservations, placements):
     view = p.search_view()
     for nodes, duration, earliest in placements:
         view.place(nodes, duration, earliest)
-    view.unwind()
-    assert view.depth == 0
+    while view.depth:
+        view.unplace()
     assert p.segments() == before
 
 

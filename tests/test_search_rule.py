@@ -26,14 +26,13 @@ import math
 import pytest
 
 from repro.core.criteria import paper_objective
-from repro.core.local_search import evaluate_order
 from repro.core.search import DiscrepancySearch, child_rule, root_state
 from repro.core.search_tree import (
     dds_iteration_paths,
     lds_iteration_paths,
     max_discrepancies,
 )
-from tests.oracles import CONFORMANCE_ENGINES, build_problem, with_criteria
+from tests.oracles import CONFORMANCE_ENGINES, build_problem, spec_score, with_criteria
 
 _GENERATORS = {"lds": lds_iteration_paths, "dds": dds_iteration_paths}
 
@@ -124,7 +123,7 @@ def test_budget_sweep_matches_generator_model(n, algorithm, form):
         problem = with_criteria(problem, paper_objective())
     iterations = [
         [
-            (path, *evaluate_order(problem, path))
+            (path, *spec_score(problem, path))
             for path in _GENERATORS[algorithm](problem.jobs, iteration)
         ]
         for iteration in range(0, max_discrepancies(n) + 1)

@@ -48,6 +48,10 @@ from tests.conftest import make_job, small_cluster
 #: Degraded rungs: anything the ladder answers after the primary failed.
 DEGRADED_MODES = frozenset(MODES) - {"search"}
 
+#: Measurement slack on shared CI runners before a response counts as late
+#: — this suite's own allowance, not part of the SLO or of any budget.
+GRACE_SECONDS = 5.0
+
 
 def _workload():
     return generate_month("2003-07", seed=2005, scale=0.02)
@@ -123,7 +127,7 @@ def test_chaos_every_request_gets_a_valid_labeled_response():
 
 def _check_chaos_property():
     plan = FaultPlan.parse("seed=7,service.request=0.3,service.decide=0.5")
-    slo = TenantSLO(deadline_seconds=5.0, grace_seconds=5.0, max_retries=2)
+    slo = TenantSLO(deadline_seconds=5.0, max_retries=2)
 
     async def scenario():
         service = _chaos_service(slo=slo)
@@ -145,7 +149,7 @@ def _check_chaos_property():
     for response in responses:
         assert response.status in STATUSES
         assert response.latency_seconds <= (
-            response.deadline_seconds + slo.grace_seconds
+            response.deadline_seconds + GRACE_SECONDS
         )
         if response.status == "ok":
             for decision in response.decisions:
