@@ -8,7 +8,8 @@
  *                               _prune_child, _check_budget, with the
  *                               two-level fold of _index_strategy inlined
  *                               (the accumulator tuple is two doubles)
- *   - repro/core/profile.py     SearchProfile.place/unplace (and the
+ *   - repro/core/profile.py     SearchProfile.place/unplace and
+ *                               checkpoint/rollback (and the
  *                               place_run_fold fusion: the association-
  *                               order contract makes one fused scalar
  *                               place+fold loop bit-identical to both
@@ -29,13 +30,14 @@
  * engine): wall-clock deadlines (poll cadence), custom evaluators and
  * the runtime sanitizer (needs per-mutation Python checks).
  *
- * One structural liberty, invisible in results: where _chain brackets
- * a batch with checkpoint()/rollback() (array snapshot, no undo
- * frames), this kernel pushes ordinary undo frames and pops them —
- * both restore the profile exactly, and the in-between states are
- * never observed.  place()'s skip-ahead also omits place_run_fold's
- * suffix-min frontier, a pure scan shortcut over segments the plain
- * walk rejects anyway.
+ * One shortcut is omitted, invisible in results: place()'s skip-ahead
+ * leaves out place_run_fold's suffix-min frontier, a pure scan shortcut
+ * over segments the plain walk rejects anyway.  Ported into ck_chain it
+ * made a node slower, not faster: the packed prefix it skips is short,
+ * and the suffix minima cost a pass over every chain (61.7 against 57.4
+ * ns a node on perfbench batch_L100k's recorded kernel calls, gcc 12
+ * -O3 on 2 vCPUs; docs/performance.md, "The compiled chain rolls back
+ * once").
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -72,6 +74,8 @@ typedef struct {
     double eps;
     UndoFrame *undo;
     Py_ssize_t undo_n;
+    double *ck_t; /* a chain's checkpoint of t[0..m) and f[0..m) */
+    long *ck_f;
 
     /* job arrays (dense index) + linked remaining set */
     Py_ssize_t n;
@@ -117,11 +121,12 @@ typedef struct {
 
 /* ------------------------------------------------------------------ */
 /* SearchProfile.place: earliest-fit scan + breakpoint commit + undo   */
-/* push.  Straight transcription of profile.py (earliest == s->now    */
-/* on every search call site).                                         */
+/* push (`undo`: a chain's placements are rolled back by checkpoint    */
+/* and push none).  Straight transcription of profile.py (earliest ==  */
+/* s->now on every search call site).                                  */
 /* ------------------------------------------------------------------ */
-static double
-ck_place(Search *s, long nodes, double duration)
+static inline double
+ck_place(Search *s, long nodes, double duration, const int undo)
 {
     double *t = s->t;
     long *f = s->f;
@@ -204,12 +209,14 @@ ck_place(Search *s, long nodes, double duration)
         f[k] -= nodes;
     s->m = m;
 
-    UndoFrame *u = &s->undo[s->undo_n++];
-    u->si = si;
-    u->ej = ej;
-    u->nodes = nodes;
-    u->created_start = created_start;
-    u->created_end = created_end;
+    if (undo) {
+        UndoFrame *u = &s->undo[s->undo_n++];
+        u->si = si;
+        u->ej = ej;
+        u->nodes = nodes;
+        u->created_start = created_start;
+        u->created_end = created_end;
+    }
     return start;
 }
 
@@ -315,10 +322,14 @@ ck_prune_child(Search *s, double exc, double slow, Py_ssize_t left)
 }
 
 /* ------------------------------------------------------------------ */
-/* Heuristic-completion chain: _chain and _chain_per_node in one loop. */
-/* No leaf lands inside a chain, so _chain_per_node's per-step budget  */
-/* check is the allowance computed up front; only pruning needs a test */
-/* at every step.                                                      */
+/* Heuristic-completion chain: _chain and _chain_per_node in one loop, */
+/* under their checkpoint()/rollback() bracket: t[0..m) and f[0..m)    */
+/* are copied once on entry, placements push no undo frames, and every */
+/* exit — the leaf, a prune mid-chain, a budget stop under prune —     */
+/* restores them with one copy each.  Chains never nest, so one        */
+/* checkpoint buffer pair per search suffices.  No leaf lands inside a */
+/* chain, so _chain_per_node's per-step budget check is the allowance  */
+/* computed up front; only pruning needs a test at every step.         */
 /* ------------------------------------------------------------------ */
 static int
 ck_chain(Search *s, Py_ssize_t m, double exc, double slow, Py_ssize_t d)
@@ -330,6 +341,9 @@ ck_chain(Search *s, Py_ssize_t m, double exc, double slow, Py_ssize_t d)
         s->nodes_visited += k;
         return CK_STOP;
     }
+    const Py_ssize_t m0 = s->m;
+    memcpy(s->ck_t, s->t, (size_t)m0 * sizeof(double));
+    memcpy(s->ck_f, s->f, (size_t)m0 * sizeof(long));
     /* Walk the list (no unlink — a chain never branches), place + fold
      * fused in one scalar loop.  Bit-identical to both Python paths by
      * the association-order contract. */
@@ -342,7 +356,7 @@ ck_chain(Search *s, Py_ssize_t m, double exc, double slow, Py_ssize_t d)
     while (p < stop) {
         i = s->nxt[i];
         s->nodes_visited++;
-        double start = ck_place(s, s->jnodes[i], s->rt[i]);
+        double start = ck_place(s, s->jnodes[i], s->rt[i], 0);
         s->path_i[p] = i;
         s->path_s[p] = start;
         double wait = start - s->submit[i];
@@ -354,14 +368,15 @@ ck_chain(Search *s, Py_ssize_t m, double exc, double slow, Py_ssize_t d)
         p++;
         if (prune && ck_prune_child(s, exc, slow, end - p)) {
             rc = CK_OK; /* pruned mid-chain: plain return in Python */
-            goto unwind;
+            goto rollback;
         }
     }
     if (stop == end)
         rc = ck_leaf(s, exc, slow, end);
-unwind:
-    for (Py_ssize_t q = d; q < p; q++)
-        ck_unplace(s);
+rollback:
+    memcpy(s->t, s->ck_t, (size_t)m0 * sizeof(double));
+    memcpy(s->f, s->ck_f, (size_t)m0 * sizeof(long));
+    s->m = m0;
     return rc;
 }
 
@@ -405,7 +420,7 @@ ck_dfs(Search *s, const int lds, Py_ssize_t m, Py_ssize_t st, double exc,
         nxt[pi] = ni;
         prv[ni] = pi;
         s->nodes_visited++;
-        double start = ck_place(s, s->jnodes[i], s->rt[i]);
+        double start = ck_place(s, s->jnodes[i], s->rt[i], 1);
         s->path_i[d] = i;
         s->path_s[d] = start;
         double wait = start - s->submit[i];
@@ -457,6 +472,8 @@ ck_free(Search *s)
 {
     free(s->t);
     free(s->f);
+    free(s->ck_t);
+    free(s->ck_f);
     free(s->undo);
     free(s->submit);
     free(s->rt);
@@ -472,41 +489,27 @@ ck_free(Search *s)
     memset(s, 0, sizeof(*s));
 }
 
-/* Copy a Python list of numbers into a fresh double[] / long[]. */
-static double *
-ck_doubles_from(PyObject *seq, Py_ssize_t *len_out)
+/* Copy the first len numbers of a Python list into out[]. */
+static int
+ck_doubles_into(double *out, PyObject *seq, Py_ssize_t len)
 {
-    Py_ssize_t len = PyList_GET_SIZE(seq);
-    double *out = malloc((size_t)(len > 0 ? len : 1) * sizeof(double));
-    if (out == NULL)
-        return NULL;
     for (Py_ssize_t k = 0; k < len; k++) {
         out[k] = PyFloat_AsDouble(PyList_GET_ITEM(seq, k));
-        if (out[k] == -1.0 && PyErr_Occurred()) {
-            free(out);
-            return NULL;
-        }
+        if (out[k] == -1.0 && PyErr_Occurred())
+            return -1;
     }
-    *len_out = len;
-    return out;
+    return 0;
 }
 
-static long *
-ck_longs_from(PyObject *seq, Py_ssize_t *len_out)
+static int
+ck_longs_into(long *out, PyObject *seq, Py_ssize_t len)
 {
-    Py_ssize_t len = PyList_GET_SIZE(seq);
-    long *out = malloc((size_t)(len > 0 ? len : 1) * sizeof(long));
-    if (out == NULL)
-        return NULL;
     for (Py_ssize_t k = 0; k < len; k++) {
         out[k] = PyLong_AsLong(PyList_GET_ITEM(seq, k));
-        if (out[k] == -1 && PyErr_Occurred()) {
-            free(out);
-            return NULL;
-        }
+        if (out[k] == -1 && PyErr_Occurred())
+            return -1;
     }
-    *len_out = len;
-    return out;
+    return 0;
 }
 
 static int
@@ -522,56 +525,48 @@ ck_init(Search *s, int lds, long long node_limit, int prune,
         PyErr_SetString(PyExc_TypeError, "profile/job arrays must be lists");
         return -1;
     }
-    Py_ssize_t m0 = 0, mf = 0, n = 0, tmp = 0;
-    double *t0 = ck_doubles_from(times, &m0);
-    long *f0 = t0 ? ck_longs_from(frees, &mf) : NULL;
-    double *sub = f0 ? ck_doubles_from(submit, &n) : NULL;
-    long *jn = sub ? ck_longs_from(jnodes, &tmp) : NULL;
-    double *rt = jn ? ck_doubles_from(runtime, &tmp) : NULL;
-    double *den = rt ? ck_doubles_from(denom, &tmp) : NULL;
-    if (den == NULL) {
-        free(t0);
-        free(f0);
-        free(sub);
-        free(jn);
-        free(rt);
-        if (!PyErr_Occurred())
-            PyErr_NoMemory();
-        return -1;
-    }
-    if (m0 == 0 || m0 != mf || PyList_GET_SIZE(jnodes) != n
+    const Py_ssize_t m0 = PyList_GET_SIZE(times);
+    const Py_ssize_t n = PyList_GET_SIZE(submit);
+    if (m0 == 0 || m0 != PyList_GET_SIZE(frees) || PyList_GET_SIZE(jnodes) != n
         || PyList_GET_SIZE(runtime) != n || PyList_GET_SIZE(denom) != n) {
-        free(t0); free(f0); free(sub); free(jn); free(rt); free(den);
         PyErr_SetString(PyExc_ValueError, "malformed profile/job arrays");
         return -1;
     }
     /* Each of the <= n outstanding placements inserts <= 2 breakpoints. */
-    Py_ssize_t cap_m = m0 + 2 * n + 8;
-    s->t = malloc((size_t)cap_m * sizeof(double));
-    s->f = malloc((size_t)cap_m * sizeof(long));
+    const size_t cap_m = (size_t)(m0 + 2 * n + 8);
+    const size_t n1 = (size_t)(n > 0 ? n : 1);
+    s->t = malloc(cap_m * sizeof(double));
+    s->f = malloc(cap_m * sizeof(long));
+    s->ck_t = malloc(cap_m * sizeof(double));
+    s->ck_f = malloc(cap_m * sizeof(long));
     s->undo = malloc((size_t)(n + 8) * sizeof(UndoFrame));
+    s->submit = malloc(n1 * sizeof(double));
+    s->jnodes = malloc(n1 * sizeof(long));
+    s->rt = malloc(n1 * sizeof(double));
+    s->denom = malloc(n1 * sizeof(double));
     s->nxt = malloc((size_t)(n + 1) * sizeof(Py_ssize_t));
     s->prv = malloc((size_t)(n + 1) * sizeof(Py_ssize_t));
-    s->path_i = malloc((size_t)(n > 0 ? n : 1) * sizeof(Py_ssize_t));
-    s->path_s = malloc((size_t)(n > 0 ? n : 1) * sizeof(double));
-    s->best_i = malloc((size_t)(n > 0 ? n : 1) * sizeof(Py_ssize_t));
-    s->best_s = malloc((size_t)(n > 0 ? n : 1) * sizeof(double));
-    if (!s->t || !s->f || !s->undo || !s->nxt || !s->prv || !s->path_i
-        || !s->path_s || !s->best_i || !s->best_s) {
-        free(t0); free(f0); free(sub); free(jn); free(rt); free(den);
+    s->path_i = malloc(n1 * sizeof(Py_ssize_t));
+    s->path_s = malloc(n1 * sizeof(double));
+    s->best_i = malloc(n1 * sizeof(Py_ssize_t));
+    s->best_s = malloc(n1 * sizeof(double));
+    if (!s->t || !s->f || !s->ck_t || !s->ck_f || !s->undo || !s->submit
+        || !s->jnodes || !s->rt || !s->denom || !s->nxt || !s->prv
+        || !s->path_i || !s->path_s || !s->best_i || !s->best_s) {
         ck_free(s);
         PyErr_NoMemory();
         return -1;
     }
-    memcpy(s->t, t0, (size_t)m0 * sizeof(double));
-    memcpy(s->f, f0, (size_t)m0 * sizeof(long));
-    free(t0);
-    free(f0);
+    if (ck_doubles_into(s->t, times, m0) < 0
+        || ck_longs_into(s->f, frees, m0) < 0
+        || ck_doubles_into(s->submit, submit, n) < 0
+        || ck_longs_into(s->jnodes, jnodes, n) < 0
+        || ck_doubles_into(s->rt, runtime, n) < 0
+        || ck_doubles_into(s->denom, denom, n) < 0) {
+        ck_free(s);
+        return -1;
+    }
     s->m = m0;
-    s->submit = sub;
-    s->jnodes = jn;
-    s->rt = rt;
-    s->denom = den;
     s->n = n;
     s->head = n;
     /* _nxt = [1..n, 0], _prv = [n, 0..n-1]: jobs threaded in heuristic

@@ -13,6 +13,9 @@ importable); this file owns everything about the *boundary*:
   even when the kernel is present;
 - fixed-instance fingerprint identity at edge budgets (empty problem,
   single job, exhaustive, prune, anytime traces);
+- the chain's checkpoint rollback, at every budget of a chain-dense
+  prefix of a queue deep enough for a wrong restore to show, and
+  nothing left behind from one search to the next;
 - ``make_policy`` defaults to the kernel exactly when it is importable
   and ``REPRO_PURE_PYTHON=1`` does not opt out.
 """
@@ -20,16 +23,28 @@ importable); this file owns everything about the *boundary*:
 from __future__ import annotations
 
 import dataclasses
+import functools
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 
 from repro.core import ckernel
 from repro.core.ckernel import _kernel_arrays, default_engine, have_compiled
 from repro.core.criteria import paper_objective
+from repro.core.schedule_builder import build_schedule
 from repro.core.scheduler import make_policy
-from repro.core.search import DiscrepancySearch, resolve_runtimes
+from repro.core.search import (
+    DiscrepancySearch,
+    child_rule,
+    resolve_runtimes,
+    root_state,
+)
 from repro.util.sanitize import sanitized
 from tests.oracles import (
+    NOW,
     InstanceSpec,
     build_problem,
     fingerprint,
@@ -130,6 +145,29 @@ def test_malformed_profiles_and_oversized_jobs_route_to_python():
 
 
 @needs_kernel
+@pytest.mark.parametrize(
+    "field,value,error",
+    [
+        (6, [], ValueError),  # an empty profile
+        (7, [8], ValueError),  # fewer free counts than times
+        (9, [1, 2], ValueError),  # a job column of the wrong length
+        (6, [0.0, "x"], TypeError),  # a time that is not a number
+        (10, [None], TypeError),  # a runtime that is not a number
+        (8, (0.0,), TypeError),  # a tuple, not a list
+    ],
+)
+def test_run_search_refuses_malformed_arrays(field, value, error):
+    """``ck_init`` parses the profile straight into the search's arena;
+    every way a hand-made call can be malformed is a Python exception,
+    not a read past an array (the ASan CI step runs this too)."""
+    args = [0, 10, 0, 0, 8, 1e-9, [0.0, 60.0], [4, 8], [0.0], [2], [30.0], [1.0],
+            0.0, 60.0]
+    args[field] = value
+    with pytest.raises(error):
+        ckernel._impl.run_search(*args)
+
+
+@needs_kernel
 @pytest.mark.parametrize("runtime", [0.0, -60.0])
 def test_non_positive_planning_runtime_routes_to_python(runtime):
     """A reservation of no length is an error the python engines raise
@@ -203,6 +241,145 @@ def test_bench_decision_point_identity(algorithm, heuristic):
 
 
 # ----------------------------------------------------------------------
+# The chain's checkpoint: one copy of the profile in, one copy back out
+# ----------------------------------------------------------------------
+#: 40 jobs (paper months queue up to 63) on a machine that is nearly full
+#: now and frees nodes at 24 distinct instants.  Half-second runtimes end
+#: between breakpoints, so a chain inserts breakpoints at both ends of the
+#: array — before the first release and past the last — and a wrong
+#: restore shifts every placement after it.
+DEEP = InstanceSpec(
+    capacity=32,
+    jobs=tuple(
+        (float((k * 379) % 14400), 1 + (k * 7) % 24, 600.5 + (k * 1237) % 20000)
+        for k in range(40)
+    ),
+    segments=((NOW, 4),)
+    + tuple((NOW + 900.0 * k + (k * k) % 97, 4 + k) for k in range(1, 25))
+    + ((NOW + 900.0 * 25, 32),),
+    omega=3600.0,
+    heuristic="lxf",
+)
+
+
+def _dds_nodes(n, iterations):
+    """Nodes in the first ``iterations`` iterations of an unpruned DDS
+    over ``n`` jobs, counted off ``child_rule`` alone."""
+
+    @functools.lru_cache(maxsize=None)
+    def below(s, m):
+        rule = child_rule(False, s, m)
+        if rule is None:
+            return m  # the chain: m placements, then the leaf
+        lo, s0, s1 = rule
+        return sum(1 + below(s1 if r else s0, m - 1) for r in range(lo, m))
+
+    return sum(below(root_state(False, it), n) for it in range(iterations))
+
+
+def _deep_budgets():
+    """Every budget through DDS iteration 0 and the first ten chains of
+    iteration 1 — a chain truncated at each of its positions, pruned or
+    not — then budgets 1.5x apart to the end of DDS's first three
+    iterations (deep in LDS's third), where interior frames sit on top of
+    thousands of rolled-back chains.  Every budget that far, on the pure
+    engine, would take minutes."""
+    n = len(DEEP.jobs)
+    budgets = list(range(1, n + 10 * n + 1))
+    end = _dds_nodes(n, 3)
+    while budgets[-1] < end:
+        budgets.append(min(end, budgets[-1] * 3 // 2))
+    return budgets
+
+
+def _exact(result):
+    """The fingerprint with every start's bits spelled out."""
+    starts = tuple(sorted((i, s.hex()) for i, s in result.best_starts.items()))
+    return fingerprint(result) + (starts,)
+
+
+def test_deep_instance_inserts_breakpoints_at_both_ends():
+    problem = DEEP.to_problem()
+    times = problem.profile.times
+    placed = build_schedule(problem.jobs, problem.profile, problem.now)
+    ends = [start + job.runtime for job, start in placed]
+    assert min(ends) < times[1] and max(ends) > times[-1]
+    assert len({start for _, start in placed} - set(times)) > 10
+
+
+@needs_kernel
+@pytest.mark.parametrize("algorithm", ["dds", "lds"])
+@pytest.mark.parametrize("prune", [False, True])
+def test_chain_rollback_at_every_budget(algorithm, prune):
+    """Each exit of ``ck_chain`` restores the checkpoint: the leaf, a
+    prune mid-chain, a budget stop inside a pruned chain — and, unpruned,
+    the truncated chain that never places at all.  Sanitizing off, or
+    ``compiled`` would quietly be ``fast``."""
+    problem = DEEP.to_problem()
+    with sanitized(False):
+        for node_limit in _deep_budgets():
+            compiled = _search(
+                "compiled", problem, algorithm, node_limit,
+                prune=prune, record_anytime=True,
+            )
+            fast = _search(
+                "fast", problem, algorithm, node_limit,
+                prune=prune, record_anytime=True,
+            )
+            assert _exact(compiled) == _exact(fast), node_limit
+
+
+_FRESH = """
+import pickle, sys
+from repro.core.search import DiscrepancySearch
+from repro.util.sanitize import set_sanitize
+from tests.test_compiled_kernel import DEEP, _exact
+set_sanitize(False)
+problem = DEEP.to_problem()
+out = {}
+for key in reversed(pickle.load(sys.stdin.buffer)):
+    algorithm, node_limit, prune = key
+    out[key] = _exact(DiscrepancySearch(
+        algorithm, node_limit=node_limit, engine="compiled", prune=prune,
+        record_anytime=True,
+    ).search(problem))
+pickle.dump(out, sys.stdout.buffer)
+"""
+
+
+@needs_kernel
+def test_back_to_back_searches_match_fresh_ones():
+    """Nothing one search leaves in memory reaches the next: 200 searches
+    in a row equal the same searches run in reverse order by a fresh
+    interpreter, and no call writes to the problem's profile (C copies
+    it, python's view copies it)."""
+    problem = DEEP.to_problem()
+    times, free = list(problem.profile.times), list(problem.profile.free)
+    keys = [
+        (algorithm, node_limit, prune)
+        for node_limit in range(7, 7 + 50 * 37, 37)
+        for algorithm in ("dds", "lds")
+        for prune in (False, True)
+    ]
+    assert len(keys) == 200
+    here = {}
+    with sanitized(False):
+        for algorithm, node_limit, prune in keys:
+            here[algorithm, node_limit, prune] = _exact(_search(
+                "compiled", problem, algorithm, node_limit,
+                prune=prune, record_anytime=True,
+            ))
+            assert problem.profile.times == times  # simlint: skip=SIM003 - bit-equality is the claim
+            assert problem.profile.free == free
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    fresh = subprocess.run(
+        [sys.executable, "-c", _FRESH],
+        input=pickle.dumps(keys), capture_output=True, env=env, check=True,
+    )
+    assert pickle.loads(fresh.stdout) == here
+
+
+# ----------------------------------------------------------------------
 # A paper month through the policy, engine against engine
 # ----------------------------------------------------------------------
 def _replayed_month(scale, engine):
@@ -241,9 +418,10 @@ def test_month_through_the_policy_is_bit_identical_to_the_fast_engine(scale, eng
 # ----------------------------------------------------------------------
 # The default engine of a policy
 # ----------------------------------------------------------------------
-def test_make_policy_defaults_to_the_install_engine():
+def test_make_policy_defaults_to_the_install_engine(monkeypatch):
     """The default is install-dependent: the compiled kernel when built
     (bit-identical, faster), the pure fast engine otherwise."""
+    monkeypatch.delenv("REPRO_PURE_PYTHON", raising=False)
     policy = make_policy("dds", "lxf", node_limit=500)
     assert policy.searcher.engine == default_engine()
     assert policy.searcher.engine == ("compiled" if have_compiled() else "fast")
