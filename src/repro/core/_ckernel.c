@@ -38,11 +38,17 @@
  * ns a node on perfbench batch_L100k's recorded kernel calls, gcc 12
  * -O3 on 2 vCPUs; docs/performance.md, "The compiled chain rolls back
  * once").
+ *
+ * One shortcut is shared with python (_count, place_run_fold's cut):
+ * with no job submitted after now both levels only grow along a path, so
+ * a subtree whose partial (exc, slow) is not below the incumbent is
+ * counted, not placed (docs/performance.md, "Counting what cannot win").
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
+#include <math.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -96,6 +102,10 @@ typedef struct {
     double b_exc;
     double b_slow;
     int best_valid;
+    /* The incumbent if count_dominated, else +inf: see ck_count. */
+    double cut_exc;
+    double cut_slow;
+    int count_dominated;
 
     /* search parameters */
     double now;
@@ -286,6 +296,10 @@ ck_leaf(Search *s, double exc, double slow, Py_ssize_t d)
     s->best_valid = 1;
     s->b_exc = exc;
     s->b_slow = slow;
+    if (s->count_dominated) {
+        s->cut_exc = exc;
+        s->cut_slow = slow;
+    }
     s->best_d = d;
     memcpy(s->best_i, s->path_i, (size_t)d * sizeof(Py_ssize_t));
     memcpy(s->best_s, s->path_s, (size_t)d * sizeof(double));
@@ -329,7 +343,9 @@ ck_prune_child(Search *s, double exc, double slow, Py_ssize_t left)
 /* restores them with one copy each.  Chains never nest, so one        */
 /* checkpoint buffer pair per search suffices.  No leaf lands inside a */
 /* chain, so _chain_per_node's per-step budget check is the allowance  */
-/* computed up front; only pruning needs a test at every step.         */
+/* computed up front; only pruning and the cut test every step (at the */
+/* first step not below the cut the rest of the chain and its leaf are */
+/* counted: count_dominated implies !prune, so k == m there).          */
 /* ------------------------------------------------------------------ */
 static int
 ck_chain(Search *s, Py_ssize_t m, double exc, double slow, Py_ssize_t d)
@@ -348,6 +364,8 @@ ck_chain(Search *s, Py_ssize_t m, double exc, double slow, Py_ssize_t d)
      * fused in one scalar loop.  Bit-identical to both Python paths by
      * the association-order contract. */
     const int prune = s->prune;
+    const double cut_exc = s->cut_exc;
+    const double cut_slow = s->cut_slow;
     const Py_ssize_t end = d + m;
     const Py_ssize_t stop = d + (Py_ssize_t)k;
     Py_ssize_t i = s->head;
@@ -366,6 +384,12 @@ ck_chain(Search *s, Py_ssize_t m, double exc, double slow, Py_ssize_t d)
         double den = s->denom[i];
         slow += (wait + den) / den;
         p++;
+        if (exc >= cut_exc && (exc > cut_exc || slow >= cut_slow)) {
+            s->nodes_visited += end - p;
+            s->leaves_evaluated++;
+            rc = CK_OK;
+            goto rollback;
+        }
         if (prune && ck_prune_child(s, exc, slow, end - p)) {
             rc = CK_OK; /* pruned mid-chain: plain return in Python */
             goto rollback;
@@ -381,32 +405,70 @@ rollback:
 }
 
 /* ------------------------------------------------------------------ */
-/* The DFS proper (_dfs).  The window [lo, m) and the child states are */
-/* child_rule() of repro/core/search.py written inline — that function  */
-/* is the rule and tests/test_search_rule.py its oracle.  `lds` travels */
-/* as an argument (constant at both call sites) so a node tests a       */
-/* register, or a clone's constant, instead of re-reading s->lds.       */
+/* child_rule() of repro/core/search.py (its oracle: tests/           */
+/* test_search_rule.py): 1 when only the chain remains, else the       */
+/* window [*lo, m) and rank 0's state *st0 (other ranks get st - 1).   */
+/* `lds` is constant at every call site: a register, not s->lds.       */
+/* ------------------------------------------------------------------ */
+static inline int
+ck_rule(const int lds, Py_ssize_t m, Py_ssize_t st, Py_ssize_t *lo,
+        Py_ssize_t *st0)
+{
+    if (lds) {
+        if (st == 0)
+            return 1; /* no discrepancies left */
+        const Py_ssize_t cap = m > 2 ? m - 2 : 0;
+        *lo = st <= cap ? 0 : st == cap + 1 ? 1 : m;
+        *st0 = st; /* the heuristic child keeps the whole budget */
+        return 0;
+    }
+    if (st < 0)
+        return 1; /* below the discrepancy level */
+    *lo = st > 0 ? 0 : 1; /* st == 0: the forced discrepancy */
+    *st0 = st - 1;
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* A subtree that cannot win (_count): ck_dfs's walk with no list,     */
+/* profile or fold — its budget checks, ck_chain's allowance, a leaf   */
+/* per full chain.                                                     */
+/* ------------------------------------------------------------------ */
+static int
+ck_count(Search *s, const int lds, Py_ssize_t m, Py_ssize_t st)
+{
+    Py_ssize_t lo, st0;
+    if (ck_rule(lds, m, st, &lo, &st0)) {
+        const long long k = ck_chain_allowance(s, m);
+        s->nodes_visited += k;
+        if (k < (long long)m)
+            return CK_STOP;
+        s->leaves_evaluated++;
+        return CK_OK;
+    }
+    for (Py_ssize_t rank = lo; rank < m; rank++) {
+        if (ck_check_budget(s))
+            return CK_STOP;
+        s->nodes_visited++;
+        int rc = ck_count(s, lds, m - 1, rank ? st - 1 : st0);
+        if (rc)
+            return rc;
+    }
+    return CK_OK;
+}
+
+/* ------------------------------------------------------------------ */
+/* The DFS proper (_dfs): a node not below the cut is counted.         */
 /* ------------------------------------------------------------------ */
 static int
 ck_dfs(Search *s, const int lds, Py_ssize_t m, Py_ssize_t st, double exc,
        double slow, Py_ssize_t d)
 {
+    if (exc >= s->cut_exc && (exc > s->cut_exc || slow >= s->cut_slow))
+        return ck_count(s, lds, m, st);
     Py_ssize_t lo, st0;
-    if (lds) {
-        if (st == 0)
-            /* No discrepancies left: only the heuristic completion remains. */
-            return ck_chain(s, m, exc, slow, d);
-        const Py_ssize_t cap = m > 2 ? m - 2 : 0;
-        lo = st <= cap ? 0 : st == cap + 1 ? 1 : m;
-        st0 = st; /* the heuristic child keeps the whole budget */
-    }
-    else {
-        if (st < 0)
-            /* Below the discrepancy level only the heuristic child remains. */
-            return ck_chain(s, m, exc, slow, d);
-        lo = st > 0 ? 0 : 1; /* st == 0: the forced discrepancy */
-        st0 = st - 1;
-    }
+    if (ck_rule(lds, m, st, &lo, &st0))
+        return ck_chain(s, m, exc, slow, d);
     Py_ssize_t *nxt = s->nxt;
     Py_ssize_t *prv = s->prv;
     Py_ssize_t i = nxt[s->head];
@@ -586,6 +648,13 @@ ck_init(Search *s, int lds, long long node_limit, int prune,
     s->lds = lds;
     s->record_anytime = record_anytime;
     s->best_d = 0;
+    /* Exact when every wait is >= 0 (starts are >= now); under prune its
+     * bound cuts first anyway.  Otherwise the cut stays +inf. */
+    s->count_dominated = !prune;
+    for (Py_ssize_t k = 0; k < n && s->count_dominated; k++)
+        s->count_dominated = s->submit[k] <= now;
+    s->cut_exc = INFINITY;
+    s->cut_slow = INFINITY;
     return 0;
 }
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import inf
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.util.sanitize import require, sanitize_enabled
@@ -627,7 +628,9 @@ class SearchProfile:
         omega: float,
         exc: float,
         slow: float,
-    ) -> tuple[float, float]:
+        cut_exc: float = inf,
+        cut_slow: float = inf,
+    ) -> tuple[float, float] | None:
         """Commit ``count`` earliest-fit placements in one tight loop,
         folding the two-level objective as it goes.
 
@@ -640,7 +643,11 @@ class SearchProfile:
         ``(excessive wait, bounded slowdown)`` terms are folded into
         ``(exc, slow)`` left-to-right, the association order of
         :mod:`repro.core.deltascore`'s contract; the final accumulators
-        are returned.  **No undo frames are pushed**: the caller must
+        are returned — or ``None`` at the first step whose ``(exc, slow)``
+        is not lexicographically below ``(cut_exc, cut_slow)`` (the
+        defaults never stop it): the search's incumbent, which, when both
+        levels only grow along the run, no completion of it can beat.
+        **No undo frames are pushed**: the caller must
         bracket the run with :meth:`checkpoint`/:meth:`rollback`.  Skips
         the sanitizer (callers check :attr:`sanitizing` and use per-call
         :meth:`place` when it is on).
@@ -716,6 +723,8 @@ class SearchProfile:
                 exc += e
             den = denom[idx]
             slow += (wait + den) / den
+            if exc >= cut_exc and (exc > cut_exc or slow >= cut_slow):
+                return None
 
             # --- start breakpoint ---------------------------------------
             if start - t[i] <= eps:

@@ -56,6 +56,7 @@ import sys
 import time as _wallclock
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import Any, Callable, Union
 
 from repro.core import ckernel
@@ -611,7 +612,13 @@ class _FastSearchRun(_SearchRunBase):
       without unlinking and undo with one ``rollback``; when nothing can
       observe the difference (``_batched``) a whole chain commits through
       :meth:`SearchProfile.place_run_fold`, which folds the two levels in
-      the placement loop itself and is accounted for once.
+      the placement loop itself and is accounted for once;
+    - a subtree that cannot win is counted, not placed
+      (``_count_dominated``): with no job submitted after ``now`` both
+      levels only grow along a path, so once a node's partial levels are
+      not below the incumbent's (``_cut``) no leaf under it improves, and
+      ``_count`` replays only its node accounting — at ``_dfs``'s entry,
+      and in ``place_run_fold`` at the first such step of a chain.
     """
 
     def __init__(self, problem: SearchProblem, *args: Any) -> None:
@@ -648,6 +655,12 @@ class _FastSearchRun(_SearchRunBase):
             and self._deadline is None
             and not self.profile.sanitizing
         )
+        # Counting a dominated subtree is exact when every wait is >= 0
+        # (starts are >= now); ``_cut`` stays +inf, never reached, otherwise.
+        self._count_dominated = self._batched and max(
+            ja.submit, default=problem.now
+        ) <= problem.now
+        self._cut: tuple[float, ...] = (inf, inf)
 
     def _iterate(self, s: int) -> None:
         self._dfs(len(self._jobs), s, self._acc0, 0)
@@ -666,6 +679,8 @@ class _FastSearchRun(_SearchRunBase):
                 return
             self.improved_after_first = True
         self._best_acc = acc
+        if self._count_dominated:
+            self._cut = acc
         jobs = self._jobs
         self.best_score = score = self._score_of(acc, len(jobs))
         self.best_order = order = tuple([jobs[i] for i in self._path_i])
@@ -721,11 +736,15 @@ class _FastSearchRun(_SearchRunBase):
             # Positional, not ``*``-unpacked: a starred call leaves the
             # interpreter's inlined call path and costs ~3% of a month.
             nodes_a, rt_a, now, path_s, submit, denom, omega = self._run_args
-            self._leaf(
-                profile.place_run_fold(
-                    path_i, d, m, nodes_a, rt_a, now, path_s, submit, denom, omega, acc[0], acc[1]
-                )
+            cut_exc, cut_slow = self._cut
+            leaf = profile.place_run_fold(
+                path_i, d, m, nodes_a, rt_a, now, path_s, submit, denom, omega,
+                acc[0], acc[1], cut_exc, cut_slow,
             )
+            if leaf is None:  # cut mid-chain: the leaf is counted, not scored
+                self.leaves_evaluated += 1
+            else:
+                self._leaf(leaf)
         finally:
             profile.rollback(ck)
 
@@ -759,9 +778,34 @@ class _FastSearchRun(_SearchRunBase):
         finally:
             self.profile.rollback(ck)
 
+    def _count(self, m: int, s: int) -> None:
+        """A subtree none of whose leaves can improve on the incumbent:
+        ``_dfs``'s walk with nothing placed or folded — the same budget
+        check per interior child and, at each chain, ``_chain``'s clamp
+        and one leaf per full chain."""
+        rule = child_rule(self._lds, s, m)
+        if rule is None:
+            if m and self.node_limit is not None:
+                left = self.node_limit - self.nodes_visited
+                if left < m:
+                    if left > 0:
+                        self.nodes_visited += left
+                    raise _StopSearch
+            self.nodes_visited += m
+            self.leaves_evaluated += 1
+            return
+        lo, s0, s1 = rule
+        for rank in range(lo, m):
+            self._check_budget()
+            self.nodes_visited += 1
+            self._count(m - 1, s1 if rank else s0)
+
     def _dfs(self, m: int, s: int, acc: tuple[float, ...], d: int) -> None:
         """The one DFS: ``child_rule`` says which ranks to take and what
         each child inherits; ``m`` jobs remain below depth ``d``."""
+        if self._count_dominated and not acc < self._cut:
+            self._count(m, s)
+            return
         rule = child_rule(self._lds, s, m)
         if rule is None:
             self._chain(m, acc, d)
