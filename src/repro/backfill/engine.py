@@ -11,6 +11,7 @@ not find more reservations to improve the performance", §4).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Sequence
 
 from repro.backfill.priorities import PriorityFunction
@@ -19,10 +20,20 @@ from repro.predict.source import RuntimeSource, resolve_runtime_source
 from repro.simulator.cluster import Cluster
 from repro.simulator.job import Job
 from repro.simulator.policy import RunningJob, SchedulingPolicy
+from repro.util.sanitize import require, sanitize_enabled
 
 
 class BackfillPolicy(SchedulingPolicy):
     """Priority backfill.
+
+    A decision asks each waiting job, in priority order, one question:
+    does it fit now (:meth:`AvailabilityProfile.fits_now`)?  Only a job
+    that does not, while reservations remain, pays for a full earliest-fit
+    scan — its reservation.  Every other blocked job just waits, and once
+    no node is free now and no reservation is left, the rest of the queue
+    is not asked at all.  Starts, their order, every reservation and the
+    ``stats`` are those of scanning every job with ``earliest_start``;
+    under ``REPRO_SANITIZE=1`` each shortcut answer is re-derived that way.
 
     Parameters
     ----------
@@ -69,39 +80,67 @@ class BackfillPolicy(SchedulingPolicy):
         running: Sequence[RunningJob],
         cluster: Cluster,
     ) -> list[Job]:
-        self.stats["decisions"] += 1
+        stats = self.stats
+        stats["decisions"] += 1
         if not waiting:
             return []
-        self.stats["max_queue_length"] = max(
-            self.stats["max_queue_length"], len(waiting)
-        )
+        stats["max_queue_length"] = max(stats["max_queue_length"], len(waiting))
 
-        ordered = sorted(
-            waiting, key=lambda j: self.priority(j, now, self.runtime_of(j))
-        )
+        priority, runtime_of = self.priority, self.runtime_of
+        rows = []
+        for job in waiting:
+            runtime = runtime_of(job)
+            rows.append((priority(job, now, runtime), job, runtime))
+        rows.sort(key=itemgetter(0))
         profile = AvailabilityProfile.from_running(cluster.capacity, now, running)
+        free = profile.free  # mutated in place by reserve
+        sanitize = sanitize_enabled()
 
         started: list[Job] = []
-        reservations_made = 0
+        reservations_left = self.reservations
         blocked_seen = False
-        for job in ordered:
-            runtime = self.runtime_of(job)
-            start = profile.earliest_start(job.nodes, runtime, now)
-            if start <= now:
-                profile.reserve(start, runtime, job.nodes)
+        for _, job, runtime in rows:
+            fits = profile.fits_now(job.nodes, runtime)
+            if sanitize:
+                _check_fits_now(profile, job, runtime, now, fits)
+            if fits:
+                profile.reserve(now, runtime, job.nodes)
                 started.append(job)
                 if blocked_seen:
-                    self.stats["backfilled_starts"] += 1
+                    stats["backfilled_starts"] += 1
                 else:
-                    self.stats["priority_starts"] += 1
-            elif reservations_made < self.reservations:
-                # Give this blocked job a scheduled start; committing it to
-                # the profile is what protects it from later backfills.
-                profile.reserve(start, runtime, job.nodes)
-                reservations_made += 1
-                blocked_seen = True
+                    stats["priority_starts"] += 1
             else:
                 blocked_seen = True
-                # No reservation left: the job simply waits for a later
-                # decision point.
+                if reservations_left:
+                    # Give this blocked job a scheduled start; committing
+                    # it to the profile is what protects it from later
+                    # backfills.
+                    start = profile.earliest_start(job.nodes, runtime, now)
+                    profile.reserve(start, runtime, job.nodes)
+                    reservations_left -= 1
+            # No job fits a machine with no node free now, and no
+            # reservation is left to make: the rest of the queue waits.
+            # The sanitizer asks every remaining job anyway.
+            if not free[0] and not reservations_left and not sanitize:
+                break
         return started
+
+
+def _check_fits_now(
+    profile: AvailabilityProfile, job: Job, runtime: float, now: float, fits: bool
+) -> None:
+    """Sanitizer: a ``fits_now`` answer is what ``earliest_start`` says."""
+    start = profile.earliest_start(job.nodes, runtime, now)
+    if fits:
+        require(
+            start == now,  # simlint: skip=SIM003 - bit-equality is the claim
+            f"backfill: fits_now said job {job.job_id} starts now, but "
+            f"its earliest start is {start!r} at t={now!r}",
+        )
+    else:
+        require(
+            start > now,
+            f"backfill: fits_now said job {job.job_id} waits, but its "
+            f"earliest start is {start!r} at t={now!r}",
+        )

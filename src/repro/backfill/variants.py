@@ -99,12 +99,12 @@ class SelectiveBackfillPolicy(SchedulingPolicy):
         started: list[Job] = []
         for job in ordered:
             runtime = self.runtime_of(job)
-            start = profile.earliest_start(job.nodes, runtime, now)
-            if start <= now:
-                profile.reserve(start, runtime, job.nodes)
+            if profile.fits_now(job.nodes, runtime):
+                profile.reserve(now, runtime, job.nodes)
                 started.append(job)
             elif self._xfactor(job, now) >= threshold:
                 # Starving: commit a reservation so backfills cannot delay it.
+                start = profile.earliest_start(job.nodes, runtime, now)
                 profile.reserve(start, runtime, job.nodes)
                 self.stats["reserved_jobs"] += 1
         return started
@@ -182,7 +182,7 @@ class SlackBackfillPolicy(SchedulingPolicy):
         pending = list(ordered)
         for job in ordered:
             runtime = self.runtime_of(job)
-            if profile.earliest_start(job.nodes, runtime, now) > now:
+            if not profile.fits_now(job.nodes, runtime):
                 continue
             others = [j for j in pending if j is not job]
             # "No worse" rule: starting this job may not push any *currently
@@ -245,7 +245,7 @@ class LookaheadPolicy(SchedulingPolicy):
         while idx < len(ordered):
             job = ordered[idx]
             runtime = self.runtime_of(job)
-            if profile.earliest_start(job.nodes, runtime, now) <= now:
+            if profile.fits_now(job.nodes, runtime):
                 profile.reserve(now, runtime, job.nodes)
                 started.append(job)
                 idx += 1
@@ -266,7 +266,7 @@ class LookaheadPolicy(SchedulingPolicy):
         chosen = self._pack(candidates, now, shadow, free_now, extra)
         for job in chosen:
             runtime = self.runtime_of(job)
-            if profile.earliest_start(job.nodes, runtime, now) <= now:
+            if profile.fits_now(job.nodes, runtime):
                 profile.reserve(now, runtime, job.nodes)
                 started.append(job)
         return started

@@ -101,6 +101,27 @@ def _fold_releases(
     return times, released, occupied
 
 
+def _blocked_in(
+    times: list[float], free: list[int], i: int, end: float, nodes: int
+) -> int:
+    """The window test of an earliest-fit candidate in segment ``i``.
+
+    Returns the first segment after ``i`` that starts before ``end`` (by
+    more than ``TIME_EPS``) with fewer than ``nodes`` free, or ``-1`` if
+    ``nodes`` stay free all the way to ``end``.  Both
+    :meth:`AvailabilityProfile.earliest_start` and
+    :meth:`AvailabilityProfile.fits_now` ask it, so the rule for a
+    breakpoint within ``TIME_EPS`` of ``end`` is written once.
+    """
+    n = len(times)
+    j = i
+    while j + 1 < n and time_lt(times[j + 1], end):
+        j += 1
+        if free[j] < nodes:
+            return j
+    return -1
+
+
 # ----------------------------------------------------------------------
 # Debug-mode invariant checks (see repro.util.sanitize), written once over
 # the ``(times, free, capacity)`` both profile classes store
@@ -274,18 +295,27 @@ class AvailabilityProfile:
                     i += 1
                 # The last segment always has capacity free, so i < n here.
                 candidate = times[i]
-            end = candidate + duration
-            j = i
-            blocked = -1
-            while j + 1 < n and time_lt(times[j + 1], end):
-                j += 1
-                if free[j] < nodes:
-                    blocked = j
-                    break
+            blocked = _blocked_in(times, free, i, candidate + duration, nodes)
             if blocked < 0:
                 return candidate
             i = blocked
             candidate = times[blocked]
+
+    def fits_now(self, nodes: int, duration: float) -> bool:
+        """Whether ``nodes`` are free all over ``[origin, origin + duration)``.
+
+        Exactly ``earliest_start(nodes, duration, origin) <= origin``, and
+        it raises the same ``ValueError``\\ s, but it stops at the first
+        candidate: the yes/no a backfill decision asks of a job that can
+        only start now or wait.
+        """
+        if nodes > self.capacity:
+            raise ValueError(f"{nodes} nodes exceeds capacity {self.capacity}")
+        check_positive("duration", duration)
+        times, free = self.times, self.free
+        return free[0] >= nodes and _blocked_in(
+            times, free, 0, times[0] + duration, nodes
+        ) < 0
 
     def segments(self) -> list[tuple[float, int]]:
         """The ``(time, free)`` breakpoint list (a copy)."""

@@ -148,6 +148,40 @@ def test_no_starvation_under_fcfs_backfill():
     assert len(result.jobs) == 40
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=ValueError,
+    reason="ROADMAP item 6: a breakpoint is snapped only to the one at or "
+    "before it, so runtimes 10.0 and 10.000000000000002 leave two "
+    "breakpoints 2e-15 apart",
+)
+def test_near_equal_runtimes_do_not_crash_fcfs_backfill():
+    """The three 10.0-second jobs add a breakpoint at 10.0 just before the
+    first job's 10.000000000000002; the 5-node job is reserved from 10.0,
+    leaving 2 nodes on the 2e-15 segment between them.  The 3-node job's
+    window ``[0, 10.000000000000002)`` ends within ``TIME_EPS`` of 10.0,
+    so the fit test stops there and the job fits now; its ``reserve``
+    ends on the breakpoint at 10.000000000000002, claims that segment too
+    and raises "cannot reserve 3 nodes over [0.0, 10.000000000000002)"."""
+    cluster = Cluster(small_cluster(8))
+    shapes = [
+        (1, 10.000000000000002),
+        (1, 10.0),
+        (1, 10.0),
+        (1, 10.0),
+        (5, 10.0),
+        (3, 10.000000000000002),
+    ]
+    waiting = [
+        make_job(job_id=i, submit=float(i), nodes=nodes, runtime=runtime, waiting=True)
+        for i, (nodes, runtime) in enumerate(shapes)
+    ]
+    policy = fcfs_backfill()
+    policy.reset()
+    started = policy.decide(0.0, waiting, [], cluster)
+    assert [j.job_id for j in started][:4] == [0, 1, 2, 3]
+
+
 def test_requested_runtime_mode_protects_reservation(cluster4):
     # With R* = R the backfill window is judged by requested runtimes: a
     # job whose actual runtime fits but whose requested runtime crosses

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.profile import AvailabilityProfile
 from repro.simulator.policy import RunningJob
-from repro.util.timeunits import time_eq
+from repro.util.timeunits import TIME_EPS, time_eq
 
 from tests.conftest import make_job
 
@@ -82,6 +82,68 @@ def test_earliest_start_is_minimal(reservations, q):
         assert p.min_free(c, c + duration) < nodes, (
             f"feasible start {c} found before reported {start}"
         )
+
+
+#: Offsets from the origin, for breakpoints and durations alike, that
+#: cluster within TIME_EPS of each other: 10.0 and 10.000000000000002 are
+#: two floats 2e-15 apart that runtimes really produce.
+_TIGHT_OFFSETS = [
+    10.0,
+    10.000000000000002,
+    10.0 + TIME_EPS,
+    10.0 - TIME_EPS,
+    10.0 + TIME_EPS / 2,
+    10.0 + 2 * TIME_EPS,
+    20.0,
+    20.000000000000004,
+    20.0 - TIME_EPS,
+]
+tight_offset = st.one_of(
+    st.sampled_from(_TIGHT_OFFSETS),
+    st.floats(min_value=0.5, max_value=40.0, allow_nan=False),
+)
+
+
+@st.composite
+def tight_profiles(draw):
+    """Profiles whose breakpoints sit within TIME_EPS of each other, at
+    origin 0 and at origins where the offsets round differently."""
+    origin = draw(st.sampled_from([0.0, 3600.0, 1234.5678]))
+    offsets = draw(st.lists(tight_offset, max_size=8))
+    times = sorted({origin + off for off in offsets} - {origin})
+    frees = [draw(st.integers(min_value=0, max_value=CAPACITY)) for _ in times]
+    segments = [(origin, draw(st.integers(min_value=0, max_value=CAPACITY)))]
+    segments += zip(times, frees[:-1] + [CAPACITY])
+    if len(segments) == 1:
+        segments = [(origin, CAPACITY)]
+    return AvailabilityProfile.from_segments(CAPACITY, segments)
+
+
+@given(
+    tight_profiles(),
+    st.lists(
+        st.tuples(st.integers(min_value=1, max_value=CAPACITY), tight_offset),
+        min_size=1,
+        max_size=8,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_fits_now_is_earliest_start_at_the_origin(p, queries):
+    """``fits_now`` answers exactly ``earliest_start(…, origin) <= origin``,
+    window ends within TIME_EPS of a breakpoint included."""
+    for nodes, duration in queries:
+        expected = p.earliest_start(nodes, duration, p.origin) <= p.origin
+        assert p.fits_now(nodes, duration) is expected, (nodes, duration, p.segments())
+
+
+@pytest.mark.parametrize("nodes,duration", [(CAPACITY + 1, 10.0), (1, 0.0), (1, -1.0)])
+def test_fits_now_raises_what_earliest_start_raises(nodes, duration):
+    p = AvailabilityProfile(CAPACITY, origin=5.0)
+    with pytest.raises(ValueError) as expected:
+        p.earliest_start(nodes, duration, p.origin)
+    with pytest.raises(ValueError) as got:
+        p.fits_now(nodes, duration)
+    assert str(got.value) == str(expected.value)
 
 
 @given(st.lists(reservation, min_size=1, max_size=10))
