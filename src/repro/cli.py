@@ -41,9 +41,7 @@ Policy specs accepted by ``run --policy``:
 The grid-running commands (``figure``, ``claims``, ``reproduce``) accept
 ``--workers N`` (0 = all cores) to fan simulations across a process pool
 and ``--cache-dir``/``--no-cache`` to control the on-disk run cache; see
-:mod:`repro.experiments.parallel`.  ``run`` additionally supports
-``--checkpoint-dir``/``--checkpoint-every``/``--resume`` for
-interrupt-safe long simulations (:mod:`repro.simulator.checkpoint`).
+:mod:`repro.experiments.parallel`.
 """
 
 from __future__ import annotations
@@ -65,7 +63,7 @@ from repro.backfill.variants import (
 from repro.core.scheduler import make_policy
 from repro.experiments.config import current_scale
 from repro.experiments.figures import ARTIFACTS
-from repro.experiments.runner import PolicyRun, resume_run, simulate
+from repro.experiments.runner import PolicyRun, simulate
 from repro.metrics.excessive import excessive_wait_stats
 from repro.simulator.policy import SchedulingPolicy
 from repro.util.timeunits import HOUR
@@ -255,27 +253,9 @@ def _print_run(run: PolicyRun, excess_threshold: float | None) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.resume:
-        try:
-            run = resume_run(args.resume)
-        except (FileNotFoundError, OSError) as exc:
-            raise CliError(str(exc)) from None
-        _print_run(run, args.excess_threshold)
-        return 0
     workload = _load_workload(args)
     policy = parse_policy(args.policy, args.node_limit, not args.requested_runtimes)
-    checkpoint = None
-    if args.checkpoint_dir:
-        from repro.simulator.checkpoint import CheckpointConfig
-
-        try:
-            checkpoint = CheckpointConfig(
-                directory=args.checkpoint_dir,
-                every_decisions=args.checkpoint_every,
-            )
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-    run = simulate(workload, policy, checkpoint=checkpoint)
+    run = simulate(workload, policy)
     _print_run(run, args.excess_threshold)
     return 0
 
@@ -536,27 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="also report excessive wait beyond this many hours",
-    )
-    run.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        metavar="DIR",
-        help="snapshot the simulation into DIR so an interrupted run can "
-        "be finished with --resume DIR",
-    )
-    run.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=256,
-        metavar="N",
-        help="decisions between snapshots (default 256)",
-    )
-    run.add_argument(
-        "--resume",
-        default=None,
-        metavar="DIR",
-        help="resume the newest usable checkpoint under DIR instead of "
-        "starting a run (other workload/policy flags are ignored)",
     )
     run.set_defaults(func=cmd_run)
 

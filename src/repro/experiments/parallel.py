@@ -10,10 +10,9 @@ spec — and the first time, as wide as the hardware allows.
 Design constraints, in order:
 
 1. **Bit-identical results.**  A worker resolves its workload from the
-   same deterministic generator inputs the serial path uses and installs a
-   per-run :class:`~repro.util.rng.RngStream` derived from the spec hash
-   (never the global RNG state), so ``max_workers=N`` produces exactly the
-   metrics of ``max_workers=1`` — asserted by
+   same deterministic generator inputs the serial path uses and never
+   touches the global RNG state, so ``max_workers=N`` produces exactly
+   the metrics of ``max_workers=1`` — asserted by
    ``tests/test_parallel_runner.py``.
 2. **Failure isolation.**  A run that raises returns a structured
    :class:`RunError` (type, message, traceback) in its grid slot instead
@@ -50,7 +49,6 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.experiments.cache import CACHE_VERSION, RunCache
 from repro.experiments.runner import PolicyRun, simulate
-from repro.util.rng import derive_run_stream, set_run_stream
 from repro.simulator.policy import SchedulingPolicy
 from repro.workloads.estimates import (
     MenuEstimates,
@@ -235,28 +233,9 @@ def cache_key(spec: RunSpec) -> str | None:
 # ----------------------------------------------------------------------
 # Worker-side execution
 # ----------------------------------------------------------------------
-def _run_seed(spec: RunSpec) -> int:
-    """Deterministic per-run seed, independent of worker assignment."""
-    if isinstance(spec.policy, PolicySpec):
-        policy_token: object = asdict(spec.policy)
-    else:
-        policy_token = getattr(spec.policy, "__qualname__", repr(spec.policy))
-    text = json.dumps(
-        ["run-seed", _workload_fingerprint(spec.workload), policy_token],
-        sort_keys=True,
-        default=str,
-    )
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:4], "big")
-
-
 def _execute(item: tuple[int, RunSpec]) -> "tuple[int, PolicyRun | RunError]":
     """Run one cell; never raises (exceptions become :class:`RunError`)."""
     index, spec = item
-    # Per-run randomness goes through a derived stream, never the global
-    # random/np.random state (simlint SIM002): the stream is a pure
-    # function of the spec, so results are identical regardless of which
-    # worker — or how many — executes the cell.
-    previous = set_run_stream(derive_run_stream(_run_seed(spec)))
     try:
         workload = (
             spec.workload if isinstance(spec.workload, Workload) else spec.workload.build()
@@ -273,8 +252,6 @@ def _execute(item: tuple[int, RunSpec]) -> "tuple[int, PolicyRun | RunError]":
             message=str(exc),
             traceback=traceback.format_exc(),
         )
-    finally:
-        set_run_stream(previous)
 
 
 def _picklable(spec: RunSpec) -> bool:

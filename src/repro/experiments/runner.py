@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 if TYPE_CHECKING:  # cache.py imports runner; type-only to avoid the cycle
@@ -11,11 +10,9 @@ if TYPE_CHECKING:  # cache.py imports runner; type-only to avoid the cycle
 
 from repro.metrics.excessive import ExcessiveWaitStats, excessive_wait_stats
 from repro.metrics.measures import JobMetrics, compute_metrics
-from repro.simulator import checkpoint as _checkpoint
-from repro.simulator.engine import Simulation, SimulationResult
+from repro.simulator.engine import Simulation
 from repro.simulator.job import Job
 from repro.simulator.policy import SchedulingPolicy
-from repro.util import rng
 from repro.workloads.trace import Workload
 
 #: A policy factory — matrices need a fresh policy object per run because
@@ -42,66 +39,24 @@ class PolicyRun:
         return excessive_wait_stats(self.jobs, threshold_seconds)
 
 
-def simulate(
-    workload: Workload,
-    policy: SchedulingPolicy,
-    checkpoint: "_checkpoint.CheckpointConfig | None" = None,
-) -> PolicyRun:
+def simulate(workload: Workload, policy: SchedulingPolicy) -> PolicyRun:
     """Simulate ``policy`` on a fresh copy of ``workload`` and summarize.
 
     The workload's own jobs are never mutated; each call gets fresh job
-    objects, so the same :class:`Workload` can back many runs.  With a
-    ``checkpoint`` config the run snapshots itself periodically and an
-    interrupted run can be finished by :func:`resume_run`.
+    objects, so the same :class:`Workload` can back many runs.
     """
-    if checkpoint is not None:
-        # Stamp the envelope fields resume_run needs into every snapshot.
-        checkpoint.meta.setdefault("workload_name", workload.name)
-        checkpoint.meta.setdefault("offered_load", workload.offered_load())
     sim = Simulation(
         jobs=workload.fresh_jobs(),
         policy=policy,
         cluster_config=workload.cluster,
         window=workload.window,
-        checkpoint=checkpoint,
     )
     result = sim.run()
-    return _package(workload.name, workload.offered_load(), result)
-
-
-def resume_run(directory: str | Path) -> PolicyRun:
-    """Finish an interrupted checkpointed run and summarize it.
-
-    Loads the newest usable snapshot under ``directory`` (corrupt ones are
-    skipped), reinstalls its per-run RNG stream, and drives the simulation
-    to completion — producing the same :class:`PolicyRun` the original
-    :func:`simulate` call would have returned, bit-identical except for
-    ``wall_seconds``.
-    """
-    found = _checkpoint.latest_checkpoint(directory)
-    if found is None:
-        raise FileNotFoundError(f"no usable checkpoint under {directory}")
-    previous = rng.set_run_stream(found.run_stream)
-    try:
-        result = found.simulation.resume_from(found.state)
-    finally:
-        rng.set_run_stream(previous)
-    return _package(
-        str(found.meta.get("workload_name", "resumed")),
-        float(found.meta.get("offered_load", 0.0)),
-        result,
-    )
-
-
-def _package(
-    workload_name: str, offered_load: float, result: SimulationResult
-) -> PolicyRun:
-    """Fold a raw :class:`SimulationResult` into the run envelope."""
     in_window = result.jobs_in_window()
     return PolicyRun(
-        workload_name=workload_name,
+        workload_name=workload.name,
         policy_name=result.policy_name,
-        offered_load=offered_load,
+        offered_load=workload.offered_load(),
         metrics=compute_metrics(in_window),
         avg_queue_length=result.avg_queue_length,
         utilization=result.utilization,

@@ -13,7 +13,7 @@ here follow *values* through the function via
   that order can reach scores or merge results the replay contract dies.
 - **SIM008 — pickle-boundary safety.**  Lambdas, nested functions,
   generators, open handles and module-level mutable state must not cross
-  into worker-pool submissions or checkpoint snapshots.
+  into worker-pool submissions or a pickled ``LoopState``.
 - **SIM010 — fault-site conformance.**  Every fault-injection call names
   a site declared in :data:`repro.util.faults.SITES`, so a typo cannot
   make a chaos plan silently no-op.
@@ -340,8 +340,8 @@ def _check_sim008(
                 elif resolved in ("pickle.dumps", "pickle.dump") and call.args:
                     boundary = f"`{resolved}(...)`"
                     args = [call.args[0]]
-                elif resolved.rsplit(".", 1)[-1] in ("save_checkpoint", "LoopState"):
-                    boundary = f"`{resolved.rsplit('.', 1)[-1]}(...)`"
+                elif resolved.rsplit(".", 1)[-1] == "LoopState":
+                    boundary = "`LoopState(...)`"
                     args = [*call.args, *[k.value for k in call.keywords]]
                 if not boundary:
                     continue
@@ -379,7 +379,6 @@ def _check_sim008(
 _SITES_FALLBACK = (
     "cache.read",
     "cache.write",
-    "engine.step",
     "service.request",
     "service.decide",
     "service.snapshot",

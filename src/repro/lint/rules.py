@@ -108,10 +108,10 @@ RULES: tuple[Rule, ...] = (
     ),
     Rule(
         "SIM008",
-        "no unpicklable values across process/checkpoint boundaries",
+        "no unpicklable values across process/snapshot boundaries",
         "lambdas, nested functions, generators, open handles and "
         "module-level mutable state cannot round-trip through worker-pool "
-        "submissions or LoopState checkpoint snapshots",
+        "submissions or a LoopState's snapshot",
     ),
     Rule(
         "SIM010",

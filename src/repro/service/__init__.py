@@ -22,9 +22,8 @@ fail, snapshots rot and queues overflow.  The pieces:
   snapshots, and the choice of where a request runs (the event loop
   when it is cheaper than a thread hop, a worker thread otherwise);
 - :mod:`repro.service.recovery` — checksummed, rotated snapshots of a
-  tenant's live state (same envelope as :mod:`repro.simulator.checkpoint`)
-  beside an append-only log of its finished jobs, and the crash-recovery
-  scan over both.
+  tenant's live state beside an append-only log of its finished jobs,
+  and the crash-recovery scan over both.
 
 Robustness is verified the same way as the rest of the fault-tolerance
 layer: the ``service.*`` sites in :data:`repro.util.faults.SITES` inject

@@ -8,8 +8,7 @@ persisted is split by how it changes:
 - the **live snapshot** — :meth:`~repro.service.tenant.TenantEngine
   .snapshot_record`: queue, running set, event queue, policy, watermark,
   and a *count* of the finished jobs — is rewritten whole at every save,
-  in the same checksummed envelope as batch checkpoints
-  (:func:`repro.simulator.checkpoint.dump_snapshot` — magic, sha256, one
+  in a checksummed envelope (:func:`dump_snapshot`: magic, sha256, one
   pickle blob so object aliasing survives), atomically, and rotated.  Its
   size follows the live state, not the tenant's age;
 - the **finished-job log** — one file per tenant that only grows: each
@@ -49,18 +48,19 @@ import re
 import struct
 from contextlib import closing
 from pathlib import Path
+from typing import Any
 
 from repro.service.tenant import TenantEngine
-from repro.simulator.checkpoint import (
-    CorruptCheckpoint,
-    dump_snapshot,
-    parse_snapshot,
-)
 from repro.simulator.job import Job
 from repro.util import faults
 from repro.util.atomio import atomic_write_bytes, fsync_directory
 
 log = logging.getLogger("repro.service.recovery")
+
+#: Format tag of a snapshot file; bump the suffix when the blob layout
+#: changes.  The tenant format inherited it from the retired batch
+#: checkpoints, so every snapshot written so far carries it.
+MAGIC = b"REPRO-CKPT-1\n"
 
 #: Tenant ids become directory names; keep them filesystem-safe.
 TENANT_ID_PATTERN = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
@@ -87,6 +87,44 @@ def tenant_directory(root: str | Path, tenant_id: str) -> Path:
     if not valid_tenant_id(tenant_id):
         raise ValueError(f"tenant id {tenant_id!r} is not filesystem-safe")
     return Path(root) / tenant_id
+
+
+class CorruptCheckpoint(ValueError):
+    """A snapshot or log frame failed magic/checksum/structure validation."""
+
+
+# ----------------------------------------------------------------------
+# The snapshot envelope: ``MAGIC + sha256(blob) + "\n" + blob``
+# ----------------------------------------------------------------------
+def dump_snapshot(record: dict[str, Any]) -> bytes:
+    """Serialize ``record`` into the checksummed on-disk envelope."""
+    blob = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+    digest = hashlib.sha256(blob).hexdigest().encode("ascii")
+    return MAGIC + digest + b"\n" + blob
+
+
+def parse_snapshot(raw: bytes, origin: str = "snapshot") -> dict[str, Any]:
+    """Validate the envelope and unpickle its record.
+
+    Raises :class:`CorruptCheckpoint` on bad magic, a checksum mismatch
+    (torn write, disk rot, injected corruption) or an unpicklable blob —
+    callers treat any of those as "this snapshot does not exist" and fall
+    back to an older one.
+    """
+    if not raw.startswith(MAGIC):
+        raise CorruptCheckpoint(f"{origin}: bad magic (not a repro checkpoint)")
+    header, sep, blob = raw[len(MAGIC) :].partition(b"\n")
+    if not sep or len(header) != 64:
+        raise CorruptCheckpoint(f"{origin}: malformed checksum header")
+    if hashlib.sha256(blob).hexdigest().encode("ascii") != header:
+        raise CorruptCheckpoint(f"{origin}: checksum mismatch (torn write?)")
+    try:
+        record = pickle.loads(blob)
+    except Exception as exc:
+        raise CorruptCheckpoint(f"{origin}: unpicklable blob ({exc})") from None
+    if not isinstance(record, dict):
+        raise CorruptCheckpoint(f"{origin}: blob is not a snapshot record")
+    return record
 
 
 # ----------------------------------------------------------------------

@@ -264,8 +264,7 @@ class TenantEngine:
         large as, what is live (queue, running set, event queue, policy),
         not what the tenant has ever seen.  It is pickled as a unit, which
         preserves the aliasing between the queue, the event queue's
-        payloads and the cluster's running set — the same property the
-        batch checkpoint format relies on; nothing live refers to a
+        payloads and the cluster's running set; nothing live refers to a
         finished job, so nothing is lost by their absence.
         """
         return {
@@ -318,8 +317,8 @@ class TenantEngine:
             )
         }
         engine.decided_through = float(watermark)
-        # Mirror the batch resume path: the policy's mid-run state rode
-        # along in the snapshot, so no reset — only re-acquire resources.
+        # The policy's mid-run state rode along in the snapshot, so no
+        # reset — only re-acquire resources.
         sim.policy.on_simulation_begin()
         return engine
 

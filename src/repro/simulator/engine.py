@@ -9,13 +9,6 @@ The engine also accumulates the time-integrals the evaluation needs (average
 queue length, utilization) restricted to a measurement window, which is how
 the paper excludes the warm-up/cool-down weeks from each month's statistics.
 
-Long runs can be made interrupt-safe: give :class:`Simulation` a
-:class:`~repro.simulator.checkpoint.CheckpointConfig` and the whole loop
-state (event queue, cluster, queue, accumulators, policy, RNG stream) is
-snapshotted every N decisions; :func:`repro.simulator.checkpoint.resume`
-continues an interrupted run to a bit-identical finish (see
-``docs/robustness.md``).
-
 The loop body itself is one method — :meth:`Simulation.consume_batch`
 processes a single simultaneous event batch (accounting, completions
 before arrivals, exactly one policy decision, job starts) — so a caller
@@ -36,12 +29,10 @@ from typing import Callable, Iterable, Sequence
 
 from repro.metrics.timeseries import StateTimeSeries
 from repro.predict.source import RequestedRuntimeSource
-from repro.simulator.checkpoint import CheckpointConfig, save_checkpoint
 from repro.simulator.cluster import Cluster, ClusterConfig
 from repro.simulator.events import Event, EventKind, EventQueue
 from repro.simulator.job import Job, JobState
 from repro.simulator.policy import RunningJob, SchedulingPolicy
-from repro.util import faults
 from repro.util.sanitize import require, sanitize_enabled
 
 
@@ -75,13 +66,13 @@ class SimulationResult:
 
 @dataclass
 class LoopState:
-    """Everything the event loop mutates, gathered for checkpointing.
+    """Everything the event loop mutates, in one place.
 
     A :class:`Simulation` is immutable once constructed except for the
     policy (which pickles alongside the simulation object); the loop's own
-    progress lives here so one snapshot of ``(simulation, state)`` is the
-    complete resume point.  ``saved_at`` records the decision count of the
-    last snapshot so a resumed run does not immediately re-save.
+    progress lives here, so one pickle of ``(simulation, state)`` is a
+    complete resume point — which is what a service tenant's snapshot is
+    (:meth:`repro.service.tenant.TenantEngine.snapshot_record`).
     """
 
     events: EventQueue
@@ -92,7 +83,6 @@ class LoopState:
     queue_integral: float = 0.0
     busy_integral: float = 0.0
     prev_time: float = 0.0
-    saved_at: int = -1
 
 
 #: Signature of a decision override handed to :meth:`Simulation.consume_batch`
@@ -155,10 +145,6 @@ class Simulation:
     window:
         ``(lo, hi)`` measurement window for time-averaged statistics.
         Defaults to the full span of the workload.
-    checkpoint:
-        Optional :class:`~repro.simulator.checkpoint.CheckpointConfig`;
-        when set, the loop snapshots itself every ``every_decisions``
-        scheduling decisions so an interrupted run can be resumed.
     """
 
     def __init__(
@@ -168,7 +154,6 @@ class Simulation:
         cluster_config: ClusterConfig | None = None,
         window: tuple[float, float] | None = None,
         record_timeseries: bool = False,
-        checkpoint: CheckpointConfig | None = None,
     ) -> None:
         self.jobs = sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
         if not self.jobs:
@@ -188,10 +173,9 @@ class Simulation:
             window = (self.jobs[0].submit_time, self.jobs[-1].submit_time + 1.0)
         self.window = window
         self.record_timeseries = record_timeseries
-        self.checkpoint = checkpoint
 
-    #: Derived from the cluster's running set, so never pickled: a resumed
-    #: run or a restored tenant starts without it and re-seeds it at its
+    #: Derived from the cluster's running set, so never pickled: a restored
+    #: tenant starts without it and re-seeds it at its
     #: next decision (:meth:`_running_view`).
     _kept: "_ReleaseOrder | None" = None
 
@@ -227,7 +211,6 @@ class Simulation:
         sim.cluster = Cluster(cluster_config)
         sim.window = window if window is not None else (0.0, float("inf"))
         sim.record_timeseries = record_timeseries
-        sim.checkpoint = None
         return sim
 
     # ------------------------------------------------------------------
@@ -235,64 +218,19 @@ class Simulation:
         """Run to completion of every job and return the results."""
         self.policy.reset()
         self.policy.runtime_source.reset()
-        return self._execute(self._fresh_state())
-
-    def resume_from(self, state: LoopState) -> SimulationResult:
-        """Continue an interrupted run from a restored :class:`LoopState`.
-
-        Unlike :meth:`run` this does **not** reset the policy or the
-        runtime source — their mid-run state travelled inside the
-        checkpoint and resetting it would diverge from the uninterrupted
-        run.  Normally reached via
-        :func:`repro.simulator.checkpoint.resume`.
-        """
-        return self._execute(state)
-
-    def _fresh_state(self) -> LoopState:
-        events = EventQueue()
-        for job in self.jobs:
-            job.reset_lifecycle()
-            events.push(job.submit_time, EventKind.ARRIVAL, job)
-        return LoopState(
-            events=events,
-            waiting=[],
-            completed=[],
-            timeseries=StateTimeSeries() if self.record_timeseries else None,
-            prev_time=events.peek_time() or 0.0,
-        )
-
-    def _execute(self, state: LoopState) -> SimulationResult:
+        st = self._fresh_state()
         wall_start = _wallclock.perf_counter()
         # Lifecycle hooks bracket the whole event loop: policies that hold
         # per-run resources acquire them once per simulation, not per
         # decision.
         self.policy.on_simulation_begin()
         try:
-            return self._run_loop(wall_start, state)
+            while st.events:
+                self.consume_batch(st, st.events.pop_simultaneous())
         finally:
             self.policy.on_simulation_end()
 
-    def _run_loop(self, wall_start: float, st: LoopState) -> SimulationResult:
-        ckpt = self.checkpoint
         win_lo, win_hi = self.window
-
-        while st.events:
-            # Snapshot *before* consuming the next batch, so an injected
-            # or real crash right after loses at most the work since the
-            # previous snapshot and the resumed loop re-enters here with
-            # the queue intact.
-            if (
-                ckpt is not None
-                and st.decision_count > 0
-                and st.decision_count % ckpt.every_decisions == 0
-                and st.decision_count != st.saved_at
-            ):
-                save_checkpoint(self, st)
-                st.saved_at = st.decision_count
-            faults.fire("engine.step")
-
-            self.consume_batch(st, st.events.pop_simultaneous())
-
         window_span = max(win_hi - win_lo, 1e-12)
         result = SimulationResult(
             jobs=st.completed,
@@ -312,6 +250,19 @@ class Simulation:
                 "unfinished jobs (policy starvation or engine bug)"
             )
         return result
+
+    def _fresh_state(self) -> LoopState:
+        events = EventQueue()
+        for job in self.jobs:
+            job.reset_lifecycle()
+            events.push(job.submit_time, EventKind.ARRIVAL, job)
+        return LoopState(
+            events=events,
+            waiting=[],
+            completed=[],
+            timeseries=StateTimeSeries() if self.record_timeseries else None,
+            prev_time=events.peek_time() or 0.0,
+        )
 
     # ------------------------------------------------------------------
     def consume_batch(

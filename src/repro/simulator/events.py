@@ -40,8 +40,8 @@ class EventQueue:
 
     The tie-break sequence is a plain integer counter (not an
     ``itertools.count``) so a queue snapshot pickles and restores exactly
-    — checkpoint/resume (:mod:`repro.simulator.checkpoint`) must continue
-    the sequence where the interrupted run left off.
+    — a tenant restored from a snapshot (:mod:`repro.service.recovery`)
+    must continue the sequence where the interrupted engine left off.
     """
 
     def __init__(self) -> None:

@@ -1,7 +1,7 @@
 """Atomic file writes: no reader ever sees a truncated artifact.
 
 Every durable artifact this project produces — run-cache entries,
-``BENCH_search.json``, reproduction reports, simulation checkpoints — is
+``BENCH_search.json``, reproduction reports, tenant snapshots — is
 written through this module so an interrupt (SIGKILL, OOM, power loss)
 can never leave a half-written file behind.  The recipe is the classic
 one:

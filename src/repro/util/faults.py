@@ -1,8 +1,8 @@
 """Deterministic, plan-driven fault injection for the robustness layer.
 
 Production failures — a decision raising mid-request, a run-cache
-entry truncated by a power loss, a simulation process OOM-killed a week
-into a month — are rare, uncorrelated, and miserable to reproduce.  This
+entry truncated by a power loss, a service killed half-way through a
+snapshot — are rare, uncorrelated, and miserable to reproduce.  This
 module makes them *first-class, replayable inputs*: a :class:`FaultPlan`
 names the injection sites, their firing probabilities, and a seed; every
 probabilistic decision draws from a per-site :class:`~repro.util.rng
@@ -17,7 +17,6 @@ site                      what firing means
 ========================  ====================================================
 ``cache.read``            a run-cache read observes torn/corrupt content
 ``cache.write``           a run-cache write persists corrupted bytes
-``engine.step``           the simulation engine dies at a decision point
 ``service.request``       decision-service request intake fails transiently
                           (retried with backoff before the tenant loop
                           answers; see ``docs/service.md``)
@@ -31,13 +30,13 @@ Enable via the ``REPRO_FAULTS`` environment variable or
 :func:`set_fault_plan` / :func:`injected_faults` from code.  The plan
 grammar is comma- or whitespace-separated tokens::
 
-    REPRO_FAULTS="seed=2005,service.decide=0.4,cache.write=1.0/3,engine.step=1@120"
+    REPRO_FAULTS="seed=2005,service.decide=0.4,cache.write=1.0/3,service.snapshot=1/1@120"
 
 - ``seed=N`` seeds every site's stream (default 0);
 - ``site=rate`` fires with probability ``rate`` per consultation;
 - an optional ``/limit`` caps the total number of firings at a site;
 - an optional ``@after`` suppresses the first ``after`` consultations
-  (e.g. ``engine.step=1@120`` crashes exactly at the 121st decision).
+  (e.g. ``service.snapshot=1/1@120`` tears exactly the 121st snapshot).
 
 The injected failures are indistinguishable from real ones to the code
 under test — the fault layer's contract (see ``docs/robustness.md``) is
@@ -59,7 +58,6 @@ from repro.util.rng import RngStream
 SITES: tuple[str, ...] = (
     "cache.read",
     "cache.write",
-    "engine.step",
     "service.request",
     "service.decide",
     "service.snapshot",

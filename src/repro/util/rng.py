@@ -83,33 +83,3 @@ def spawn_streams(master_seed: int, names: list[str]) -> dict[str, RngStream]:
     """Create one :class:`RngStream` per name from a single master seed."""
     return {name: RngStream(master_seed, name) for name in names}
 
-
-# ----------------------------------------------------------------------
-# Per-run stream registry
-# ----------------------------------------------------------------------
-# Experiment executors derive one stream per simulation run instead of
-# seeding the process-global ``random``/``np.random`` state (simlint rule
-# SIM002 forbids the latter): global seeding couples unrelated consumers
-# through hidden state and silently breaks when a library call consumes
-# draws in between.  Any future stochastic component of a *run* (random
-# tie-breaks, noise injection, ...) must draw from ``run_stream()``.
-
-_run_stream: RngStream | None = None
-
-
-def derive_run_stream(seed: int, name: str = "run") -> RngStream:
-    """A named stream for one simulation run, derived from a content seed."""
-    return RngStream(seed, name)
-
-
-def set_run_stream(stream: RngStream | None) -> RngStream | None:
-    """Install the active per-run stream; returns the previous one."""
-    global _run_stream
-    previous = _run_stream
-    _run_stream = stream
-    return previous
-
-
-def run_stream() -> RngStream | None:
-    """The stream of the run currently executing, if any."""
-    return _run_stream

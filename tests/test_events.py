@@ -1,8 +1,11 @@
 """Unit tests for the event queue."""
 
 import inspect
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simulator.events import Event, EventKind, EventQueue
 from repro.util.timeunits import TIME_EPS, time_eq
@@ -108,3 +111,38 @@ def test_order_is_time_then_seq_and_never_reaches_kind_or_payload():
     other = EventQueue().push(7.0, EventKind.ARRIVAL)
     with pytest.raises(TypeError):
         min(EventQueue().push(7.0, EventKind.FINISH), other)
+
+
+# ----------------------------------------------------------------------
+# Pickling (hypothesis): a tenant snapshot pickles the event queue, so a
+# round-trip must preserve drain order and continue the tie-break
+# sequence across the snapshot boundary.
+# ----------------------------------------------------------------------
+@settings(max_examples=50, deadline=None)
+@given(
+    times=st.lists(
+        st.floats(min_value=0.0, max_value=1e6, allow_nan=False), min_size=1, max_size=40
+    ),
+    split=st.integers(min_value=0, max_value=40),
+)
+def test_event_queue_pickle_roundtrip_preserves_order(times, split):
+    queue = EventQueue()
+    for i, t in enumerate(times):
+        queue.push(t, EventKind.ARRIVAL, payload=i)
+    drained = [queue.pop() for _ in range(min(split, len(queue)))]
+
+    clone: EventQueue = pickle.loads(pickle.dumps(queue))
+    # Same remaining drain order...
+    rest_a = [(e.time, e.seq, e.payload) for e in _drain(queue)]
+    rest_b = [(e.time, e.seq, e.payload) for e in _drain(clone)]
+    assert rest_a == rest_b
+    # ... and pushes after the snapshot continue the tie-break sequence.
+    seqs = {e.seq for e in drained} | {s for _, s, _ in rest_a}
+    follow_up = clone.push(0.0, EventKind.FINISH)
+    assert follow_up.seq == len(times)
+    assert follow_up.seq not in seqs
+
+
+def _drain(queue: EventQueue):
+    while queue:
+        yield queue.pop()

@@ -27,16 +27,16 @@ from repro.util.faults import (
 # ----------------------------------------------------------------------
 def test_parse_full_grammar():
     plan = FaultPlan.parse(
-        "seed=7,service.decide=0.25, cache.write=1.0/3 engine.step=1@120"
+        "seed=7,service.decide=0.25, cache.write=1.0/3 service.snapshot=1@120"
     )
     assert plan.seed == 7
     assert plan.sites["service.decide"] == SiteSpec(rate=0.25)
     assert plan.sites["cache.write"] == SiteSpec(rate=1.0, limit=3)
-    assert plan.sites["engine.step"] == SiteSpec(rate=1.0, after=120)
+    assert plan.sites["service.snapshot"] == SiteSpec(rate=1.0, after=120)
 
 
 def test_parse_roundtrips_through_describe():
-    text = "seed=7,cache.write=1/3,engine.step=1@120,service.decide=0.25"
+    text = "seed=7,cache.write=1/3,service.snapshot=1@120,service.decide=0.25"
     plan = FaultPlan.parse(text)
     assert FaultPlan.parse(plan.describe()) == plan
 
@@ -47,12 +47,16 @@ def test_unknown_site_rejected():
 
 
 def test_retired_pool_site_is_an_unknown_site():
-    """A stale plan naming a site of the retired process-pool rung must
-    fail loudly, listing what is left, not parse and fire nothing."""
+    """A stale plan naming a site of the retired process-pool rung — or
+    the retired ``engine.step``, which crashed batch runs so they could be
+    resumed from a checkpoint — must fail loudly, listing what is left,
+    not parse and fire nothing."""
     with pytest.raises(ValueError, match="unknown fault sites") as excinfo:
         FaultPlan.parse("seed=1,worker.crash=0.1")
-    assert len(faults.SITES) == 6
+    assert len(faults.SITES) == 5
     assert all(site in str(excinfo.value) for site in faults.SITES)
+    with pytest.raises(ValueError, match="unknown fault sites"):
+        FaultPlan.parse("seed=1,engine.step=1@120")
 
 
 @pytest.mark.parametrize("bad", ["service.decide", "service.decide=1.5", "service.decide=-0.1"])
@@ -99,8 +103,8 @@ def test_limit_caps_total_firings():
 
 
 def test_after_suppresses_early_consultations():
-    injector = FaultInjector(FaultPlan.parse("seed=1,engine.step=1@5"))
-    assert _firing_sequence(injector, "engine.step", 7) == (False,) * 5 + (True, True)
+    injector = FaultInjector(FaultPlan.parse("seed=1,service.snapshot=1@5"))
+    assert _firing_sequence(injector, "service.snapshot", 7) == (False,) * 5 + (True, True)
 
 
 def test_unlisted_site_never_fires():

@@ -5,8 +5,8 @@ between decisions and hands that out instead of rebuilding and re-sorting
 it.  Every test here compares what a policy was handed against the view
 ``sorted(...)`` from scratch — exactly, floats included — across start/
 finish interleavings, the ``now + 1.0`` clamp window, a runtime source
-whose belief moves with ``now``, a second ``run()`` of one object, a
-checkpoint resume and a tenant restored from a snapshot.  The kept order
+whose belief moves with ``now``, a second ``run()`` of one object and a
+tenant restored from a snapshot.  The kept order
 is derived state: it must never reach a pickle.
 """
 
@@ -21,18 +21,11 @@ from repro.core.scheduler import SearchSchedulingPolicy
 from repro.predict.predictors import RecentAveragePredictor
 from repro.predict.source import PredictedRuntimeSource
 from repro.service.api import DecisionRequest, JobSpec
-from repro.service.recovery import restore_tenant, snapshot_tenant
+from repro.service.recovery import dump_snapshot, restore_tenant, snapshot_tenant
 from repro.service.tenant import TenantEngine
-from repro.simulator.checkpoint import (
-    CheckpointConfig,
-    dump_snapshot,
-    latest_checkpoint,
-    resume,
-)
 from repro.simulator.engine import Simulation
 from repro.simulator.job import Job
 from repro.simulator.policy import RunningJob, SchedulingPolicy
-from repro.util.faults import FaultPlan, InjectedFault, injected_faults
 from repro.util.sanitize import sanitized
 from repro.util.timeunits import time_eq
 from repro.workloads.synthetic import generate_month
@@ -197,29 +190,6 @@ def _month():
 
 def _policy():
     return SearchSchedulingPolicy(node_limit=150)
-
-
-def test_checkpoint_resume_rebuilds_the_kept_order(tmp_path):
-    workload = _month()
-    clean = Simulation(
-        workload.fresh_jobs(), _policy(), workload.cluster, window=workload.window
-    ).run()
-    config = CheckpointConfig(directory=tmp_path, every_decisions=25)
-    sim = Simulation(
-        workload.fresh_jobs(), _policy(), workload.cluster,
-        window=workload.window, checkpoint=config,
-    )
-    with injected_faults(FaultPlan.parse("seed=1,engine.step=1@120")):
-        with pytest.raises(InjectedFault):
-            sim.run()
-    assert sim._kept is not None  # the crashed process had one ...
-    snapshot = latest_checkpoint(tmp_path)
-    assert snapshot is not None
-    assert "_kept" not in vars(snapshot.simulation)  # ... the snapshot none
-    with sanitized():  # kept == rebuilt asserted at every resumed decision
-        resumed = resume(tmp_path)
-    assert _times(resumed.jobs) == _times(clean.jobs)
-    assert resumed.extra == clean.extra
 
 
 def _requests(workload):

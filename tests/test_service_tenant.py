@@ -19,6 +19,7 @@ from repro.cli import parse_policy
 from repro.backfill import fcfs_backfill
 from repro.service.api import DecisionRequest, JobSpec
 from repro.service.recovery import (
+    dump_snapshot,
     latest_tenant_snapshot,
     list_tenants,
     restore_tenant,
@@ -26,7 +27,6 @@ from repro.service.recovery import (
     valid_tenant_id,
 )
 from repro.service.tenant import PRIMARY_MODE, TenantEngine, TenantError
-from repro.simulator.checkpoint import dump_snapshot
 from repro.simulator.engine import Simulation
 from repro.util.atomio import atomic_write_bytes
 from repro.util.timeunits import HOUR, time_eq
@@ -68,7 +68,7 @@ def _job_times(jobs):
 # ----------------------------------------------------------------------
 # Bit-identity with the batch simulator
 # ----------------------------------------------------------------------
-@pytest.mark.fault_sensitive  # injected decide/step faults change decisions
+@pytest.mark.fault_sensitive  # injected decide faults change decisions
 def test_fault_free_replay_is_bit_identical_to_batch_run():
     workload = _workload()
     batch = Simulation(

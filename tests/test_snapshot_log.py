@@ -11,12 +11,15 @@ guarantees").  The properties held here:
 - a log that is torn, short or ahead of its snapshots never yields a wrong
   tenant: restore takes the newest snapshot the intact prefix covers and
   cuts everything newer away, idempotently;
-- a failed append does not poison the next one.
+- a failed append does not poison the next one;
+- the envelope refuses what is not an intact snapshot, and what earlier
+  releases wrote still restores.
 """
 
 from __future__ import annotations
 
 import asyncio
+import copy
 import logging
 import tempfile
 from functools import lru_cache
@@ -31,16 +34,21 @@ from repro.cli import parse_policy
 from repro.service.api import DecisionRequest, JobSpec
 from repro.service.recovery import (
     LOG_NAME,
+    MAGIC,
     SNAPSHOT_GLOB,
+    CorruptCheckpoint,
     SnapshotWriter,
+    dump_snapshot,
     latest_tenant_snapshot,
     list_tenants,
+    parse_snapshot,
     restore_tenant,
     snapshot_tenant,
 )
 from repro.service.service import AdmissionError, DecisionService, ServiceConfig
 from repro.service.tenant import TenantEngine
 from repro.util.faults import FaultPlan, faults_suppressed, injected_faults
+from repro.util.sanitize import sanitized
 from repro.util.timeunits import time_eq
 from repro.workloads.synthetic import generate_month
 from tests.conftest import small_cluster
@@ -143,6 +151,40 @@ def test_a_snapshot_with_the_old_dataclass_events_is_skipped_with_a_warning(
     assert "skipping unusable tenant snapshot" in caplog.text
     with pytest.raises(FileNotFoundError):
         restore_tenant(tmp_path, "t")
+
+
+def test_a_snapshot_written_before_batch_checkpoints_were_retired_restores(
+    tmp_path,
+):
+    """Until batch checkpoints were retired, ``LoopState`` had a
+    ``saved_at`` field and ``Simulation`` a ``checkpoint`` attribute, so
+    every tenant snapshot written before then pickles both.  They unpickle
+    as plain attributes nothing reads: such a snapshot restores, and the
+    tenant goes on deciding exactly like the uninterrupted one."""
+    assert MAGIC == b"REPRO-CKPT-1\n"  # the on-disk tag did not move
+    requests = _requests(SLICE)
+    cut = len(requests) // 2
+    original = _tenant(SLICE)
+    for request in requests[:cut]:
+        original.handle(request)
+    path = snapshot_tenant(original, tmp_path)
+
+    record = original.snapshot_record()  # its "state" is already a copy
+    record["state"].saved_at = original.decision_count
+    record["simulation"] = copy.copy(record["simulation"])
+    record["simulation"].checkpoint = None
+    raw = dump_snapshot(record)
+    assert b"saved_at" in raw and b"checkpoint" in raw
+    path.write_bytes(raw)
+
+    restored = restore_tenant(tmp_path, "t")
+    assert restored.loop_state.saved_at == original.decision_count
+    _assert_same_tenant(restored, original)
+    with sanitized():
+        for request in requests[cut:]:
+            assert restored.handle(request) == original.handle(request)
+    _assert_same_tenant(restored, original)
+    assert len(restored.completed_jobs) == len(_month(SLICE).jobs)
 
 
 # ----------------------------------------------------------------------
@@ -349,8 +391,24 @@ def test_a_torn_append_is_logged_answered_and_overwritten_by_the_next(
 
 
 # ----------------------------------------------------------------------
-# (6) the log is not a snapshot
+# (6) the log is not a snapshot, and the envelope takes only a snapshot
 # ----------------------------------------------------------------------
+def test_parse_snapshot_rejects_bad_magic():
+    with pytest.raises(CorruptCheckpoint, match="bad magic"):
+        parse_snapshot(b"not a snapshot at all", origin="snap-000000000001.pkl")
+
+
+def test_parse_snapshot_rejects_flipped_bytes():
+    engine = _tenant(SLICE)
+    for request in _requests(SLICE)[:20]:
+        engine.handle(request)
+    raw = bytearray(dump_snapshot(engine.snapshot_record()))
+    assert parse_snapshot(bytes(raw)).keys() == engine.snapshot_record().keys()
+    raw[-1] ^= 0xFF
+    with pytest.raises(CorruptCheckpoint, match="checksum mismatch"):
+        parse_snapshot(bytes(raw))
+
+
 def test_listing_and_snapshot_glob_do_not_see_the_log(tmp_path):
     engine = TenantEngine("t", fcfs_backfill(), cluster_config=small_cluster(4))
     SnapshotWriter(tmp_path / "t").close()
