@@ -39,16 +39,30 @@
  * -O3 on 2 vCPUs; docs/performance.md, "The compiled chain rolls back
  * once").
  *
- * One shortcut is shared with python (_count, place_run_fold's cut):
- * with no job submitted after now both levels only grow along a path, so
- * a subtree whose partial (exc, slow) is not below the incumbent is
- * counted, not placed (docs/performance.md, "Counting what cannot win").
+ * Two shortcuts are shared with python, both invisible in results and
+ * both under count_dominated (no job submitted after now):
+ *
+ *   - _count and place_run_fold's cut: both levels only grow along a
+ *     path, so a subtree whose partial (exc, slow) is not below the
+ *     incumbent is counted, not placed (docs/performance.md, "Counting
+ *     what cannot win");
+ *   - _wait_bound (ck_wait_bound): at a DFS node with children, the
+ *     oldest unplaced job w cannot start before its earliest fit est_w on
+ *     the partial profile (placing more only lowers it), and fl()
+ *     subtraction and addition are monotone in each argument, so every
+ *     leaf below has level 1 >= B = fl(exc + fl(fl(est_w - submit_w) -
+ *     omega)) when that term is > 0, else exc.  B > cut_exc, strictly
+ *     (a tie may still win on level 2), counts the subtree
+ *     (docs/performance.md, "The longest-waiting job's bound").  Asked at
+ *     chain entry as well it gained nothing, and asking the 2 or 4 oldest
+ *     jobs was no better or slower, so neither is built.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
 #include <math.h>
+#include <stddef.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -64,6 +78,12 @@ typedef struct {
     int created_end;
 } UndoFrame;
 
+/* A job in ck_wait_bound's order: submit time, then dense index. */
+typedef struct {
+    double submit;
+    Py_ssize_t i;
+} SubmitRank;
+
 typedef struct {
     long long nodes_visited;
     double exc;
@@ -72,6 +92,9 @@ typedef struct {
 } AnyRec;
 
 typedef struct {
+    /* One block holds every array below but `any` (ck_layout). */
+    void *arena;
+
     /* profile: parallel breakpoint arrays, live length m */
     double *t;
     long *f;
@@ -92,6 +115,11 @@ typedef struct {
     Py_ssize_t *nxt;
     Py_ssize_t *prv;
     Py_ssize_t head;
+    /* ck_wait_bound's jobs by (submit, index), and which of them the
+     * DFS has placed (chains place no flag: the bound is not asked
+     * inside one). */
+    SubmitRank *by_submit;
+    unsigned char *placed;
 
     /* path / best */
     Py_ssize_t *path_i;
@@ -130,17 +158,17 @@ typedef struct {
 } Search;
 
 /* ------------------------------------------------------------------ */
-/* SearchProfile.place: earliest-fit scan + breakpoint commit + undo   */
-/* push (`undo`: a chain's placements are rolled back by checkpoint    */
-/* and push none).  Straight transcription of profile.py (earliest ==  */
+/* SearchProfile.earliest_fit: the earliest-fit scan alone.  Returns   */
+/* the start and, in *seg, the segment holding it (t[*seg] <= start <  */
+/* t[*seg + 1]).  Straight transcription of profile.py (earliest ==    */
 /* s->now on every search call site).                                  */
 /* ------------------------------------------------------------------ */
 static inline double
-ck_place(Search *s, long nodes, double duration, const int undo)
+ck_fit(const Search *s, long nodes, double duration, Py_ssize_t *seg)
 {
-    double *t = s->t;
-    long *f = s->f;
-    Py_ssize_t m = s->m;
+    const double *t = s->t;
+    const long *f = s->f;
+    const Py_ssize_t m = s->m;
     const double eps = s->eps;
 
     double cand = s->now > t[0] ? s->now : t[0];
@@ -150,7 +178,6 @@ ck_place(Search *s, long nodes, double duration, const int undo)
         i = ni;
         ni++;
     }
-    double end;
     for (;;) {
         if (f[i] < nodes) {
             /* Skip ahead; the final segment always has capacity free. */
@@ -159,8 +186,7 @@ ck_place(Search *s, long nodes, double duration, const int undo)
                 i++;
             cand = t[i];
         }
-        end = cand + duration;
-        double end_eps = end - eps;
+        const double end_eps = (cand + duration) - eps;
         Py_ssize_t j = i + 1;
         Py_ssize_t blocked = 0;
         while (j < m && t[j] < end_eps) {
@@ -175,7 +201,26 @@ ck_place(Search *s, long nodes, double duration, const int undo)
         i = blocked;
         cand = t[blocked];
     }
-    double start = cand;
+    *seg = i;
+    return cand;
+}
+
+/* ------------------------------------------------------------------ */
+/* SearchProfile.place: ck_fit + breakpoint commit + undo push         */
+/* (`undo`: a chain's placements are rolled back by checkpoint and     */
+/* push none).                                                         */
+/* ------------------------------------------------------------------ */
+static inline double
+ck_place(Search *s, long nodes, double duration, const int undo)
+{
+    double *t = s->t;
+    long *f = s->f;
+    Py_ssize_t m = s->m;
+    const double eps = s->eps;
+
+    Py_ssize_t i;
+    const double start = ck_fit(s, nodes, duration, &i);
+    const double end = start + duration;
 
     /* start breakpoint (t[i] <= start < t[i+1] by the scan) */
     Py_ssize_t si;
@@ -458,7 +503,27 @@ ck_count(Search *s, const int lds, Py_ssize_t m, Py_ssize_t st)
 }
 
 /* ------------------------------------------------------------------ */
-/* The DFS proper (_dfs): a node not below the cut is counted.         */
+/* _wait_bound: a lower bound on level 1 of every leaf below a DFS     */
+/* node with partial level 1 `exc`.  The oldest unplaced job w cannot  */
+/* start before its earliest fit on the current profile, which only    */
+/* loses capacity further down; every fl() step of its term and of the */
+/* sum is monotone in each argument (the header's shared shortcuts).   */
+/* ------------------------------------------------------------------ */
+static inline double
+ck_wait_bound(const Search *s, double exc)
+{
+    const SubmitRank *w = s->by_submit;
+    while (s->placed[w->i])
+        w++;
+    Py_ssize_t seg;
+    const double est = ck_fit(s, s->jnodes[w->i], s->rt[w->i], &seg);
+    const double e = (est - w->submit) - s->omega;
+    return e > 0.0 ? exc + e : exc;
+}
+
+/* ------------------------------------------------------------------ */
+/* The DFS proper (_dfs): a node not below the cut is counted, and so  */
+/* is a node with children whose wait bound is above the cut.          */
 /* ------------------------------------------------------------------ */
 static int
 ck_dfs(Search *s, const int lds, Py_ssize_t m, Py_ssize_t st, double exc,
@@ -469,8 +534,11 @@ ck_dfs(Search *s, const int lds, Py_ssize_t m, Py_ssize_t st, double exc,
     Py_ssize_t lo, st0;
     if (ck_rule(lds, m, st, &lo, &st0))
         return ck_chain(s, m, exc, slow, d);
+    if (s->count_dominated && lo < m && ck_wait_bound(s, exc) > s->cut_exc)
+        return ck_count(s, lds, m, st);
     Py_ssize_t *nxt = s->nxt;
     Py_ssize_t *prv = s->prv;
+    unsigned char *placed = s->placed;
     Py_ssize_t i = nxt[s->head];
     for (Py_ssize_t q = 0; q < lo; q++)
         i = nxt[i];
@@ -481,6 +549,7 @@ ck_dfs(Search *s, const int lds, Py_ssize_t m, Py_ssize_t st, double exc,
         Py_ssize_t ni = nxt[i];
         nxt[pi] = ni;
         prv[ni] = pi;
+        placed[i] = 1;
         s->nodes_visited++;
         double start = ck_place(s, s->jnodes[i], s->rt[i], 1);
         s->path_i[d] = i;
@@ -495,6 +564,7 @@ ck_dfs(Search *s, const int lds, Py_ssize_t m, Py_ssize_t st, double exc,
             rc = ck_dfs(s, lds, m - 1, rank ? st - 1 : st0, nexc, nslow,
                         d + 1);
         ck_unplace(s);
+        placed[i] = 0;
         nxt[pi] = i;
         prv[ni] = i;
         if (rc)
@@ -532,21 +602,7 @@ ck_run_full(Search *s)
 static void
 ck_free(Search *s)
 {
-    free(s->t);
-    free(s->f);
-    free(s->ck_t);
-    free(s->ck_f);
-    free(s->undo);
-    free(s->submit);
-    free(s->rt);
-    free(s->denom);
-    free(s->jnodes);
-    free(s->nxt);
-    free(s->prv);
-    free(s->path_i);
-    free(s->path_s);
-    free(s->best_i);
-    free(s->best_s);
+    free(s->arena);
     free(s->any);
     memset(s, 0, sizeof(*s));
 }
@@ -574,6 +630,53 @@ ck_longs_into(long *out, PyObject *seq, Py_ssize_t len)
     return 0;
 }
 
+/* The next `count` items of `size` bytes at *at in the block `base`
+ * (NULL while sizing it); every slice starts max-aligned. */
+static void *
+ck_carve(char *base, size_t *at, size_t count, size_t size)
+{
+    const size_t align = _Alignof(max_align_t);
+    void *slice = base ? base + *at : NULL;
+    *at += (count * size + align - 1) / align * align;
+    return slice;
+}
+
+/* Point the per-search arrays into one block at `base`, or only size it
+ * (base == NULL); returns its size in bytes. */
+static size_t
+ck_layout(Search *s, char *base, size_t cap_m, size_t n)
+{
+    const size_t n1 = n > 0 ? n : 1;
+    size_t at = 0;
+    s->t = ck_carve(base, &at, cap_m, sizeof(double));
+    s->f = ck_carve(base, &at, cap_m, sizeof(long));
+    s->ck_t = ck_carve(base, &at, cap_m, sizeof(double));
+    s->ck_f = ck_carve(base, &at, cap_m, sizeof(long));
+    s->undo = ck_carve(base, &at, n + 8, sizeof(UndoFrame));
+    s->submit = ck_carve(base, &at, n1, sizeof(double));
+    s->jnodes = ck_carve(base, &at, n1, sizeof(long));
+    s->rt = ck_carve(base, &at, n1, sizeof(double));
+    s->denom = ck_carve(base, &at, n1, sizeof(double));
+    s->nxt = ck_carve(base, &at, n + 1, sizeof(Py_ssize_t));
+    s->prv = ck_carve(base, &at, n + 1, sizeof(Py_ssize_t));
+    s->path_i = ck_carve(base, &at, n1, sizeof(Py_ssize_t));
+    s->path_s = ck_carve(base, &at, n1, sizeof(double));
+    s->best_i = ck_carve(base, &at, n1, sizeof(Py_ssize_t));
+    s->best_s = ck_carve(base, &at, n1, sizeof(double));
+    s->by_submit = ck_carve(base, &at, n1, sizeof(SubmitRank));
+    s->placed = ck_carve(base, &at, n1, sizeof(unsigned char));
+    return at;
+}
+
+static int
+ck_submit_order(const void *a, const void *b)
+{
+    const SubmitRank *x = a, *y = b;
+    if (x->submit != y->submit)
+        return x->submit < y->submit ? -1 : 1;
+    return (x->i > y->i) - (x->i < y->i);
+}
+
 static int
 ck_init(Search *s, int lds, long long node_limit, int prune,
         int record_anytime, long capacity, double eps,
@@ -596,29 +699,12 @@ ck_init(Search *s, int lds, long long node_limit, int prune,
     }
     /* Each of the <= n outstanding placements inserts <= 2 breakpoints. */
     const size_t cap_m = (size_t)(m0 + 2 * n + 8);
-    const size_t n1 = (size_t)(n > 0 ? n : 1);
-    s->t = malloc(cap_m * sizeof(double));
-    s->f = malloc(cap_m * sizeof(long));
-    s->ck_t = malloc(cap_m * sizeof(double));
-    s->ck_f = malloc(cap_m * sizeof(long));
-    s->undo = malloc((size_t)(n + 8) * sizeof(UndoFrame));
-    s->submit = malloc(n1 * sizeof(double));
-    s->jnodes = malloc(n1 * sizeof(long));
-    s->rt = malloc(n1 * sizeof(double));
-    s->denom = malloc(n1 * sizeof(double));
-    s->nxt = malloc((size_t)(n + 1) * sizeof(Py_ssize_t));
-    s->prv = malloc((size_t)(n + 1) * sizeof(Py_ssize_t));
-    s->path_i = malloc(n1 * sizeof(Py_ssize_t));
-    s->path_s = malloc(n1 * sizeof(double));
-    s->best_i = malloc(n1 * sizeof(Py_ssize_t));
-    s->best_s = malloc(n1 * sizeof(double));
-    if (!s->t || !s->f || !s->ck_t || !s->ck_f || !s->undo || !s->submit
-        || !s->jnodes || !s->rt || !s->denom || !s->nxt || !s->prv
-        || !s->path_i || !s->path_s || !s->best_i || !s->best_s) {
-        ck_free(s);
+    s->arena = malloc(ck_layout(s, NULL, cap_m, (size_t)n));
+    if (s->arena == NULL) {
         PyErr_NoMemory();
         return -1;
     }
+    ck_layout(s, s->arena, cap_m, (size_t)n);
     if (ck_doubles_into(s->t, times, m0) < 0
         || ck_longs_into(s->f, frees, m0) < 0
         || ck_doubles_into(s->submit, submit, n) < 0
@@ -653,6 +739,14 @@ ck_init(Search *s, int lds, long long node_limit, int prune,
     s->count_dominated = !prune;
     for (Py_ssize_t k = 0; k < n && s->count_dominated; k++)
         s->count_dominated = s->submit[k] <= now;
+    if (s->count_dominated) {
+        for (Py_ssize_t k = 0; k < n; k++) {
+            s->by_submit[k].submit = s->submit[k];
+            s->by_submit[k].i = k;
+        }
+        qsort(s->by_submit, (size_t)n, sizeof(SubmitRank), ck_submit_order);
+        memset(s->placed, 0, (size_t)n);
+    }
     s->cut_exc = INFINITY;
     s->cut_slow = INFINITY;
     return 0;

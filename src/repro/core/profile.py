@@ -32,9 +32,10 @@ Two implementations share these semantics:
   breakpoints and the undo state on an explicit LIFO stack; a whole
   heuristic chain can be committed in one loop (``place_run_fold``) and
   thrown away by restoring a copy of the lists.  Built from a reference
-  profile via :meth:`AvailabilityProfile.search_view`, it must return
-  bit-identical ``earliest_start`` answers — a property pinned by the
-  differential hypothesis tests in ``tests/test_profile_properties.py``.
+  profile via :meth:`AvailabilityProfile.search_view`, its
+  ``earliest_fit`` must answer what the reference's ``earliest_start``
+  does, bit for bit — a property pinned by the differential hypothesis
+  tests in ``tests/test_profile_properties.py``.
 """
 
 from __future__ import annotations
@@ -142,27 +143,46 @@ def _check_invariants(times: list[float], free: list[int], capacity: int) -> Non
         raise AssertionError("final segment must have all nodes free")
 
 
-def _occupied_node_seconds(times: list[float], free: list[int], capacity: int) -> float:
-    """Integral of occupied nodes over the breakpoint span.
+def _occupied_node_seconds(
+    times: list[float], free: list[int], capacity: int, start: float, end: float
+) -> float:
+    """Integral of occupied nodes over a reservation's window: ``[start,
+    end]`` widened by twice ``TIME_EPS``, the most a breakpoint of it
+    moves when it snaps to a neighbour.
 
-    The implicit tail beyond the last breakpoint has all nodes free, so
-    it contributes nothing; extending the span with new breakpoints
-    therefore never changes the integral by itself, which makes this a
-    sound conservation measure across reserve/release pairs.
+    A reservation or its undo changes the step function only inside that
+    window, so its integral before and after differ by exactly the
+    reservation's area, and the two are of the area's size, not of the
+    whole profile's: two whole-profile integrals reach 1e7–1e10
+    node-seconds, and their difference loses more than the tolerance to
+    rounding.  The
+    implicit tail beyond the last breakpoint has all nodes free, so it
+    contributes nothing.
     """
+    lo, hi = start - 2 * _EPS, end + 2 * _EPS
     total = 0.0
     for i in range(len(times) - 1):
-        total += (capacity - free[i]) * (times[i + 1] - times[i])
+        a, b = times[i], times[i + 1]
+        if b > lo and a < hi:
+            total += (capacity - free[i]) * ((b if b < hi else hi) - (a if a > lo else lo))
     return total
 
 
 def _sanitize_delta(
-    times: list[float], free: list[int], capacity: int, before: float, expected: float, op: str
+    times: list[float],
+    free: list[int],
+    capacity: int,
+    before: float,
+    start: float,
+    end: float,
+    expected: float,
+    op: str,
 ) -> None:
-    """A reservation or its undo (``op``) must change the occupancy measured
-    ``before`` it by exactly its area, ``expected``."""
+    """A reservation over ``[start, end)`` or its undo (``op``) must change
+    the occupancy of its window measured ``before`` it by exactly its
+    area, ``expected``."""
     _check_invariants(times, free, capacity)
-    delta = _occupied_node_seconds(times, free, capacity) - before
+    delta = _occupied_node_seconds(times, free, capacity, start, end) - before
     require(
         abs(delta - expected) <= 1e-6 * max(1.0, abs(expected)),
         f"profile {op} does not conserve node-seconds: occupancy "
@@ -366,8 +386,12 @@ class AvailabilityProfile:
             check_positive("duration", duration)
             check_positive("nodes", nodes)
         sanitize = sanitize_enabled()
-        before = _occupied_node_seconds(self.times, self.free, self.capacity) if sanitize else 0.0
         end = start + duration
+        before = (
+            _occupied_node_seconds(self.times, self.free, self.capacity, start, end)
+            if sanitize
+            else 0.0
+        )
         i, created_start = self._ensure_breakpoint(start)
         # ``i`` starts at or before ``end``, so it is a valid proposal for
         # the end breakpoint too (exact for within-segment reservations).
@@ -388,7 +412,8 @@ class AvailabilityProfile:
         token = ReservationToken(start, end, nodes, created_start, created_end)
         if sanitize:
             _sanitize_delta(
-                self.times, self.free, self.capacity, before, nodes * (end - start), "reserve"
+                self.times, self.free, self.capacity, before, start, end,
+                nodes * (end - start), "reserve",
             )
         return token
 
@@ -400,7 +425,13 @@ class AvailabilityProfile:
         profile is then restored exactly.
         """
         sanitize = sanitize_enabled()
-        before = _occupied_node_seconds(self.times, self.free, self.capacity) if sanitize else 0.0
+        before = (
+            _occupied_node_seconds(
+                self.times, self.free, self.capacity, token.start, token.end
+            )
+            if sanitize
+            else 0.0
+        )
         i = bisect_right(self.times, token.start) - 1
         j = bisect_right(self.times, token.end) - 1
         if i < 0 or not time_eq(self.times[i], token.start):
@@ -417,7 +448,10 @@ class AvailabilityProfile:
             del self.times[i], self.free[i]
         if sanitize:
             area = token.nodes * (token.end - token.start)
-            _sanitize_delta(self.times, self.free, self.capacity, before, -area, "release")
+            _sanitize_delta(
+                self.times, self.free, self.capacity, before, token.start, token.end,
+                -area, "release",
+            )
 
     def copy(self) -> "AvailabilityProfile":
         """An independent deep copy."""
@@ -532,7 +566,6 @@ class SearchProfile:
             raise ValueError(f"{nodes} nodes exceeds capacity {self.capacity}")
         t, f = self._t, self._f
         eps = _EPS
-        before = _occupied_node_seconds(t, f, self.capacity) if self._sanitize else 0.0
 
         # --- earliest-fit scan (same arithmetic as the reference) -------
         m = len(t)
@@ -564,6 +597,8 @@ class SearchProfile:
             i = blocked
             cand = t[blocked]
         start = cand
+        if self._sanitize:
+            before = _occupied_node_seconds(t, f, self.capacity, start, end)
 
         # --- start breakpoint (t[i] <= start < t[i + 1] by the scan) ----
         if start - t[i] <= eps:
@@ -595,15 +630,22 @@ class SearchProfile:
             f[k] -= nodes
         self._undo.append((si, ej, nodes, created_start, created_end))
         if self._sanitize:
-            _sanitize_delta(t, f, self.capacity, before, nodes * (end - start), "place")
+            _sanitize_delta(
+                t, f, self.capacity, before, start, end, nodes * (end - start), "place"
+            )
         return start
 
     def unplace(self) -> None:
         """Pop the top :meth:`place` frame, restoring the profile exactly."""
         si, ej, nodes, created_start, created_end = self._undo.pop()
         t, f = self._t, self._f
-        before = _occupied_node_seconds(t, f, self.capacity) if self._sanitize else 0.0
-        area = nodes * (t[ej] - t[si])
+        start, end = t[si], t[ej]
+        before = (
+            _occupied_node_seconds(t, f, self.capacity, start, end)
+            if self._sanitize
+            else 0.0
+        )
+        area = nodes * (end - start)
         for k in range(si, ej):
             f[k] += nodes
         # Delete the end breakpoint first so the start position stays valid.
@@ -614,7 +656,7 @@ class SearchProfile:
             del t[si]
             del f[si]
         if self._sanitize:
-            _sanitize_delta(t, f, self.capacity, before, -area, "unplace")
+            _sanitize_delta(t, f, self.capacity, before, start, end, -area, "unplace")
 
     # ------------------------------------------------------------------
     # Batched placement (the search's heuristic-completion chains)
@@ -783,18 +825,41 @@ class SearchProfile:
         return exc, slow
 
     # ------------------------------------------------------------------
-    # Queries (parity with the reference; used by tests)
+    # Queries
     # ------------------------------------------------------------------
-    def earliest_start(self, nodes: int, duration: float, earliest: float) -> float:
-        """Pure earliest-fit query (no mutation survives).
+    def earliest_fit(self, nodes: int, duration: float, earliest: float) -> float:
+        """The start :meth:`place` would commit, without committing it.
 
-        Implemented as a place/unplace round trip, which the LIFO stack
-        restores exactly — trivially the same answer :meth:`place` commits.
+        :meth:`place`'s scan, operation for operation, on a profile left
+        untouched; ``nodes`` must not exceed capacity.  Placing more jobs
+        only lowers the free-node function and adds breakpoints, so the
+        answer never gets earlier as a search path grows: the search's
+        wait bound (``_FastSearchRun._wait_bound``) rests on that.
         """
-        check_positive("duration", duration)
-        start = self.place(nodes, duration, earliest)
-        self.unplace()
-        return start
+        t, f = self._t, self._f
+        m = len(t)
+        cand = earliest if earliest > t[0] else t[0]
+        i = 0
+        ni = 1
+        while ni < m and t[ni] <= cand:
+            i = ni
+            ni += 1
+        while True:
+            if f[i] < nodes:
+                i += 1
+                while f[i] < nodes:
+                    i += 1
+                cand = t[i]
+            end_eps = (cand + duration) - _EPS
+            j = i + 1
+            while j < m and t[j] < end_eps:
+                if f[j] < nodes:
+                    break
+                j += 1
+            else:
+                return cand
+            i = j
+            cand = t[j]
 
     def segments(self) -> list[tuple[float, int]]:
         """The ``(time, free)`` breakpoint list, in time order (a copy)."""

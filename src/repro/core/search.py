@@ -618,7 +618,12 @@ class _FastSearchRun(_SearchRunBase):
       levels only grow along a path, so once a node's partial levels are
       not below the incumbent's (``_cut``) no leaf under it improves, and
       ``_count`` replays only its node accounting — at ``_dfs``'s entry,
-      and in ``place_run_fold`` at the first such step of a chain.
+      and in ``place_run_fold`` at the first such step of a chain;
+    - so is a subtree that the longest-waiting job already condemns: at a
+      node with children, ``_wait_bound`` finds the oldest unplaced job's
+      earliest fit on the partial profile, which placing more jobs can
+      only delay, and when its excess wait lifts level 1 above the
+      incumbent's no leaf below can win.
     """
 
     def __init__(self, problem: SearchProblem, *args: Any) -> None:
@@ -661,6 +666,11 @@ class _FastSearchRun(_SearchRunBase):
             ja.submit, default=problem.now
         ) <= problem.now
         self._cut: tuple[float, ...] = (inf, inf)
+        #: ``_wait_bound``'s jobs by submit time (ties by index), and which
+        #: of them ``_dfs`` has placed (chains set no flag).
+        self._by_submit = sorted(range(n), key=ja.submit.__getitem__)
+        self._placed = [False] * n
+        self._submit, self._omega = ja.submit, problem.omega
 
     def _iterate(self, s: int) -> None:
         self._dfs(len(self._jobs), s, self._acc0, 0)
@@ -800,9 +810,31 @@ class _FastSearchRun(_SearchRunBase):
             self.nodes_visited += 1
             self._count(m - 1, s1 if rank else s0)
 
+    def _wait_bound(self, exc: float) -> float:
+        """A lower bound on level 1 of every leaf below a ``_dfs`` node
+        whose partial level 1 is ``exc`` (``docs/performance.md``, "The
+        longest-waiting job's bound").
+
+        The oldest unplaced job ``w`` starts in every leaf below at or
+        after its earliest fit on the current profile, which only loses
+        capacity further down; ``w``'s excess term and the sum are IEEE
+        operations monotone in each argument, and every other term adds
+        ``>= 0``.  So each leaf's level 1 is at least what this returns.
+        """
+        placed = self._placed
+        for w in self._by_submit:
+            if not placed[w]:
+                break
+        est = self.profile.earliest_fit(self._nodes[w], self._runtime[w], self._now)
+        e = (est - self._submit[w]) - self._omega
+        return exc + e if e > 0.0 else exc
+
     def _dfs(self, m: int, s: int, acc: tuple[float, ...], d: int) -> None:
         """The one DFS: ``child_rule`` says which ranks to take and what
-        each child inherits; ``m`` jobs remain below depth ``d``."""
+        each child inherits; ``m`` jobs remain below depth ``d``.  A node
+        is counted, not walked, when its partial levels are not below the
+        incumbent's or, if it has children, when ``_wait_bound`` puts
+        level 1 above the incumbent's."""
         if self._count_dominated and not acc < self._cut:
             self._count(m, s)
             return
@@ -811,6 +843,10 @@ class _FastSearchRun(_SearchRunBase):
             self._chain(m, acc, d)
             return
         lo, s0, s1 = rule
+        if self._count_dominated and lo < m and self._wait_bound(acc[0]) > self._cut[0]:
+            self._count(m, s)
+            return
+        placed = self._placed
         nxt, prv = self._nxt, self._prv
         nodes_a, rt_a = self._nodes, self._runtime
         place, unplace = self.profile.place, self.profile.unplace
@@ -826,6 +862,7 @@ class _FastSearchRun(_SearchRunBase):
             pi, ni = prv[i], nxt[i]
             nxt[pi] = ni
             prv[ni] = pi
+            placed[i] = True
             self.nodes_visited += 1
             start = place(nodes_a[i], rt_a[i], now)
             path_i[d] = i
@@ -836,6 +873,7 @@ class _FastSearchRun(_SearchRunBase):
                     self._dfs(m - 1, s1 if rank else s0, new_acc, d + 1)
             finally:
                 unplace()
+                placed[i] = False
                 nxt[pi] = i
                 prv[ni] = i
             i = ni

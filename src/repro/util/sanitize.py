@@ -10,8 +10,9 @@ runs extra invariant checks at every state transition:
 - event times are monotone non-decreasing across the run —
   :mod:`repro.simulator.engine`;
 - the queue never contains started jobs — :mod:`repro.simulator.engine`;
-- profile reservations conserve node-seconds exactly and never corrupt the
-  step function — :mod:`repro.core.profile`;
+- profile reservations conserve node-seconds (measured over the
+  reservation's own window, so the tolerance is relative to its area) and
+  never corrupt the step function — :mod:`repro.core.profile`;
 - search decisions only start jobs that fit the free nodes *now* —
   :mod:`repro.core.scheduler`.
 

@@ -84,10 +84,17 @@ def _future_specs(count: int = 30, seed: int = 26) -> list[InstanceSpec]:
 
 
 @pytest.mark.parametrize("algorithm", ["dds", "lds"])
-def test_future_submits_turn_counting_off(algorithm):
+def test_future_submits_turn_counting_off(algorithm, monkeypatch):
     """Counting with a negative term in reach drops improvements; with
-    the ``max(submit) <= now`` gate the engines place every node and
-    agree with the reference, exhaustive and at three budgets."""
+    the ``max(submit) <= now`` gate the engines place every node, never
+    ask the wait bound (``tests/test_wait_bound.py``) for a scan it could
+    not use, and agree with the reference, exhaustive and at three
+    budgets."""
+
+    def no_bound(run, exc):
+        raise AssertionError("wait bound asked with counting off")
+
+    monkeypatch.setattr(_FastSearchRun, "_wait_bound", no_bound)
     for spec in _future_specs():
         problem = spec.to_problem()
         assert not _FastSearchRun(problem, algorithm, None, False)._count_dominated
@@ -174,15 +181,23 @@ class _Trajectory(_ReferenceSearchRun):
 
 class _Probe:
     """What the fast engine's shortcut did: chains ``place_run_fold``
-    cut, each outermost ``_count``'s span of nodes and whether its root
-    is interior, and the budget stops raised through a chain's
-    ``_count`` and through an interior one (a subtree stopped mid-way)."""
+    cut, nodes ``_wait_bound`` condemned, each outermost ``_count``'s
+    span of nodes and whether its root is interior, and the budget stops
+    raised through a chain's ``_count`` and through an interior one (a
+    subtree stopped mid-way)."""
 
     def __init__(self, monkeypatch):
         self.cut_chains = self.chain_stops = self.interior_stops = 0
+        self.bound_fired = 0
         self.spans = []
         depth = 0
         place_run_fold, count = SearchProfile.place_run_fold, _FastSearchRun._count
+        wait_bound = _FastSearchRun._wait_bound
+
+        def counted_wait_bound(run, exc):
+            bound = wait_bound(run, exc)
+            self.bound_fired += bound > run._cut[0]
+            return bound
 
         def counted_place_run_fold(profile, *args):
             out = place_run_fold(profile, *args)
@@ -208,6 +223,7 @@ class _Probe:
 
         monkeypatch.setattr(SearchProfile, "place_run_fold", counted_place_run_fold)
         monkeypatch.setattr(_FastSearchRun, "_count", counted_count)
+        monkeypatch.setattr(_FastSearchRun, "_wait_bound", counted_wait_bound)
 
     def inside_spans(self, per_kind=2):
         """Every budget inside the first ``per_kind`` chain spans and
@@ -224,8 +240,10 @@ def test_counting_is_exact_where_the_budget_cuts_it(instance, monkeypatch):
     budget of the instance's sweep and every budget inside its first
     counted subtrees — and on ``fast`` the shortcut demonstrably ran, cut
     chains, and was stopped by the budget inside a counted chain and,
-    where counted subtrees have interior nodes, inside one of those.
-    Sanitizing off, or neither engine would count."""
+    where counted subtrees have interior nodes, inside one of those: on
+    the eight jobs, cut by the incumbent or by the wait bound, and on
+    ``bench30``'s LDS by the wait bound alone.  Sanitizing off, or
+    neither engine would count."""
     make, dense, end = SWEEPS[instance]
     problem = make()
     probe = _Probe(monkeypatch)
@@ -255,7 +273,8 @@ def test_counting_is_exact_where_the_budget_cuts_it(instance, monkeypatch):
                 ).search(problem)
                 assert _exact(direct) == _exact(reference.at(node_limit))
     assert probe.spans and probe.cut_chains and probe.chain_stops
-    assert bool(probe.interior_stops) == (instance == "eight")
+    assert bool(probe.interior_stops) == (instance != "deep40")
+    assert bool(probe.bound_fired) == (instance != "deep40")
 
 
 # ----------------------------------------------------------------------

@@ -230,12 +230,13 @@ def test_arbitrary_feasible_reserves_round_trip(reservations):
 @given(st.lists(reservation, max_size=10), st.lists(query, min_size=1, max_size=6))
 @settings(max_examples=150, deadline=None)
 def test_search_view_earliest_start_matches_reference(reservations, queries):
-    """``SearchProfile.earliest_start`` returns the exact float the
-    reference implementation returns, on any reachable profile shape."""
+    """``SearchProfile.earliest_fit`` returns the exact float the
+    reference's ``earliest_start`` returns, on any reachable profile
+    shape."""
     p = _build(reservations)
     view = p.search_view()
     for nodes, duration, earliest in queries:
-        assert view.earliest_start(nodes, duration, earliest) == p.earliest_start(
+        assert view.earliest_fit(nodes, duration, earliest) == p.earliest_start(
             nodes, duration, earliest
         )
     assert view.segments() == p.segments()

@@ -9,7 +9,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.profile import AvailabilityProfile
+from repro.core.profile import (
+    AvailabilityProfile,
+    _occupied_node_seconds,
+    _sanitize_delta,
+)
 from repro.core.scheduler import make_policy
 from repro.simulator.cluster import Cluster, ClusterConfig, JobLimits
 from repro.simulator.engine import Simulation
@@ -206,6 +210,45 @@ def test_reserve_release_conserves_node_seconds_sanitized():
         profile.release(t2)
         profile.release(t1)
     assert profile.segments() == [(0.0, 8)]
+
+
+def _long_profile():
+    """36 whole-machine reservations of ~3e7 s end to end: ~1.7e10
+    occupied node-seconds, where the next job starts."""
+    profile = AvailabilityProfile(capacity=16, origin=7200.0)
+    for _ in range(36):
+        start = profile.earliest_start(16, 29999999.9, 7200.0)
+        profile.reserve(start, 29999999.9, 16)
+    return profile, profile.earliest_start(1, 1.1, 7200.0)
+
+
+def test_conservation_is_measured_on_the_reservation_window():
+    """A 1.1 node-second reservation after ~1.7e10 occupied node-seconds
+    conserves within the tolerance, reserved and released, on both
+    profile classes: the check no longer subtracts whole-profile
+    integrals, which lost 1.4e-6 here."""
+    profile, start = _long_profile()
+    view = profile.search_view()
+    with sanitized():
+        profile.release(profile.reserve(start, 1.1, 1))
+        view.place(1, 1.1, 7200.0)
+        view.unplace()
+
+
+def test_conservation_check_catches_a_claim_one_node_short():
+    """The same reservation committed one node short of the area it
+    reports must still raise."""
+    profile, start = _long_profile()
+    end = start + 1.1
+    before = _occupied_node_seconds(
+        profile.times, profile.free, profile.capacity, start, end
+    )
+    profile.reserve(start, 1.1, 1)
+    with pytest.raises(InvariantViolation, match="conserve node-seconds"):
+        _sanitize_delta(
+            profile.times, profile.free, profile.capacity, before, start, end,
+            2 * (end - start), "reserve",
+        )
 
 
 # ----------------------------------------------------------------------
