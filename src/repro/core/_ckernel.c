@@ -27,8 +27,8 @@
  * the Hypothesis engine-conformance fuzzer in tests/.
  *
  * Deliberately unsupported (the Python wrapper falls back to the fast
- * engine): wall-clock deadlines (poll cadence), custom evaluators and
- * the runtime sanitizer (needs per-mutation Python checks).
+ * engine): custom evaluators and the runtime sanitizer (needs
+ * per-mutation Python checks).
  *
  * One shortcut is omitted, invisible in results: place()'s skip-ahead
  * leaves out place_run_fold's suffix-min frontier, a pure scan shortcut

@@ -11,11 +11,10 @@ other engines):
 - :func:`have_compiled` probes for the built extension;
 - :func:`run_kernel` runs one whole search in C, or returns ``None``
   whenever the kernel is absent or the search needs a facility the
-  kernel deliberately omits (wall-clock deadlines, custom criteria
-  evaluators, the runtime sanitizer's per-mutation checks).  The caller
-  then **silently falls back** to ``engine="fast"`` — the results are
-  bit-identical either way, so the fallback is unobservable except in
-  wall time.
+  kernel deliberately omits (custom criteria evaluators, the runtime
+  sanitizer's per-mutation checks).  The caller then **silently falls
+  back** to ``engine="fast"`` — the results are bit-identical either
+  way, so the fallback is unobservable except in wall time.
 
 Build it with ``pip install -e .[compiled]`` or, for a ``PYTHONPATH=src``
 checkout, ``python setup.py build_ext --inplace`` (see
@@ -72,24 +71,19 @@ def default_engine() -> str:
     return "fast"
 
 
-def _kernel_arrays(
-    problem: SearchProblem, time_limit_seconds: float | None
-) -> JobArrays | None:
+def _kernel_arrays(problem: SearchProblem) -> JobArrays | None:
     """The job columns to hand the C kernel, or ``None`` when this search
     has to run in python to give bit-identical results.
 
     Anything the kernel deliberately omits routes to the fast engine:
-    wall-clock deadlines (sparse poll cadence), custom evaluators
-    (arbitrary Python accumulators), sanitized runs (per-mutation Python
-    invariant checks), and malformed inputs whose error behaviour the
-    pure engines define (over-capacity jobs, a non-positive planning
-    runtime, a profile without its all-free tail segment).  The checks
-    read the ``nodes`` and ``runtime`` columns themselves, so they hold
-    for exactly what C walks.
+    custom evaluators (arbitrary Python accumulators), sanitized runs
+    (per-mutation Python invariant checks), and malformed inputs whose
+    error behaviour the pure engines define (over-capacity jobs, a
+    non-positive planning runtime, a profile without its all-free tail
+    segment).  The checks read the ``nodes`` and ``runtime`` columns
+    themselves, so they hold for exactly what C walks.
     """
     if _impl is None:
-        return None
-    if time_limit_seconds is not None:
         return None
     if problem.evaluator is not None:
         return None
@@ -112,7 +106,6 @@ def run_kernel(
     node_limit: int | None,
     prune: bool,
     record_anytime: bool,
-    time_limit_seconds: float | None,
 ) -> tuple[Any, ...] | None:
     """One whole search in C, or ``None`` when it has to run in python;
     the arguments are those of every ``search._ENGINES`` entry.
@@ -123,7 +116,7 @@ def run_kernel(
     jobs named by their index in ``problem.jobs`` and ``anytime`` a list of
     ``(nodes_visited, exc, slow, d)`` or ``None``.
     """
-    ja = _kernel_arrays(problem, time_limit_seconds)
+    ja = _kernel_arrays(problem)
     if ja is None:
         return None
     assert _impl is not None  # _kernel_arrays checked

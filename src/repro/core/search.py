@@ -53,7 +53,6 @@ independent.
 from __future__ import annotations
 
 import sys
-import time as _wallclock
 
 from dataclasses import dataclass, field
 from math import inf
@@ -316,11 +315,6 @@ class DiscrepancySearch:
     #: Record the anytime profile (score vs. nodes visited at every
     #: improvement) in the result — the empirical basis for choosing L.
     record_anytime: bool = False
-    #: Wall-clock budget per search.  The paper imposes a node limit "for
-    #: comparison purposes, rather than a time limit" (§2.2); production
-    #: deployments want the time limit.  Both may be set; whichever is
-    #: exhausted first stops the search.
-    time_limit_seconds: float | None = None
     #: ``"fast"`` (index-addressed hot path, the default), ``"reference"``
     #: (the executable specification), or ``"compiled"`` (the C kernel,
     #: falling back to ``"fast"``).  All return bit-identical results; the
@@ -337,8 +331,6 @@ class DiscrepancySearch:
             raise ValueError("node_limit must be >= 1 or None")
         if not 0.0 <= self.local_search_fraction < 1.0:
             raise ValueError("local_search_fraction must be in [0, 1)")
-        if self.time_limit_seconds is not None and self.time_limit_seconds <= 0:
-            raise ValueError("time_limit_seconds must be > 0 or None")
         if self.engine not in _ENGINES:
             raise ValueError(
                 f"unknown engine {self.engine!r}; choose from {tuple(_ENGINES)}"
@@ -359,7 +351,6 @@ class DiscrepancySearch:
             tree_budget,
             self.prune,
             self.record_anytime,
-            self.time_limit_seconds,
         )
         if self.local_search_fraction <= 0.0 or not result.best_order:
             return result
@@ -390,7 +381,7 @@ class DiscrepancySearch:
 
 class _SearchRunBase:
     """Mutable state shared by the python engines for one search invocation:
-    the budgets, the node accounting, the incumbent and the iteration loop.
+    the node budget and accounting, the incumbent and the iteration loop.
 
     Subclasses implement ``_iterate`` — one full DFS from the root state
     of one discrepancy iteration, threading an accumulator tuple ``acc``
@@ -404,7 +395,6 @@ class _SearchRunBase:
         node_limit: int | None,
         prune: bool,
         record_anytime: bool = False,
-        time_limit_seconds: float | None = None,
     ) -> None:
         self.problem = problem
         self._lds = algorithm == "lds"
@@ -413,20 +403,11 @@ class _SearchRunBase:
         self.anytime: list[tuple[int, Score]] | None = (
             [] if record_anytime else None
         )
-        self._deadline: float | None = None
-        if time_limit_seconds is not None:
-            self._deadline = _wallclock.perf_counter() + time_limit_seconds
-
         self.nodes_visited = 0
         self.leaves_evaluated = 0
         self.iterations_started = 0
         self.limit_hit = False
         self.improved_after_first = False
-        #: Budget-check invocations, counted independently of
-        #: ``nodes_visited``: the wall-clock poll keys off this counter so
-        #: batched node accounting (which advances ``nodes_visited`` in
-        #: strides) can never skip every poll.
-        self._checks = 0
 
         self.best_score: Score | None = None
         self.best_order: tuple[Job, ...] = ()
@@ -483,20 +464,11 @@ class _SearchRunBase:
     # Shared node machinery
     # ------------------------------------------------------------------
     def _check_budget(self) -> None:
-        """Raise once a budget is gone — but never during the first leaf."""
+        """Raise once the node budget is gone — never during the first leaf."""
         if self.leaves_evaluated == 0:
             return  # the heuristic schedule always completes
         if self.node_limit is not None and self.nodes_visited >= self.node_limit:
             raise _StopSearch
-        # The wall clock is polled sparsely: every 64 *checks*.  The poll
-        # cadence must not key off ``nodes_visited`` — engines that batch
-        # node accounting advance it in strides, and a strided counter
-        # can miss every ``% 64 == 0`` residue and never poll at all.
-        if self._deadline is not None:
-            self._checks += 1
-            if (self._checks & 63) == 0:
-                if _wallclock.perf_counter() >= self._deadline:
-                    raise _StopSearch
 
 
 class _ReferenceSearchRun(_SearchRunBase):
@@ -651,13 +623,12 @@ class _FastSearchRun(_SearchRunBase):
         )
         self._best_acc: tuple[float, ...] | None = None
         # Batching is invisible only when nothing looks between two steps
-        # of a chain: pruning bounds every step, a deadline counts budget
-        # checks, the sanitizer checks every mutation, and an evaluator's
-        # terms are not the two ``place_run_fold`` folds.
+        # of a chain: pruning bounds every step, the sanitizer checks every
+        # mutation, and an evaluator's terms are not the two
+        # ``place_run_fold`` folds.
         self._batched = (
             problem.evaluator is None
             and not self.prune
-            and self._deadline is None
             and not self.profile.sanitizing
         )
         # Counting a dominated subtree is exact when every wait is >= 0
@@ -885,16 +856,13 @@ def _search_compiled(
     node_limit: int | None,
     prune: bool,
     record_anytime: bool = False,
-    time_limit_seconds: float | None = None,
 ) -> SearchResult:
     """``engine="compiled"``: the C kernel when it can give this search's
     exact result, the fast engine otherwise (same bits, python speed)."""
-    raw = ckernel.run_kernel(
-        problem, algorithm, node_limit, prune, record_anytime, time_limit_seconds
-    )
+    raw = ckernel.run_kernel(problem, algorithm, node_limit, prune, record_anytime)
     if raw is None:
         return _FastSearchRun.search(
-            problem, algorithm, node_limit, prune, record_anytime, time_limit_seconds
+            problem, algorithm, node_limit, prune, record_anytime
         )
     (
         b_exc,
@@ -927,7 +895,7 @@ def _search_compiled(
 
 
 #: The ``DiscrepancySearch.engine`` knob: name -> ``(problem, algorithm,
-#: node_limit, prune, record_anytime, time_limit_seconds) -> SearchResult``.
+#: node_limit, prune, record_anytime) -> SearchResult``.
 _ENGINES: dict[str, Callable[..., SearchResult]] = {
     "fast": _FastSearchRun.search,
     "reference": _ReferenceSearchRun.search,

@@ -14,8 +14,8 @@ fail, snapshots rot and queues overflow.  The pieces:
   tenant's decision stream is bit-identical to a batch run of the same
   trace and no request ever replays it;
 - :mod:`repro.service.executor` — the degradation ladder (full search →
-  deadline-bounded anytime search → pure backfill heuristic → start
-  nothing);
+  anytime search on the node budget its time slice buys → pure backfill
+  heuristic → start nothing);
 - :mod:`repro.service.service` — the asyncio front end: admission
   control, bounded per-tenant queues with explicit load shedding,
   per-request retry with deterministic backoff, periodic tenant

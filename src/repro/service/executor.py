@@ -11,9 +11,10 @@ rung / ``mode``       what answers
 ``search``            the tenant's full search policy, taken only when the
                       EWMA cost estimate says it fits the budget (not
                       degraded)
-``anytime``           the same searcher with ``time_limit_seconds`` set to
-                      a slice of the remaining budget — best-so-far at the
-                      deadline (**degraded**: the node-limit guarantee is
+``anytime``           the same searcher with its node limit set to
+                      ``min(L, slice × measured node rate)`` for a slice of
+                      the remaining budget — best-so-far at that many
+                      nodes (**degraded**: the node-limit guarantee is
                       waived even if the search happened to finish)
 ``heuristic``         plain FCFS backfill sharing the primary policy's
                       runtime source (**degraded**)
@@ -31,6 +32,7 @@ chaos suite drive every rung transition on demand.
 from __future__ import annotations
 
 import time
+from typing import Any
 
 from repro.backfill import fcfs_backfill
 from repro.simulator.cluster import Cluster
@@ -71,6 +73,9 @@ class DecisionLadder:
         #: deadline always gets the full policy — which is what keeps
         #: fault-free replays on the primary path.
         self.inline_cost = 0.0
+        #: EWMA of the primary policy's search rate (nodes visited per
+        #: second of a timed decision); ``None`` until a search is timed.
+        self.node_rate: float | None = None
         #: Decisions answered per mode, plus the primary-path failure tally.
         self.stats: dict[str, int] = {mode: 0 for mode in MODES}
         self.stats["primary_failures"] = 0
@@ -126,10 +131,11 @@ class DecisionLadder:
         """Fold the wall cost of one complete search into the estimate."""
         self.inline_cost = (1 - EWMA_ALPHA) * self.inline_cost + EWMA_ALPHA * cost
 
-    def _searches(self) -> object:
-        """The primary policy's count of decisions it searched for, or
-        ``None`` for a policy that keeps none (every decision counts)."""
-        return (getattr(self.policy, "stats", None) or {}).get("searched_decisions")
+    def _stat(self, key: str) -> Any:
+        """One of the primary policy's counters (``searched_decisions``,
+        ``total_nodes_visited``, ``limit_hits``), or ``None`` for a policy
+        that keeps none."""
+        return (getattr(self.policy, "stats", None) or {}).get(key)
 
     def _timed_decide(
         self,
@@ -141,13 +147,21 @@ class DecisionLadder:
         """The primary policy's answer and what it cost — ``None`` when it
         answered without searching (empty queue, no job fits): a near-free
         answer says nothing about the next search, and a run of them would
-        decay the estimate until a long request is priced onto the loop."""
-        searched = self._searches()
+        decay the estimate until a long request is priced onto the loop.
+
+        A timed search also folds its nodes per second into
+        :attr:`node_rate`, whatever node limit it ran under."""
+        searched = self._stat("searched_decisions")
+        nodes = self._stat("total_nodes_visited")
         t0 = time.perf_counter()
         jobs = self.policy.decide(now, waiting, running, cluster)
         cost = time.perf_counter() - t0
-        if searched is not None and self._searches() == searched:
+        if searched is not None and self._stat("searched_decisions") == searched:
             return jobs, None
+        if nodes is not None and cost > 0:
+            rate = (self._stat("total_nodes_visited") - nodes) / cost
+            prev = rate if self.node_rate is None else self.node_rate
+            self.node_rate = (1 - EWMA_ALPHA) * prev + EWMA_ALPHA * rate
         return jobs, cost
 
     def _full(
@@ -178,21 +192,34 @@ class DecisionLadder:
         cluster: Cluster,
         remaining: float | None,
     ) -> list[Job]:
-        """The primary searcher in anytime mode: best-so-far at the limit."""
+        """The primary searcher on the node budget a slice of the remaining
+        time buys at the measured rate: best-so-far at that many nodes.
+
+        With no rate measured yet the budget is the policy's own ``L`` —
+        the optimism of the ``search`` rung's zero-start estimate — and a
+        policy without one cannot bound the search at all.
+        """
         searcher = getattr(self.policy, "searcher", None)
         if searcher is None:
             raise RuntimeError("primary policy has no anytime searcher")
-        budget = MIN_ANYTIME_BUDGET
+        seconds = MIN_ANYTIME_BUDGET
         if remaining is not None:
-            budget = max(remaining * ANYTIME_FRACTION, MIN_ANYTIME_BUDGET)
-        prev_limit = searcher.time_limit_seconds
+            seconds = max(remaining * ANYTIME_FRACTION, MIN_ANYTIME_BUDGET)
+        limit = searcher.node_limit
+        budget = limit
+        if self.node_rate is not None:
+            nodes = max(1, int(seconds * self.node_rate))
+            budget = nodes if limit is None else min(limit, nodes)
+        if budget is None:
+            raise RuntimeError("no node rate measured to bound an exhaustive search")
+        hits = self._stat("limit_hits")
         try:
-            searcher.time_limit_seconds = budget
+            searcher.node_limit = budget
             jobs, cost = self._timed_decide(now, waiting, running, cluster)
         finally:
-            searcher.time_limit_seconds = prev_limit
-        if cost is not None and cost < budget:
-            # The slice did not cut the search short, so this is what a
+            searcher.node_limit = limit
+        if cost is not None and (budget == limit or self._stat("limit_hits") == hits):
+            # The budget did not cut the search short, so this is what a
             # complete search costs now.  Without it the estimate could
             # only be lowered by the rung it has just ruled out, and one
             # host stall would degrade the tenant for good.

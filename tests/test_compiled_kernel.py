@@ -8,9 +8,9 @@ importable); this file owns everything about the *boundary*:
 - ``engine="compiled"`` without the extension silently falls back to the
   fast engine with bit-identical results (fallback was picked over
   raising: an install without a C toolchain must still run);
-- searches needing facilities the kernel omits — wall-clock deadlines,
-  criteria evaluators, the runtime sanitizer — route to the fast engine
-  even when the kernel is present;
+- searches needing facilities the kernel omits — criteria evaluators,
+  the runtime sanitizer — route to the fast engine even when the kernel
+  is present;
 - fixed-instance fingerprint identity at edge budgets (empty problem,
   single job, exhaustive, prune, anytime traces);
 - the chain's checkpoint rollback, at every budget of a chain-dense
@@ -97,35 +97,17 @@ def test_probe_matches_impl_presence():
 
 
 @needs_kernel
-def test_time_limited_search_routes_to_fast_engine():
-    """Wall-clock deadlines poll ``perf_counter`` on a sparse cadence the
-    kernel deliberately omits; the wrapper must hand the whole search to
-    the fast engine rather than drop the deadline."""
-    problem = SMALL.to_problem()
-    assert _kernel_arrays(problem, time_limit_seconds=30.0) is None
-    result = DiscrepancySearch(
-        "dds", node_limit=None, engine="compiled", time_limit_seconds=30.0
-    ).search(problem)
-    fast = DiscrepancySearch(
-        "dds", node_limit=None, engine="fast", time_limit_seconds=30.0
-    ).search(problem)
-    # A 30s limit never fires on a 4-job tree, so both runs are the
-    # deterministic exhaustive search and must agree exactly.
-    assert fingerprint(result) == fingerprint(fast)
-
-
-@needs_kernel
 def test_evaluator_and_sanitizer_disqualify_the_kernel():
     """Both states pinned explicitly so the test also holds when the
     whole suite runs under ``REPRO_SANITIZE=1`` (the chaos CI job)."""
     problem = SMALL.to_problem()
     with_eval = with_criteria(problem, paper_objective())
     with sanitized(False):
-        assert _kernel_arrays(problem, None) is not None
-        assert _kernel_arrays(with_eval, None) is None
+        assert _kernel_arrays(problem) is not None
+        assert _kernel_arrays(with_eval) is None
         with sanitized(True):
-            assert _kernel_arrays(problem, None) is None
-        assert _kernel_arrays(problem, None) is not None
+            assert _kernel_arrays(problem) is None
+        assert _kernel_arrays(problem) is not None
 
 
 @needs_kernel
@@ -141,7 +123,7 @@ def test_malformed_profiles_and_oversized_jobs_route_to_python():
     oversized = dataclasses.replace(
         problem, jobs=(big,) + problem.jobs[1:]
     )
-    assert _kernel_arrays(oversized, None) is None
+    assert _kernel_arrays(oversized) is None
 
 
 @needs_kernel
@@ -177,8 +159,8 @@ def test_non_positive_planning_runtime_routes_to_python(runtime):
     runtimes = {**resolve_runtimes(problem), problem.jobs[1].job_id: runtime}
     degenerate = dataclasses.replace(problem, runtimes=runtimes)
     with sanitized(False):  # the sanitizer alone would stand it down
-        assert _kernel_arrays(problem, None) is not None
-        assert _kernel_arrays(degenerate, None) is None
+        assert _kernel_arrays(problem) is not None
+        assert _kernel_arrays(degenerate) is None
     with pytest.raises(ValueError, match="duration must be > 0"):
         _search("compiled", degenerate)
 

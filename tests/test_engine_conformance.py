@@ -36,6 +36,7 @@ from repro.core.exact import solve_exact
 from repro.core.local_search import evaluate_order
 from repro.core.search import _ENGINES, DiscrepancySearch, resolve_runtimes
 from repro.experiments.bench import build_problem
+from repro.util.sanitize import sanitized
 from tests.oracles import (
     CONFORMANCE_ENGINES,
     InstanceSpec,
@@ -179,28 +180,24 @@ def test_hill_climb_that_improves_is_bit_identical_across_engines(algorithm):
 @pytest.mark.parametrize("form", ["two-level", "paper-criteria"])
 @pytest.mark.parametrize("algorithm", ["dds", "lds"])
 @pytest.mark.parametrize("n", [30, 128])
-def test_deadline_that_never_binds_changes_nothing(n, algorithm, form):
-    """A wall-clock limit takes the fast engine's chains one visit at a
-    time; without one the two-level objective commits them in batches.  At
-    budgets that stop mid-chain, mid-iteration and not at all, the two
-    must report the same search."""
+def test_sanitized_per_node_chain_matches_batched_chain(n, algorithm, form):
+    """Sanitized, the fast engine takes its chains one visit at a time
+    (``_chain_per_node``, every mutation checked); otherwise the two-level
+    objective commits them in batches (``_chain``).  At budgets that stop
+    mid-chain, mid-iteration and not at all, the two must report the same
+    search."""
     problem = build_problem("lxf", n_jobs=n)
     if OBJECTIVE_FORMS[form] is not None:
         problem = with_criteria(problem, OBJECTIVE_FORMS[form]())
     for node_limit in (n + 1, n + n // 2, 10 * n + 3, 2000):
-        plain, timed = (
-            fingerprint(
-                DiscrepancySearch(
-                    algorithm,
-                    node_limit=node_limit,
-                    engine="fast",
-                    record_anytime=True,
-                    time_limit_seconds=time_limit,
-                ).search(problem)
-            )
-            for time_limit in (None, 1e6)
+        searcher = DiscrepancySearch(
+            algorithm, node_limit=node_limit, engine="fast", record_anytime=True
         )
-        assert timed == plain, node_limit
+        with sanitized(False):
+            batched = fingerprint(searcher.search(problem))
+        with sanitized(True):
+            per_node = fingerprint(searcher.search(problem))
+        assert per_node == batched, node_limit
 
 
 def test_non_positive_planning_runtime_is_every_engines_error():

@@ -270,26 +270,3 @@ def test_exhaustive_node_accounting_matches_trie_reference(algorithm, n):
         paths = list(gen(tuple(jobs), iteration))
         expected += _trie_nodes(paths)
     assert result.nodes_visited == expected
-
-
-def test_time_limit_stops_search():
-    import time
-
-    jobs = [
-        make_job(job_id=i, submit=float(i), nodes=1, runtime=HOUR, waiting=True)
-        for i in range(9)
-    ]
-    search = DiscrepancySearch("dds", node_limit=None, time_limit_seconds=0.05)
-    started = time.perf_counter()
-    result = search.search(_problem(jobs, capacity=2))
-    elapsed = time.perf_counter() - started
-    # 9! = 362880 leaves would take far longer than 50 ms; the limit must
-    # have cut the search short while still returning a schedule.
-    assert elapsed < 2.0
-    assert result.limit_hit
-    assert len(result.best_starts) == 9
-
-
-def test_time_limit_validation():
-    with pytest.raises(ValueError, match="time_limit_seconds"):
-        DiscrepancySearch("dds", time_limit_seconds=0.0)

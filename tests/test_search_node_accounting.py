@@ -25,7 +25,7 @@ from repro.core.search import DiscrepancySearch, SearchProblem
 from repro.util.timeunits import HOUR
 
 from tests.conftest import make_job
-from tests.oracles import CONFORMANCE_ENGINES, fingerprint
+from tests.oracles import CONFORMANCE_ENGINES
 
 N_JOBS = 6
 #: Distinct prefixes across all iterations' permutation paths, for this
@@ -156,58 +156,3 @@ def test_empty_queue_follows_every_result_convention(engine, algorithm):
     assert result.anytime == [(0, result.best_score)]
     assert result.best_score.n_jobs == 0
     assert result.best_score.avg_slowdown == 0.0
-
-
-def test_deadline_poll_independent_of_node_counter_stride():
-    """The wall-clock poll fires every 64 *checks*, not every 64 nodes.
-
-    Regression: the poll used to key off ``nodes_visited % 64 == 0``.
-    Engines that batch node accounting advance the counter in strides,
-    and a strided counter can miss every residue — e.g. odd-only values
-    never satisfy ``% 64 == 0`` — so an expired deadline was never
-    noticed.  Drive the shared ``_check_budget`` with such a stride and
-    demand it raises within one poll period."""
-    from repro.core.search import _SearchRunBase, _StopSearch
-
-    run = _SearchRunBase(
-        _problem([make_job(job_id=1, submit=0.0, nodes=1, runtime=60.0)]),
-        "dds",
-        node_limit=None,
-        prune=False,
-        time_limit_seconds=0.0,  # deadline already expired
-    )
-    run.leaves_evaluated = 1  # past the first-leaf exemption
-    run.nodes_visited = 1
-    with pytest.raises(_StopSearch):
-        for _ in range(64):
-            run._check_budget()
-            run.nodes_visited += 2  # stays odd: never % 64 == 0
-    # One poll period at most: the raise must land on the 64th check.
-    assert run.nodes_visited == 1 + 2 * 63
-
-
-@pytest.mark.parametrize("algorithm", ["dds", "lds"])
-def test_expired_time_limit_is_bit_identical_across_serial_engines(algorithm):
-    """A wall-clock deadline in the past: both python engines must stop
-    at the same node (the 64th budget check after the exempt first
-    leaf), yielding identical fingerprints.  The compiled engine hands
-    time-limited searches to the fast one, so the pair is the whole
-    domain."""
-
-    jobs = [
-        make_job(job_id=i, submit=0.0, nodes=1 + i % 3, runtime=HOUR, waiting=True)
-        for i in range(1, 9)
-    ]
-    prints = {}
-    for engine in ("fast", "reference"):
-        search = DiscrepancySearch(
-            algorithm,
-            node_limit=None,
-            engine=engine,
-            record_anytime=True,
-            time_limit_seconds=1e-9,
-        )
-        result = search.search(_problem(jobs))
-        assert result.limit_hit
-        prints[engine] = fingerprint(result)
-    assert prints["fast"] == prints["reference"]

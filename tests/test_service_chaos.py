@@ -20,6 +20,8 @@ import pytest
 
 from repro.backfill import fcfs_backfill
 from repro.cli import parse_policy
+from repro.core.ckernel import _kernel_arrays
+from repro.core.search import DiscrepancySearch
 from repro.predict.source import RuntimeSource
 from repro.service.api import (
     STATUSES,
@@ -41,6 +43,7 @@ from repro.simulator.engine import Simulation
 from repro.simulator.policy import RunningJob, SchedulingPolicy
 from repro.util.faults import FaultPlan, faults_suppressed, injected_faults
 from repro.util.rng import RngStream
+from repro.util.sanitize import sanitize_enabled
 from repro.util.timeunits import HOUR, time_eq
 from repro.workloads.synthetic import generate_month
 from tests.conftest import make_job, small_cluster
@@ -84,24 +87,25 @@ def _trace_requests(tenant_id, jobs):
     ]
 
 
-async def _drive(service, tenant_id, requests, seed):
-    """Closed-loop synthetic driver: one response awaited per request."""
+async def _drive(service, tenant_id, requests, seed, arrivals=(1, 3), nodes=(1, 5)):
+    """Closed-loop synthetic client: one response awaited per request, each
+    with ``arrivals`` jobs of ``nodes`` nodes (half-open ranges)."""
     stream = RngStream(seed, f"chaos/{tenant_id}")
     now = 0.0
     responses = []
     for i in range(requests):
         now += float(stream.uniform(60.0, 900.0))
-        arrivals = tuple(
+        batch = tuple(
             JobSpec(
-                job_id=i * 3 + k,
-                nodes=int(stream.integers(1, 5)),
+                job_id=i * arrivals[1] + k,
+                nodes=int(stream.integers(*nodes)),
                 runtime=float(stream.uniform(300.0, HOUR)),
             )
-            for k in range(int(stream.integers(1, 3)))
+            for k in range(int(stream.integers(*arrivals)))
         )
         responses.append(
             await service.submit(
-                DecisionRequest(tenant=tenant_id, now=now, arrivals=arrivals)
+                DecisionRequest(tenant=tenant_id, now=now, arrivals=batch)
             )
         )
     return responses
@@ -612,6 +616,70 @@ def test_crash_recovery_matches_batch_on_either_route(unused_route, tmp_path):
 @pytest.mark.fault_sensitive
 def test_fault_free_run_matches_batch_on_either_route(unused_route):
     _took_one_route(_check_fault_free_run_matches_batch(), unused_route)
+
+
+# ----------------------------------------------------------------------
+# A degraded answer is a function of (problem, node budget)
+# ----------------------------------------------------------------------
+#: More nodes than any slice of a 0.2 s deadline buys at a measured rate,
+#: so after the first decision every budget is the rung's own; the queue
+#: ``_drive`` builds (3-5 arrivals of 2-6 nodes on 8) is deep enough for
+#: those budgets to stop searches.
+ANYTIME_L = 10**7
+
+
+def test_anytime_answer_is_a_plain_search_at_its_node_budget(unused_route):
+    """Every decision faulted onto the degraded rungs: each anytime answer
+    equals a fresh search of the problem it searched, at the node budget
+    the rung gave it, on the policy's engine — the C kernel when built."""
+    policy = parse_policy("dds/lxf/dynB", ANYTIME_L, True)
+    searcher = policy.searcher
+    search, decide = searcher.search, policy.decide
+    searched: list = []  # (budget, problem) of the decision in flight
+    answers: list = []  # (budget, problem, answer)
+
+    def recording_search(problem):
+        searched.append((searcher.node_limit, problem))
+        return search(problem)
+
+    def recording_decide(now, waiting, running, cluster):
+        searched.clear()
+        jobs = decide(now, waiting, running, cluster)
+        if searched:
+            answers.append((*searched[-1], jobs))
+        return jobs
+
+    searcher.search = recording_search
+    policy.decide = recording_decide
+
+    async def scenario():
+        service = DecisionService(
+            lambda tenant_id: policy,
+            config=ServiceConfig(default_slo=TenantSLO(deadline_seconds=0.2)),
+            cluster_config=small_cluster(8),
+        )
+        service.register_tenant("t")
+        async with service:
+            responses = await _drive(
+                service, "t", 12, seed=21, arrivals=(3, 6), nodes=(2, 7)
+            )
+        return service, responses
+
+    with injected_faults(FaultPlan.parse("seed=5,service.decide=1.0")):
+        service, responses = asyncio.run(scenario())
+    _took_one_route([service.stats], unused_route)
+    assert all(r.status == "ok" and r.degraded for r in responses)
+    assert "anytime" in {d.mode for r in responses for d in r.decisions}
+    assert searcher.node_limit == ANYTIME_L  # restored after every call
+    assert any(budget < ANYTIME_L for budget, _, _ in answers)
+    assert policy.stats["limit_hits"] > 0  # some budget cut a search short
+    on_kernel = searcher.engine == "compiled" and not sanitize_enabled()
+    for budget, problem, answer in answers:
+        plain = DiscrepancySearch(node_limit=budget, engine=searcher.engine)
+        expected = plain.search(problem).jobs_startable_now(problem.now)
+        assert [j.job_id for j in answer] == [j.job_id for j in expected]
+        if on_kernel:
+            assert _kernel_arrays(problem) is not None
 
 
 class _ProbePolicy(SchedulingPolicy):
