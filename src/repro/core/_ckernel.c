@@ -30,14 +30,21 @@
  * engine): custom evaluators and the runtime sanitizer (needs
  * per-mutation Python checks).
  *
- * One shortcut is omitted, invisible in results: place()'s skip-ahead
- * leaves out place_run_fold's suffix-min frontier, a pure scan shortcut
- * over segments the plain walk rejects anyway.  Ported into ck_chain it
- * made a node slower, not faster: the packed prefix it skips is short,
- * and the suffix minima cost a pass over every chain (61.7 against 57.4
- * ns a node on perfbench batch_L100k's recorded kernel calls, gcc 12
- * -O3 on 2 vCPUs; docs/performance.md, "The compiled chain rolls back
- * once").
+ * Two shortcuts differ between the languages, both invisible in results:
+ *
+ *   - python has, and C omits, place_run_fold's suffix-min frontier: a
+ *     pure scan shortcut over segments the plain walk rejects anyway.
+ *     Ported into ck_chain it made a node slower, not faster: the packed
+ *     prefix it skips is short, and the suffix minima cost a pass over
+ *     every chain (61.7 against 57.4 ns a node on perfbench
+ *     batch_L100k's recorded kernel calls, gcc 12 -O3 on 2 vCPUs;
+ *     docs/performance.md, "The compiled chain rolls back once");
+ *   - C has, and python omits, the chain memo (ck_memo_find): a chain
+ *     whose path placed the same (job, start) pairs as an earlier one's,
+ *     every one of them landing exactly, re-folds that chain's cached
+ *     starts instead of placing them.  It skips half of the placements
+ *     on batch_L100k's recorded calls (docs/performance.md, "Chains that
+ *     repeat"); memory is per search and capped.
  *
  * Two shortcuts are shared with python, both invisible in results and
  * both under count_dominated (no job submitted after now):
@@ -63,6 +70,7 @@
 
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -74,8 +82,10 @@ typedef struct {
     Py_ssize_t si;
     Py_ssize_t ej;
     long nodes;
-    int created_start;
-    int created_end;
+    unsigned char created_start;
+    unsigned char created_end;
+    /* The start or end snapped to a breakpoint of another value. */
+    unsigned char inexact;
 } UndoFrame;
 
 /* A job in ck_wait_bound's order: submit time, then dense index. */
@@ -90,6 +100,24 @@ typedef struct {
     double slow;
     Py_ssize_t d;
 } AnyRec;
+
+/* A chain memo entry (ck_memo_find): its key is the profile length m,
+ * the depth d (0 marks an empty slot) and the path's d DFS placements,
+ * words [at, at + 2d) of memo_words; the chain's first len starts follow
+ * them. */
+typedef struct {
+    uint64_t hash;
+    Py_ssize_t m;
+    Py_ssize_t d;
+    uint32_t at;
+    uint32_t len;
+} MemoSlot;
+
+/* A memo word: the key's jobs, then their starts and the chain's. */
+typedef union {
+    Py_ssize_t job;
+    double start;
+} MemoWord;
 
 typedef struct {
     /* One block holds every array below but `any` (ck_layout). */
@@ -115,11 +143,25 @@ typedef struct {
     Py_ssize_t *nxt;
     Py_ssize_t *prv;
     Py_ssize_t head;
-    /* ck_wait_bound's jobs by (submit, index), and which of them the
-     * DFS has placed (chains place no flag: the bound is not asked
-     * inside one). */
+    /* ck_wait_bound's jobs by (submit, index), and which jobs the DFS
+     * has placed (chains place no flag: neither the bound nor the memo
+     * is asked inside one). */
     SubmitRank *by_submit;
     unsigned char *placed;
+    double *jstart; /* a placed job's DFS start */
+
+    /* The chain memo: the path's key (a commutative sum of ck_pair_hash
+     * over its DFS placements) and count of inexact snaps, and a table
+     * allocated at the first chain that can use it (ck_memo_find). */
+    uint64_t key;
+    Py_ssize_t inexact;
+    MemoSlot *memo;
+    size_t memo_mask;
+    size_t memo_used;
+    MemoWord *memo_words;
+    size_t memo_words_n;
+    size_t memo_words_cap;
+    int memo_off; /* allocation failed: chains run as without a memo */
 
     /* path / best */
     Py_ssize_t *path_i;
@@ -208,7 +250,8 @@ ck_fit(const Search *s, long nodes, double duration, Py_ssize_t *seg)
 /* ------------------------------------------------------------------ */
 /* SearchProfile.place: ck_fit + breakpoint commit + undo push         */
 /* (`undo`: a chain's placements are rolled back by checkpoint and     */
-/* push none).                                                         */
+/* push none; a DFS placement also counts an inexact snap, see         */
+/* ck_memo_find).                                                      */
 /* ------------------------------------------------------------------ */
 static inline double
 ck_place(Search *s, long nodes, double duration, const int undo)
@@ -225,9 +268,11 @@ ck_place(Search *s, long nodes, double duration, const int undo)
     /* start breakpoint (t[i] <= start < t[i+1] by the scan) */
     Py_ssize_t si;
     int created_start;
+    int inexact = 0;
     if (start - t[i] <= eps) {
         si = i;
         created_start = 0;
+        inexact = start != t[i];
     }
     else {
         si = i + 1;
@@ -249,6 +294,7 @@ ck_place(Search *s, long nodes, double duration, const int undo)
     if (end - t[j] <= eps) {
         ej = j;
         created_end = 0;
+        inexact |= end != t[j];
     }
     else {
         ej = j + 1;
@@ -269,8 +315,10 @@ ck_place(Search *s, long nodes, double duration, const int undo)
         u->si = si;
         u->ej = ej;
         u->nodes = nodes;
-        u->created_start = created_start;
-        u->created_end = created_end;
+        u->created_start = (unsigned char)created_start;
+        u->created_end = (unsigned char)created_end;
+        u->inexact = (unsigned char)inexact;
+        s->inexact += inexact;
     }
     return start;
 }
@@ -279,6 +327,7 @@ static void
 ck_unplace(Search *s)
 {
     UndoFrame *u = &s->undo[--s->undo_n];
+    s->inexact -= u->inexact;
     double *t = s->t;
     long *f = s->f;
     for (Py_ssize_t k = u->si; k < u->ej; k++)
@@ -381,6 +430,159 @@ ck_prune_child(Search *s, double exc, double slow, Py_ssize_t left)
 }
 
 /* ------------------------------------------------------------------ */
+/* The chain memo.  A chain's starts are a function of the profile and */
+/* of the remaining list, which is the heuristic order minus the placed */
+/* set.  When every DFS placement on the path landed exactly (each      */
+/* start and end made a breakpoint or met one of the same value), the   */
+/* profile is the root's breakpoints plus those starts and ends, each   */
+/* segment less the nodes of the jobs covering it, whatever the order   */
+/* of placement: so the set of (job, start) pairs, with the profile     */
+/* length and the depth, is an exact key (tests/test_profile_properties */
+/* .py).  With one inexact snap on the path, the order can matter, and  */
+/* such a path neither looks up nor stores.                             */
+/* ------------------------------------------------------------------ */
+#define MEMO_MIN_SLOTS 64
+#define MEMO_MAX_SLOTS 8192
+#define MEMO_MAX_WORDS 65536 /* 512 KB of keys and starts */
+
+static inline uint64_t
+ck_mix(uint64_t x)
+{
+    x ^= x >> 30;
+    x *= 0xBF58476D1CE4E5B9u;
+    x ^= x >> 27;
+    x *= 0x94D049BB133111EBu;
+    return x ^ (x >> 31);
+}
+
+/* One DFS placement's share of the path key; ck_dfs adds it on place
+ * and subtracts it on unplace. */
+static inline uint64_t
+ck_pair_hash(Py_ssize_t job, double start)
+{
+    uint64_t bits;
+    memcpy(&bits, &start, sizeof(bits));
+    return ck_mix(bits + (uint64_t)job * 0x9E3779B97F4A7C15u);
+}
+
+/* The table for this search, sized from what it can hold: a slot per 32
+ * nodes of budget (a chain costs at least one), 256 when unlimited; it
+ * grows by doubling to MEMO_MAX_SLOTS. */
+static int
+ck_memo_init(Search *s)
+{
+    size_t slots = 256;
+    if (s->node_limit >= 0) {
+        slots = MEMO_MIN_SLOTS;
+        while (slots < MEMO_MAX_SLOTS && (long long)slots * 32 < s->node_limit)
+            slots *= 2;
+    }
+    s->memo = calloc(slots, sizeof(MemoSlot));
+    s->memo_words = malloc(slots * 8 * sizeof(MemoWord));
+    if (s->memo == NULL || s->memo_words == NULL) {
+        s->memo_off = 1;
+        return -1;
+    }
+    s->memo_mask = slots - 1;
+    s->memo_words_cap = slots * 8;
+    return 0;
+}
+
+/* The slot of the chain about to run at depth d: its entry, or the empty
+ * slot a miss fills; NULL when the path has under two DFS placements or
+ * an inexact snap, or the search has no memo. */
+static MemoSlot *
+ck_memo_find(Search *s, Py_ssize_t d, uint64_t *hash)
+{
+    if (d < 2 || s->inexact || s->memo_off)
+        return NULL;
+    if (s->memo == NULL && ck_memo_init(s) < 0)
+        return NULL;
+    const uint64_t h = ck_mix(s->key + (uint64_t)s->m * 0xD6E8FEB86659FD93u
+                              + (uint64_t)d);
+    *hash = h;
+    for (size_t k = h & s->memo_mask;; k = (k + 1) & s->memo_mask) {
+        MemoSlot *e = &s->memo[k];
+        if (e->d == 0)
+            return e;
+        if (e->hash != h || e->d != d || e->m != s->m)
+            continue;
+        /* The same d pairs: each stored job is placed at its start. */
+        const MemoWord *w = s->memo_words + e->at;
+        Py_ssize_t q = 0;
+        while (q < d && s->placed[w[q].job]
+               && s->jstart[w[q].job] == w[d + q].start)
+            q++;
+        if (q == d)
+            return e;
+    }
+}
+
+/* Double the table, re-placing slots by their stored hash alone. */
+static int
+ck_memo_grow(Search *s)
+{
+    const size_t slots = 2 * (s->memo_mask + 1);
+    MemoSlot *grown = calloc(slots, sizeof(MemoSlot));
+    if (grown == NULL)
+        return -1;
+    for (size_t k = 0; k <= s->memo_mask; k++) {
+        if (s->memo[k].d == 0)
+            continue;
+        size_t at = s->memo[k].hash & (slots - 1);
+        while (grown[at].d)
+            at = (at + 1) & (slots - 1);
+        grown[at] = s->memo[k];
+    }
+    free(s->memo);
+    s->memo = grown;
+    s->memo_mask = slots - 1;
+    return 0;
+}
+
+/* Record the len starts a placed chain got at path_s[d..d+len) in slot
+ * e (empty on a miss; a hit whose starts ran out gets the longer list).
+ * A full memo records nothing and keeps answering. */
+static void
+ck_memo_store(Search *s, MemoSlot *e, uint64_t h, Py_ssize_t d,
+              Py_ssize_t len)
+{
+    const size_t slots = s->memo_mask + 1;
+    if (e->d == 0 && 2 * (s->memo_used + 1) > slots)
+        return;
+    const size_t need = (size_t)(2 * d + len);
+    if (s->memo_words_n + need > s->memo_words_cap) {
+        size_t cap = 2 * s->memo_words_cap;
+        while (cap < s->memo_words_n + need)
+            cap *= 2;
+        if (cap > MEMO_MAX_WORDS)
+            return;
+        MemoWord *grown = realloc(s->memo_words, cap * sizeof(MemoWord));
+        if (grown == NULL)
+            return;
+        s->memo_words = grown;
+        s->memo_words_cap = cap;
+    }
+    MemoWord *w = s->memo_words + s->memo_words_n;
+    for (Py_ssize_t q = 0; q < d; q++) {
+        w[q].job = s->path_i[q];
+        w[d + q].start = s->path_s[q];
+    }
+    for (Py_ssize_t q = 0; q < len; q++)
+        w[2 * d + q].start = s->path_s[d + q];
+    if (e->d == 0)
+        s->memo_used++;
+    e->hash = h;
+    e->m = s->m;
+    e->d = d;
+    e->at = (uint32_t)s->memo_words_n;
+    e->len = (uint32_t)len;
+    s->memo_words_n += need;
+    if (2 * s->memo_used >= slots && slots < MEMO_MAX_SLOTS)
+        ck_memo_grow(s); /* on failure the table stops at this load */
+}
+
+/* ------------------------------------------------------------------ */
 /* Heuristic-completion chain: _chain and _chain_per_node in one loop, */
 /* under their checkpoint()/rollback() bracket: t[0..m) and f[0..m)    */
 /* are copied once on entry, placements push no undo frames, and every */
@@ -390,7 +592,10 @@ ck_prune_child(Search *s, double exc, double slow, Py_ssize_t left)
 /* chain, so _chain_per_node's per-step budget check is the allowance  */
 /* computed up front; only pruning and the cut test every step (at the */
 /* first step not below the cut the rest of the chain and its leaf are */
-/* counted: count_dominated implies !prune, so k == m there).          */
+/* counted: count_dominated implies !prune, so k == m there).  A chain */
+/* the memo knows folds its cached starts the same way, with no        */
+/* placement and no checkpoint; if they run out before it stops, it    */
+/* starts over as a placed chain and caches the longer list.           */
 /* ------------------------------------------------------------------ */
 static int
 ck_chain(Search *s, Py_ssize_t m, double exc, double slow, Py_ssize_t d)
@@ -403,8 +608,14 @@ ck_chain(Search *s, Py_ssize_t m, double exc, double slow, Py_ssize_t d)
         return CK_STOP;
     }
     const Py_ssize_t m0 = s->m;
-    memcpy(s->ck_t, s->t, (size_t)m0 * sizeof(double));
-    memcpy(s->ck_f, s->f, (size_t)m0 * sizeof(long));
+    uint64_t h = 0;
+    MemoSlot *slot = m > 0 ? ck_memo_find(s, d, &h) : NULL;
+    const double *cached =
+        slot && slot->d ? &s->memo_words[slot->at + 2 * d].start : NULL;
+    const Py_ssize_t have = cached ? (Py_ssize_t)slot->len : 0;
+    const double exc0 = exc;
+    const double slow0 = slow;
+    const long long nodes0 = s->nodes_visited;
     /* Walk the list (no unlink — a chain never branches), place + fold
      * fused in one scalar loop.  Bit-identical to both Python paths by
      * the association-order contract. */
@@ -413,13 +624,31 @@ ck_chain(Search *s, Py_ssize_t m, double exc, double slow, Py_ssize_t d)
     const double cut_slow = s->cut_slow;
     const Py_ssize_t end = d + m;
     const Py_ssize_t stop = d + (Py_ssize_t)k;
-    Py_ssize_t i = s->head;
-    Py_ssize_t p = d;
-    int rc = CK_STOP; /* what a budget-truncated chain returns */
+    Py_ssize_t i, p;
+    int rc;
+from_start:
+    if (cached == NULL) {
+        memcpy(s->ck_t, s->t, (size_t)m0 * sizeof(double));
+        memcpy(s->ck_f, s->f, (size_t)m0 * sizeof(long));
+    }
+    i = s->head;
+    p = d;
+    rc = CK_STOP; /* what a budget-truncated chain returns */
     while (p < stop) {
         i = s->nxt[i];
         s->nodes_visited++;
-        double start = ck_place(s, s->jnodes[i], s->rt[i], 0);
+        double start;
+        if (cached == NULL)
+            start = ck_place(s, s->jnodes[i], s->rt[i], 0);
+        else if (p - d < have)
+            start = cached[p - d];
+        else { /* the cached starts ran out */
+            cached = NULL;
+            exc = exc0;
+            slow = slow0;
+            s->nodes_visited = nodes0;
+            goto from_start;
+        }
         s->path_i[p] = i;
         s->path_s[p] = start;
         double wait = start - s->submit[i];
@@ -433,19 +662,23 @@ ck_chain(Search *s, Py_ssize_t m, double exc, double slow, Py_ssize_t d)
             s->nodes_visited += end - p;
             s->leaves_evaluated++;
             rc = CK_OK;
-            goto rollback;
+            goto done;
         }
         if (prune && ck_prune_child(s, exc, slow, end - p)) {
             rc = CK_OK; /* pruned mid-chain: plain return in Python */
-            goto rollback;
+            goto done;
         }
     }
     if (stop == end)
         rc = ck_leaf(s, exc, slow, end);
-rollback:
-    memcpy(s->t, s->ck_t, (size_t)m0 * sizeof(double));
-    memcpy(s->f, s->ck_f, (size_t)m0 * sizeof(long));
-    s->m = m0;
+done:
+    if (cached == NULL) {
+        memcpy(s->t, s->ck_t, (size_t)m0 * sizeof(double));
+        memcpy(s->f, s->ck_f, (size_t)m0 * sizeof(long));
+        s->m = m0;
+        if (slot != NULL)
+            ck_memo_store(s, slot, h, d, p - d);
+    }
     return rc;
 }
 
@@ -554,6 +787,9 @@ ck_dfs(Search *s, const int lds, Py_ssize_t m, Py_ssize_t st, double exc,
         double start = ck_place(s, s->jnodes[i], s->rt[i], 1);
         s->path_i[d] = i;
         s->path_s[d] = start;
+        s->jstart[i] = start;
+        const uint64_t pair = ck_pair_hash(i, start);
+        s->key += pair;
         double wait = start - s->submit[i];
         double e = wait - s->omega;
         double nexc = e > 0.0 ? exc + e : exc;
@@ -564,6 +800,7 @@ ck_dfs(Search *s, const int lds, Py_ssize_t m, Py_ssize_t st, double exc,
             rc = ck_dfs(s, lds, m - 1, rank ? st - 1 : st0, nexc, nslow,
                         d + 1);
         ck_unplace(s);
+        s->key -= pair;
         placed[i] = 0;
         nxt[pi] = i;
         prv[ni] = i;
@@ -604,6 +841,8 @@ ck_free(Search *s)
 {
     free(s->arena);
     free(s->any);
+    free(s->memo);
+    free(s->memo_words);
     memset(s, 0, sizeof(*s));
 }
 
@@ -665,6 +904,7 @@ ck_layout(Search *s, char *base, size_t cap_m, size_t n)
     s->best_s = ck_carve(base, &at, n1, sizeof(double));
     s->by_submit = ck_carve(base, &at, n1, sizeof(SubmitRank));
     s->placed = ck_carve(base, &at, n1, sizeof(unsigned char));
+    s->jstart = ck_carve(base, &at, n1, sizeof(double));
     return at;
 }
 
@@ -745,8 +985,8 @@ ck_init(Search *s, int lds, long long node_limit, int prune,
             s->by_submit[k].i = k;
         }
         qsort(s->by_submit, (size_t)n, sizeof(SubmitRank), ck_submit_order);
-        memset(s->placed, 0, (size_t)n);
     }
+    memset(s->placed, 0, (size_t)n);
     s->cut_exc = INFINITY;
     s->cut_slow = INFINITY;
     return 0;

@@ -8,12 +8,15 @@ LIFO reserve/release reversibility.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.profile import AvailabilityProfile
 from repro.simulator.policy import RunningJob
+from repro.util.sanitize import sanitized
 from repro.util.timeunits import TIME_EPS, time_eq
 
 from tests.conftest import make_job
@@ -289,6 +292,76 @@ def test_search_view_does_not_touch_source_profile(reservations, placements):
     while view.depth:
         view.unplace()
     assert p.segments() == before
+
+
+# ----------------------------------------------------------------------
+# Order independence: the premise of the compiled kernel's chain memo
+# (src/repro/core/_ckernel.c, ck_memo_find).
+# ----------------------------------------------------------------------
+def _place_in_order(p: AvailabilityProfile, jobs, order):
+    """Place ``jobs[k]`` for k in ``order`` at the origin on a fresh view:
+    (sorted (job, start) pairs, whether every start and end landed on a
+    breakpoint of its own value, the segments left)."""
+    with sanitized(False):  # ROADMAP item 6's snapping can over-claim
+        view = p.search_view()
+    pairs, exact = [], True
+    for k in order:
+        nodes, duration = jobs[k]
+        start = view.place(nodes, duration, p.origin)
+        times = {t for t, _ in view.segments()}
+        exact = exact and start in times and start + duration in times
+        pairs.append((k, start))
+    return tuple(sorted(pairs)), exact, view.segments()
+
+
+@given(
+    tight_profiles(),
+    st.lists(
+        st.tuples(st.integers(min_value=1, max_value=CAPACITY), tight_offset),
+        min_size=2,
+        max_size=4,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_exact_placements_leave_one_profile_in_any_order(p, jobs):
+    """Placed in every order, jobs whose starts and ends all landed exactly
+    leave the same (times, free) whenever they got the same starts: the
+    breakpoints are the running profile's plus those starts and ends, and
+    each segment's free count is a sum over the jobs covering it.
+    Runtimes 10.0, 10.000000000000002 and 10.0 ± TIME_EPS are drawn often,
+    so orders that snap inexactly are common too; they are left out."""
+    left: dict[tuple, list] = {}
+    for order in itertools.permutations(range(len(jobs))):
+        pairs, exact, segments = _place_in_order(p, jobs, order)
+        if exact:
+            left.setdefault(pairs, []).append(segments)
+    for pairs, profiles in left.items():
+        assert all(seg == profiles[0] for seg in profiles), (pairs, profiles)
+
+
+def test_an_inexact_snap_makes_the_order_matter():
+    """Why a path with an inexact snap may not use the memo: the same
+    starts in two orders leave two profiles, and the next job starts
+    2e-15 apart on them.  Placed first, 10.0 leaves a breakpoint that
+    10.000000000000002 snaps onto; the other way round both stay."""
+    p = AvailabilityProfile(CAPACITY, origin=0.0)
+    jobs = [(1, 10.0), (1, 10.000000000000002)]
+    first, exact_first, seg_first = _place_in_order(p, jobs, (0, 1))
+    second, exact_second, seg_second = _place_in_order(p, jobs, (1, 0))
+    assert first == second == ((0, 0.0), (1, 0.0))
+    assert (exact_first, exact_second) == (False, True)
+    assert seg_first == [(0.0, CAPACITY - 2), (10.0, CAPACITY)]
+    assert seg_second == [
+        (0.0, CAPACITY - 2), (10.0, CAPACITY - 1), (10.000000000000002, CAPACITY)
+    ]
+    starts = set()
+    for order in ((0, 1), (1, 0)):
+        with sanitized(False):
+            view = p.search_view()
+        for k in order:
+            view.place(*jobs[k], p.origin)
+        starts.add(view.place(CAPACITY, 5.0, p.origin))
+    assert starts == {10.0, 10.000000000000002}
 
 
 running_job = st.tuples(
