@@ -21,9 +21,9 @@ fail, snapshots rot and queues overflow.  The pieces:
   per-request retry with deterministic backoff, periodic tenant
   snapshots, and the choice of where a request runs (the event loop
   when it is cheaper than a thread hop, a worker thread otherwise);
-- :mod:`repro.service.recovery` — checksummed, rotated snapshots of a
-  tenant's live state beside an append-only log of its finished jobs,
-  and the crash-recovery scan over both.
+- :mod:`repro.service.recovery` — one append-only log per tenant, each
+  save a checksummed frame of the jobs finished since the last one and
+  the tenant's live record, and the crash-recovery scan over it.
 
 Robustness is verified the same way as the rest of the fault-tolerance
 layer: the ``service.*`` sites in :data:`repro.util.faults.SITES` inject

@@ -1,41 +1,41 @@
-"""Crash recovery of tenant state: a bounded live snapshot plus an
-append-only log of finished jobs.
+"""Crash recovery of tenant state: one append-only log per tenant.
 
 A service crash must not cost a tenant its schedule, and keeping that
-promise must not cost more the longer the tenant lives.  So what is
-persisted is split by how it changes:
+promise must not cost more the longer the tenant lives.  So a save
+writes what changed and nothing else, as **one frame** appended to the
+tenant's log and made durable with **one** ``fsync``:
 
-- the **live snapshot** — :meth:`~repro.service.tenant.TenantEngine
-  .snapshot_record`: queue, running set, event queue, policy, watermark,
-  and a *count* of the finished jobs — is rewritten whole at every save,
-  in a checksummed envelope (:func:`dump_snapshot`: magic, sha256, one
-  pickle blob so object aliasing survives), atomically, and rotated.  Its
-  size follows the live state, not the tenant's age;
-- the **finished-job log** — one file per tenant that only grows: each
-  save appends the jobs finished since the previous save as one frame
-  that carries the index of its first job and its own sha256.
+- a header — magic, index of the frame's first finished job in the
+  tenant's completion order, job count, and the byte lengths of the two
+  blobs that follow — then the sha256 of header and payload;
+- the payload: the jobs finished since the previous save (one pickled
+  ``list[Job]``), then the live record, :meth:`~repro.service.tenant
+  .TenantEngine.snapshot_record` — queue, running set, event queue,
+  policy, watermark and a *count* of the finished jobs — pickled as one
+  unit so object aliasing survives.  Its size follows the live state,
+  not the tenant's age.
 
-A save writes in this order: the frame is appended and made durable
-(``fsync``), *then* the snapshot that counts its jobs is published
-(temporary file, ``fsync``, rename, directory ``fsync``), then older
-snapshots are rotated out.  A crash between any two steps therefore
-leaves a log that holds *at least* what every published snapshot counts.
+A record sits after the jobs it counts inside one checksummed frame, so
+"the log holds at least what the record counts" holds by construction.
 
-Recovery (:func:`latest_tenant_snapshot`) reads the intact prefix of the
-log, scans the snapshots newest-first, skips anything torn, rotted,
-wrong-shaped or counting more finished jobs than the prefix holds, and
-restores the first one left: its live state plus the first
-``completed_count`` jobs of the log, in log order (the order the engine
-finished them in — the metrics sum floats in that order).  It then cuts
-the log back to that count and deletes the newer snapshot files it
-skipped, so nothing from a future that did not survive can be counted
-against ``keep`` or appended after.  The injected-fault site
-``service.snapshot`` corrupts the persisted bytes of one snapshot — the
-chaos suite uses it to prove the fallback actually engages.
+Recovery (:class:`SnapshotWriter` when it opens the log, or
+:func:`latest_tenant_snapshot`) reads the log once, finds its intact
+prefix — frames that are whole, pass their checksum and start at the job
+the previous one ended on — and restores the newest frame in it whose
+record rebuilds: that record plus every job in the frames up to and
+including it, in log order (the order the engine finished them in — the
+metrics sum floats in that order).  Whatever follows that frame is cut
+off, so nothing from a future that did not survive is appended after.
+The injected-fault site ``service.snapshot`` makes a save's write short:
+half the frame reaches the file and the save fails, so the next save
+overwrites the torn bytes and a crash before it restores the save
+before.
 
-Layout: ``<root>/<tenant_id>/snap-<decision_count>.pkl`` and
-``<root>/<tenant_id>/finished.log``.  Tenant ids double as directory
-names, so the service only admits ids matching :data:`TENANT_ID_PATTERN`.
+Layout: ``<root>/<tenant_id>/finished.log``.  Tenant ids double as
+directory names, so the service only admits ids matching
+:data:`TENANT_ID_PATTERN`.  A directory in the earlier two-file layout
+(``snap-*.pkl`` snapshots beside an ``FJL1`` log) is refused with
+:class:`OldLayout`, never silently started over.
 """
 
 from __future__ import annotations
@@ -48,35 +48,33 @@ import re
 import struct
 from contextlib import closing
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.service.tenant import TenantEngine
 from repro.simulator.job import Job
 from repro.util import faults
-from repro.util.atomio import atomic_write_bytes, fsync_directory
+from repro.util.atomio import fsync_directory
 
 log = logging.getLogger("repro.service.recovery")
-
-#: Format tag of a snapshot file; bump the suffix when the blob layout
-#: changes.  The tenant format inherited it from the retired batch
-#: checkpoints, so every snapshot written so far carries it.
-MAGIC = b"REPRO-CKPT-1\n"
 
 #: Tenant ids become directory names; keep them filesystem-safe.
 TENANT_ID_PATTERN = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
 
-#: Filename pattern of tenant snapshots (decision count, sorts in order).
-SNAPSHOT_GLOB = "snap-*.pkl"
-
-#: The finished-job log of a tenant directory (not a :data:`SNAPSHOT_GLOB` match).
+#: The log of a tenant directory, the directory's only file.
 LOG_NAME = "finished.log"
 
-#: A log frame is this header, the sha256 of header + payload, then the
-#: payload (one pickled ``list[Job]``).  Header: magic, index of the
-#: frame's first job in the tenant's completion order, jobs, payload bytes.
-_FRAME_HEADER = struct.Struct(">4sQII")
-_FRAME_MAGIC = b"FJL1"
+#: A frame is this header, the sha256 of header + payload, then the
+#: payload (pickled ``list[Job]``, then the pickled live record).
+#: Header: magic, index of the frame's first job in the tenant's
+#: completion order, jobs, jobs-blob bytes, record-blob bytes.
+_FRAME_HEADER = struct.Struct(">4sQIII")
+_FRAME_MAGIC = b"TLG1"
 _DIGEST_SIZE = hashlib.sha256().digest_size
+
+#: What the two-file layout left in a tenant directory: its snapshots, and
+#: the magic its log's frames (jobs only) started with.
+_OLD_SNAPSHOTS = "snap-*.pkl"
+_OLD_FRAME_MAGIC = b"FJL1"
 
 
 def valid_tenant_id(tenant_id: str) -> bool:
@@ -90,190 +88,202 @@ def tenant_directory(root: str | Path, tenant_id: str) -> Path:
 
 
 class CorruptCheckpoint(ValueError):
-    """A snapshot or log frame failed magic/checksum/structure validation."""
+    """A checksum-valid blob of a frame does not unpickle."""
 
 
-# ----------------------------------------------------------------------
-# The snapshot envelope: ``MAGIC + sha256(blob) + "\n" + blob``
-# ----------------------------------------------------------------------
-def dump_snapshot(record: dict[str, Any]) -> bytes:
-    """Serialize ``record`` into the checksummed on-disk envelope."""
-    blob = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-    digest = hashlib.sha256(blob).hexdigest().encode("ascii")
-    return MAGIC + digest + b"\n" + blob
+class OldLayout(ValueError):
+    """A tenant directory written in the two-file layout, which this
+    version does not read (and must not overwrite)."""
 
 
-def parse_snapshot(raw: bytes, origin: str = "snapshot") -> dict[str, Any]:
-    """Validate the envelope and unpickle its record.
-
-    Raises :class:`CorruptCheckpoint` on bad magic, a checksum mismatch
-    (torn write, disk rot, injected corruption) or an unpicklable blob —
-    callers treat any of those as "this snapshot does not exist" and fall
-    back to an older one.
-    """
-    if not raw.startswith(MAGIC):
-        raise CorruptCheckpoint(f"{origin}: bad magic (not a repro checkpoint)")
-    header, sep, blob = raw[len(MAGIC) :].partition(b"\n")
-    if not sep or len(header) != 64:
-        raise CorruptCheckpoint(f"{origin}: malformed checksum header")
-    if hashlib.sha256(blob).hexdigest().encode("ascii") != header:
-        raise CorruptCheckpoint(f"{origin}: checksum mismatch (torn write?)")
+def _refuse_old_layout(directory: Path) -> None:
+    old = next(directory.glob(_OLD_SNAPSHOTS), None)
     try:
-        record = pickle.loads(blob)
-    except Exception as exc:
-        raise CorruptCheckpoint(f"{origin}: unpicklable blob ({exc})") from None
-    if not isinstance(record, dict):
-        raise CorruptCheckpoint(f"{origin}: blob is not a snapshot record")
-    return record
+        with open(directory / LOG_NAME, "rb") as log_file:
+            head = log_file.read(len(_OLD_FRAME_MAGIC))
+    except FileNotFoundError:
+        head = b""
+    if old is not None or head == _OLD_FRAME_MAGIC:
+        found = old.name if old is not None else f"{LOG_NAME} starting {head!r}"
+        raise OldLayout(
+            f"{directory} is in the two-file snapshot layout ({_OLD_SNAPSHOTS} "
+            f"beside a log of {_OLD_FRAME_MAGIC.decode()} frames; found {found}), "
+            "which this version does not read: move it aside to start over"
+        )
 
 
 # ----------------------------------------------------------------------
-# The finished-job log
+# Frames
 # ----------------------------------------------------------------------
-def _encode_frame(first: int, jobs: list[Job]) -> bytes:
-    payload = pickle.dumps(jobs, protocol=pickle.HIGHEST_PROTOCOL)
-    header = _FRAME_HEADER.pack(_FRAME_MAGIC, first, len(jobs), len(payload))
-    return header + hashlib.sha256(header + payload).digest() + payload
+def _encode_frame(first: int, jobs: list[Job], record: dict[str, object]) -> bytes:
+    jobs_blob = pickle.dumps(jobs, protocol=pickle.HIGHEST_PROTOCOL)
+    record_blob = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+    header = _FRAME_HEADER.pack(
+        _FRAME_MAGIC, first, len(jobs), len(jobs_blob), len(record_blob)
+    )
+    digest = hashlib.sha256(header)
+    digest.update(jobs_blob)
+    digest.update(record_blob)
+    return b"".join((header, digest.digest(), jobs_blob, record_blob))
 
 
-def _intact_frames(raw: bytes) -> list[tuple[int, int, bytes]]:
-    """The intact prefix of a log, frame by frame: ``(jobs through this
-    frame, offset just past it, its pickled jobs)``.
+class _Frame(NamedTuple):
+    count: int  # finished jobs through this frame
+    end: int  # byte offset just past it
+    jobs: memoryview
+    record: memoryview
+
+
+def _intact_frames(raw: bytes) -> list[_Frame]:
+    """The intact prefix of a log, frame by frame.
 
     The prefix ends at the first frame that is cut short, fails its
     checksum or does not start at the job the previous one ended on —
-    whatever follows (a torn append, bytes an overwritten append left
+    whatever follows (a torn save, bytes an overwritten save left
     behind) is not part of the log.
     """
-    frames: list[tuple[int, int, bytes]] = []
+    view = memoryview(raw)
+    frames: list[_Frame] = []
     count = offset = 0
     while len(raw) - offset >= _FRAME_HEADER.size + _DIGEST_SIZE:
-        magic, first, jobs, size = _FRAME_HEADER.unpack_from(raw, offset)
+        magic, first, jobs, jobs_size, record_size = _FRAME_HEADER.unpack_from(
+            raw, offset
+        )
         body = offset + _FRAME_HEADER.size + _DIGEST_SIZE
-        header = raw[offset : offset + _FRAME_HEADER.size]
-        payload = raw[body : body + size]
-        if (
-            magic != _FRAME_MAGIC
-            or first != count
-            or len(payload) != size
-            or hashlib.sha256(header + payload).digest()
-            != raw[offset + _FRAME_HEADER.size : body]
-        ):
+        split, end = body + jobs_size, body + jobs_size + record_size
+        if magic != _FRAME_MAGIC or first != count or end > len(raw):
+            break
+        digest = hashlib.sha256(view[offset : offset + _FRAME_HEADER.size])
+        digest.update(view[body:end])
+        if digest.digest() != raw[offset + _FRAME_HEADER.size : body]:
             break
         count += jobs
-        offset = body + size
-        frames.append((count, offset, payload))
+        offset = end
+        frames.append(_Frame(count, end, view[body:split], view[split:end]))
     return frames
 
 
-def _decode_jobs(
-    frames: list[tuple[int, int, bytes]], count: int, origin: str
-) -> list[Job]:
-    """The first ``count`` jobs of the log (``count`` is a frame boundary)."""
+def _load(blob: memoryview, what: str) -> Any:
+    try:
+        return pickle.loads(blob)
+    except Exception as exc:  # checksum-valid yet unloadable: another version's
+        raise CorruptCheckpoint(f"{what}: unpicklable blob ({exc})") from None
+
+
+def _restore(raw: bytes, origin: str) -> tuple[TenantEngine | None, int, int]:
+    """The newest frame of the intact prefix whose record rebuilds:
+    ``(tenant, finished jobs through it, offset just past it)``, or
+    ``(None, 0, 0)`` when there is none.  Frames skipped on the way are
+    logged."""
+    frames = _intact_frames(raw)
     finished: list[Job] = []
-    for through, _, payload in frames:
-        if through > count:
-            break
+    usable = 0  # frames whose jobs load, and so every job before them
+    for frame in frames:
         try:
-            finished.extend(pickle.loads(payload))
-        except Exception as exc:  # checksum-valid yet unloadable: another version's
-            raise CorruptCheckpoint(
-                f"{origin}: unpicklable frame ending at job {through} ({exc})"
-            ) from None
-    return finished
+            finished.extend(_load(frame.jobs, f"{origin}: jobs through {frame.count}"))
+        except CorruptCheckpoint as exc:
+            log.warning("skipping unusable tenant snapshot: %s", exc)
+            break
+        usable += 1
+    for frame in reversed(frames[:usable]):
+        try:
+            record = _load(frame.record, f"{origin}: record at job {frame.count}")
+            if not isinstance(record, dict):
+                raise TypeError("blob is not a snapshot record")
+            engine = TenantEngine.from_snapshot_record(
+                record, finished[: frame.count]
+            )
+        except (CorruptCheckpoint, TypeError, KeyError) as exc:
+            log.warning("skipping unusable tenant snapshot: %s", exc)
+            continue
+        return engine, frame.count, frame.end
+    return None, 0, 0
 
 
+# ----------------------------------------------------------------------
+# The write side
+# ----------------------------------------------------------------------
 class SnapshotWriter:
-    """The write side of one tenant directory.
+    """The log of one tenant directory, open for saving.
 
     What the log holds is a fact about the directory, not about the
-    engine, so it lives here: how many finished jobs the log's intact
-    prefix holds (:attr:`count`), where that prefix ends (:attr:`offset`)
-    and the open file.  Opening scans the log once; a save after that does
-    no work proportional to the tenant's history.
+    engine, so it lives here: how many finished jobs its intact prefix
+    holds (:attr:`count`), where that prefix ends (:attr:`offset`) and the
+    open file.  Opening reads and checks the log once — with ``resume``
+    that one pass is also the restore, whose tenant is :attr:`restored` —
+    and cuts the log back to :attr:`offset`; a save after that does no
+    work proportional to the tenant's history.
 
-    ``fresh=True`` is for a tenant that starts from nothing over a
-    directory that may hold an earlier life: it removes that life's
-    snapshots and empties its log, because a snapshot of one life must
-    never be completed from the log of another.
+    A tenant that starts from nothing (``resume=False``, or nothing in
+    the log restores) empties the log, because a record of one life must
+    never be completed from the jobs of another.  A directory in the
+    two-file layout raises :class:`OldLayout` before anything is touched.
     """
 
-    def __init__(self, directory: Path, fresh: bool = False) -> None:
+    def __init__(self, directory: Path, resume: bool = True) -> None:
         directory.mkdir(parents=True, exist_ok=True)
-        self.directory = directory
-        if fresh:
-            for stale in sorted(directory.glob(SNAPSHOT_GLOB)):
-                stale.unlink(missing_ok=True)
-        path = directory / LOG_NAME
-        created = not path.exists()
+        _refuse_old_layout(directory)
+        self.path = directory / LOG_NAME
+        created = not self.path.exists()
         # Unbuffered: a failed write must leave nothing behind in a
-        # buffer for the next append to flush at the wrong place.
-        self._file = open(path, "w+b" if fresh or created else "r+b", buffering=0)
-        if created:  # the log's directory entry must outlive a crash too
-            fsync_directory(directory)
-        frames = _intact_frames(self._file.read())
-        self.count, self.offset = frames[-1][:2] if frames else (0, 0)
+        # buffer for the next save to flush at the wrong place.
+        self._file = open(self.path, "w+b" if created else "r+b", buffering=0)
+        try:
+            raw = self._file.read()
+            if created:  # the log's directory entry must outlive a crash too
+                fsync_directory(directory)
+            self.restored: TenantEngine | None = None
+            self.count = self.offset = 0
+            if resume:
+                self.restored, self.count, self.offset = _restore(raw, str(self.path))
+            if len(raw) > self.offset:
+                self._file.truncate(self.offset)
+        except BaseException:
+            self._file.close()
+            raise
 
     def close(self) -> None:
         self._file.close()
 
-    def save(self, engine: TenantEngine, keep: int = 2) -> Path:
-        """Persist one snapshot of ``engine``; returns the snapshot's path.
+    def save(self, engine: TenantEngine) -> Path:
+        """Append one frame for ``engine``; returns the log's path.
 
-        The ``service.snapshot`` fault site corrupts the snapshot's bytes
-        *after* checksumming (a truncated write), so the file exists but
-        fails validation on load — exactly the torn-write shape recovery
-        must survive.
+        :attr:`count` and :attr:`offset` move only once the frame is on
+        disk, so a save that fails part-way does not poison the next one:
+        it starts at the same offset and carries the same jobs and more,
+        overwriting the torn bytes.  The ``service.snapshot`` fault site
+        is such a failure — half the frame is written, then the save
+        raises like any other short write.
         """
-        if keep < 1:
-            raise ValueError(f"keep must be >= 1, got {keep}")
         finished = engine.completed_jobs
         if self.count > len(finished):
             raise ValueError(
-                f"{self.directory / LOG_NAME} holds {self.count} finished jobs, "
+                f"{self.path} holds {self.count} finished jobs, "
                 f"tenant {engine.tenant_id} has finished {len(finished)}: "
                 "not this engine's directory"
             )
-        if self.count < len(finished):
-            self._append(finished[self.count :])
-        raw = dump_snapshot(engine.snapshot_record())
+        frame = _encode_frame(
+            self.count, finished[self.count :], engine.snapshot_record()
+        )
+        whole = len(frame)
         if faults.should_fire("service.snapshot"):
-            raw = raw[: max(1, len(raw) // 2)]
-        path = self.directory / f"snap-{engine.decision_count:012d}.pkl"
-        atomic_write_bytes(path, raw)
-        for old in sorted(self.directory.glob(SNAPSHOT_GLOB))[:-keep]:
-            old.unlink(missing_ok=True)
-        return path
-
-    def _append(self, jobs: list[Job]) -> None:
-        """One durable frame at the last known-good offset.
-
-        :attr:`count` and :attr:`offset` move only once the frame is on
-        disk, so an append that fails part-way does not poison the next
-        one: it starts at the same offset and carries the same jobs and
-        more, overwriting the torn bytes.
-        """
-        frame = _encode_frame(self.count, jobs)
+            frame = frame[: whole // 2]
         self._file.seek(self.offset)
         written = self._file.write(frame)
-        if written != len(frame):
-            raise OSError(
-                f"short write to {self.directory / LOG_NAME}: "
-                f"{written} of {len(frame)} bytes"
-            )
+        if written != whole:
+            raise OSError(f"short write to {self.path}: {written} of {whole} bytes")
         os.fsync(self._file.fileno())
-        self.count += len(jobs)
-        self.offset += len(frame)
+        self.count = len(finished)
+        self.offset += whole
+        return self.path
 
 
-def snapshot_tenant(
-    engine: TenantEngine, root: str | Path, keep: int = 2
-) -> Path:
+def snapshot_tenant(engine: TenantEngine, root: str | Path) -> Path:
     """:meth:`SnapshotWriter.save` for a caller that keeps no writer: opens
-    one on the tenant's directory (one scan of its log), saves, closes."""
+    one on the tenant's directory (one pass over its log), saves, closes."""
     directory = tenant_directory(root, engine.tenant_id)
     with closing(SnapshotWriter(directory)) as writer:
-        return writer.save(engine, keep)
+        return writer.save(engine)
 
 
 # ----------------------------------------------------------------------
@@ -282,48 +292,27 @@ def snapshot_tenant(
 def latest_tenant_snapshot(
     root: str | Path, tenant_id: str
 ) -> TenantEngine | None:
-    """Restore the newest *usable* snapshot of ``tenant_id``, if any.
+    """Restore the newest save of ``tenant_id`` that the log still holds.
 
-    Usable means it loads and the intact prefix of the finished-job log
-    covers the jobs it counts.  Anything else is skipped with a logged
-    warning; once a snapshot is restored, the log is cut back to it and
-    the skipped (newer) files are deleted.  ``None`` means no usable
-    snapshot exists (fresh tenant) and leaves the directory as found.
+    Frames that are torn, rotted or whose record does not rebuild are
+    skipped (a logged warning for the latter); once a tenant is restored,
+    the log is cut back to its frame.  ``None`` means nothing restores
+    (fresh tenant) and leaves the directory as found.  Raises
+    :class:`OldLayout` on a directory in the two-file layout.
     """
     directory = tenant_directory(root, tenant_id)
     if not directory.is_dir():
         return None
-    log_path = directory / LOG_NAME
+    _refuse_old_layout(directory)
+    path = directory / LOG_NAME
     try:
-        raw = log_path.read_bytes()
+        raw = path.read_bytes()
     except FileNotFoundError:
-        raw = b""
-    frames = _intact_frames(raw)
-    #: jobs held at each frame boundary -> the byte offset of that boundary.
-    boundaries = {0: 0, **{count: offset for count, offset, _ in frames}}
-    skipped: list[Path] = []
-    for path in sorted(directory.glob(SNAPSHOT_GLOB), reverse=True):
-        try:
-            record = parse_snapshot(path.read_bytes(), origin=str(path))
-            count = record["completed_count"]
-            if count not in boundaries:
-                raise CorruptCheckpoint(
-                    f"{path}: counts {count} finished jobs, the log's intact "
-                    f"prefix holds {max(boundaries)}"
-                )
-            engine = TenantEngine.from_snapshot_record(
-                record, _decode_jobs(frames, count, origin=str(log_path))
-            )
-        except (OSError, CorruptCheckpoint, TypeError, KeyError) as exc:
-            log.warning("skipping unusable tenant snapshot: %s", exc)
-            skipped.append(path)
-            continue
-        if len(raw) > boundaries[count]:
-            os.truncate(log_path, boundaries[count])
-        for unusable in skipped:
-            unusable.unlink(missing_ok=True)
-        return engine
-    return None
+        return None
+    engine, _, offset = _restore(raw, str(path))
+    if engine is not None and len(raw) > offset:
+        os.truncate(path, offset)
+    return engine
 
 
 def restore_tenant(root: str | Path, tenant_id: str) -> TenantEngine:
@@ -337,12 +326,12 @@ def restore_tenant(root: str | Path, tenant_id: str) -> TenantEngine:
 
 
 def list_tenants(root: str | Path) -> list[str]:
-    """Tenant ids with at least one snapshot file under ``root`` (sorted)."""
+    """Tenant ids whose log holds anything under ``root`` (sorted)."""
     base = Path(root)
     if not base.is_dir():
         return []
-    found = []
-    for child in sorted(base.iterdir()):
-        if child.is_dir() and sorted(child.glob(SNAPSHOT_GLOB)):
-            found.append(child.name)
-    return found
+    return [
+        child.name
+        for child in sorted(base.iterdir())
+        if (child / LOG_NAME).is_file() and (child / LOG_NAME).stat().st_size > 0
+    ]

@@ -22,10 +22,11 @@ to innermost:
   (:mod:`repro.service.executor`) down to cheaper rungs until the queue
   drains — the service trades decision quality, never availability.
 - **Recovery**: when a snapshot root is configured, tenant state is
-  persisted every ``snapshot_every_decisions`` decisions — a live
-  snapshot plus what finished since the last one, so a save costs what
-  changed, not the tenant's age — and re-admitted tenants resume from
-  the newest usable snapshot (see :mod:`repro.service.recovery`).
+  persisted every ``snapshot_every_decisions`` decisions — one frame of
+  what finished since the last save plus the live record, appended to
+  the tenant's log, so a save costs what changed, not the tenant's age —
+  and re-admitted tenants resume from the newest save the log still
+  holds (see :mod:`repro.service.recovery`).
 
 Where the engine work runs is chosen per request from what it is expected
 to cost (:data:`ON_LOOP_MAX_SECONDS`): a request estimated cheaper than a
@@ -50,8 +51,8 @@ from repro.service.api import (
 )
 from repro.service.executor import DecisionLadder
 from repro.service.recovery import (
+    OldLayout,
     SnapshotWriter,
-    latest_tenant_snapshot,
     log,
     tenant_directory,
     valid_tenant_id,
@@ -99,7 +100,6 @@ class ServiceConfig:
     #: Directory for tenant snapshots; ``None`` disables persistence.
     snapshot_root: str | Path | None = None
     snapshot_every_decisions: int = 64
-    snapshot_keep: int = 2
 
     def __post_init__(self) -> None:
         if self.max_tenants < 1:
@@ -121,8 +121,8 @@ class _Tenant:
     queue: "asyncio.Queue[_Pending | None]"
     consumer: "asyncio.Task[None] | None" = None
     snapshotted_at: int = 0
-    #: The tenant's snapshot directory, open for writing; ``None`` when
-    #: the service persists nothing.
+    #: The tenant's log, open for writing; ``None`` when the service
+    #: persists nothing.
     writer: SnapshotWriter | None = None
 
 
@@ -174,13 +174,13 @@ class DecisionService:
         window: "tuple[float, float] | None" = None,
         resume: bool = True,
     ) -> TenantEngine:
-        """Admit a tenant; resumes from its newest snapshot when present.
+        """Admit a tenant; resumes from its newest save when present.
 
         A tenant that does not resume (``resume=False``, or nothing usable
-        on disk) starts its snapshot directory from nothing as well.
-        Raises :class:`AdmissionError` on an invalid id, a duplicate
+        on disk) starts its log from nothing as well.  Raises
+        :class:`AdmissionError` on an invalid id, a duplicate
         registration, a full service, or a snapshot directory that cannot
-        be opened for writing.
+        be opened for writing or is in the old two-file layout.
         """
         if self._closed:
             raise AdmissionError("service is closed")
@@ -196,18 +196,18 @@ class DecisionService:
         engine: TenantEngine | None = None
         writer: SnapshotWriter | None = None
         if root is not None:
-            if resume:
-                engine = latest_tenant_snapshot(root, tenant_id)
             try:
-                # A tenant that starts from nothing starts its directory
-                # from nothing too: an earlier life's files are dropped.
+                # One pass over the log restores the tenant and positions
+                # the writer; a tenant that starts from nothing starts its
+                # log from nothing too.
                 writer = SnapshotWriter(
-                    tenant_directory(root, tenant_id), fresh=engine is None
+                    tenant_directory(root, tenant_id), resume=resume
                 )
-            except OSError as exc:
+            except (OSError, OldLayout) as exc:
                 raise AdmissionError(
                     f"tenant {tenant_id!r}: snapshot directory unusable: {exc}"
                 ) from exc
+            engine = writer.restored
             if engine is not None:
                 self.stats["recovered_tenants"] += 1
         if engine is None:
@@ -425,16 +425,15 @@ class DecisionService:
     def snapshot_now(self, tenant_id: str) -> Path | None:
         """Persist one tenant snapshot immediately (also used at close).
 
-        A failed save is logged and must not fail the request that
-        triggered it; the previous snapshot is still on disk.
+        Returns the tenant's log.  A failed save is logged and must not
+        fail the request that triggered it; the previous save is still in
+        the log.
         """
         tenant = self._require(tenant_id)
         if tenant.writer is None:
             return None
         try:
-            path = tenant.writer.save(
-                tenant.engine, keep=self.config.snapshot_keep
-            )
+            path = tenant.writer.save(tenant.engine)
         except Exception as exc:
             log.warning(
                 "snapshot of tenant %s at decision %d failed: %s",

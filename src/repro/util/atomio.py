@@ -1,9 +1,10 @@
 """Atomic file writes: no reader ever sees a truncated artifact.
 
-Every durable artifact this project produces — run-cache entries,
-``BENCH_search.json``, reproduction reports, tenant snapshots — is
-written through this module so an interrupt (SIGKILL, OOM, power loss)
-can never leave a half-written file behind.  The recipe is the classic
+Every durable artifact this project rewrites whole — run-cache entries,
+``BENCH_search.json``, reproduction reports — is written through this
+module so an interrupt (SIGKILL, OOM, power loss) can never leave a
+half-written file behind.  (Tenant saves are appended to a log instead;
+see :mod:`repro.service.recovery`.)  The recipe is the classic
 one:
 
 1. write the full content to a temporary file *in the target directory*

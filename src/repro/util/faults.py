@@ -22,8 +22,10 @@ site                      what firing means
                           answers; see ``docs/service.md``)
 ``service.decide``        the service's primary decision path fails for one
                           request (the degradation ladder must still answer)
-``service.snapshot``      a tenant-state snapshot persists corrupted bytes
-                          (recovery must fall back to an older snapshot)
+``service.snapshot``      a tenant save's frame is written short: half of it
+                          reaches the log and the save fails (the next save
+                          overwrites it; recovery falls back to the save
+                          before)
 ========================  ====================================================
 
 Enable via the ``REPRO_FAULTS`` environment variable or
@@ -36,7 +38,7 @@ grammar is comma- or whitespace-separated tokens::
 - ``site=rate`` fires with probability ``rate`` per consultation;
 - an optional ``/limit`` caps the total number of firings at a site;
 - an optional ``@after`` suppresses the first ``after`` consultations
-  (e.g. ``service.snapshot=1/1@120`` tears exactly the 121st snapshot).
+  (e.g. ``service.snapshot=1/1@120`` tears exactly the 121st save).
 
 The injected failures are indistinguishable from real ones to the code
 under test — the fault layer's contract (see ``docs/robustness.md``) is

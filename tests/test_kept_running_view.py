@@ -12,6 +12,8 @@ is derived state: it must never reach a pickle.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,7 @@ from repro.core.scheduler import SearchSchedulingPolicy
 from repro.predict.predictors import RecentAveragePredictor
 from repro.predict.source import PredictedRuntimeSource
 from repro.service.api import DecisionRequest, JobSpec
-from repro.service.recovery import dump_snapshot, restore_tenant, snapshot_tenant
+from repro.service.recovery import restore_tenant, snapshot_tenant
 from repro.service.tenant import TenantEngine
 from repro.simulator.engine import Simulation
 from repro.simulator.job import Job
@@ -241,7 +243,7 @@ def test_snapshot_bytes_do_not_depend_on_the_kept_order():
     for request in _requests(workload)[:40]:
         engine.handle(request)
     assert engine.sim._kept is not None and engine.sim._kept.keys
-    with_kept = dump_snapshot(engine.snapshot_record())
+    with_kept = pickle.dumps(engine.snapshot_record(), pickle.HIGHEST_PROTOCOL)
     engine.sim._kept = None
-    assert dump_snapshot(engine.snapshot_record()) == with_kept
+    assert pickle.dumps(engine.snapshot_record(), pickle.HIGHEST_PROTOCOL) == with_kept
     assert b"_kept" not in with_kept and b"_ReleaseOrder" not in with_kept

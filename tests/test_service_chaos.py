@@ -422,7 +422,7 @@ def test_snapshot_fault_corrupts_save_and_recovery_falls_back(tmp_path):
         )
     )
     with faults_suppressed():  # this save must survive an ambient plan
-        snapshot_tenant(engine, tmp_path, keep=4)
+        snapshot_tenant(engine, tmp_path)
     good_count = engine.decision_count
     engine.handle(
         DecisionRequest(
@@ -431,7 +431,8 @@ def test_snapshot_fault_corrupts_save_and_recovery_falls_back(tmp_path):
         )
     )
     with injected_faults(FaultPlan.parse("seed=1,service.snapshot=1.0")):
-        snapshot_tenant(engine, tmp_path, keep=4)  # written, but torn
+        with pytest.raises(OSError, match="short write"):
+            snapshot_tenant(engine, tmp_path)  # half written, then failed
 
     recovered = latest_tenant_snapshot(tmp_path, "t")
     assert recovered is not None
@@ -441,7 +442,7 @@ def test_snapshot_fault_corrupts_save_and_recovery_falls_back(tmp_path):
 def test_failed_snapshot_is_logged_and_the_request_still_answered(
     tmp_path, monkeypatch, caplog
 ):
-    def disk_full(writer, engine, keep):
+    def disk_full(writer, engine):
         raise OSError("disk full")
 
     monkeypatch.setattr("repro.service.recovery.SnapshotWriter.save", disk_full)

@@ -12,6 +12,7 @@ finish confirmation) and the checksummed snapshot/restore cycle.
 from __future__ import annotations
 
 import logging
+import os
 
 import pytest
 
@@ -19,7 +20,7 @@ from repro.cli import parse_policy
 from repro.backfill import fcfs_backfill
 from repro.service.api import DecisionRequest, JobSpec
 from repro.service.recovery import (
-    dump_snapshot,
+    LOG_NAME,
     latest_tenant_snapshot,
     list_tenants,
     restore_tenant,
@@ -28,7 +29,7 @@ from repro.service.recovery import (
 )
 from repro.service.tenant import PRIMARY_MODE, TenantEngine, TenantError
 from repro.simulator.engine import Simulation
-from repro.util.atomio import atomic_write_bytes
+from repro.util.faults import FaultPlan, faults_suppressed, injected_faults
 from repro.util.timeunits import HOUR, time_eq
 from repro.workloads.synthetic import generate_month
 from tests.conftest import small_cluster
@@ -240,65 +241,70 @@ def test_snapshot_restore_midstream_continues_bit_identically(tmp_path):
     )
 
 
-def test_snapshot_rotation_keeps_newest(tmp_path):
+def _log_size(root):
+    return (root / "t" / LOG_NAME).stat().st_size
+
+
+def test_each_save_appends_one_frame_and_restore_takes_the_newest(tmp_path):
     engine = _engine()
+    sizes = [0]
     for i, now in enumerate((10.0, 20.0, 30.0), start=1):
         engine.handle(_arrival(i, now=now))
-        snapshot_tenant(engine, tmp_path, keep=2)
-    files = sorted((tmp_path / "t").glob("snap-*.pkl"))
-    assert len(files) == 2
-    counts = [int(p.stem.split("-")[1]) for p in files]
-    assert counts == sorted(counts)
-    assert counts[-1] == engine.decision_count
+        with faults_suppressed():  # the subject is the layout, not a torn save
+            snapshot_tenant(engine, tmp_path)
+        sizes.append(_log_size(tmp_path))
+    assert sizes == sorted(set(sizes))  # every save grew the log
+    assert [p.name for p in sorted((tmp_path / "t").iterdir())] == [LOG_NAME]
+    assert restore_tenant(tmp_path, "t").decision_count == engine.decision_count
 
 
-@pytest.mark.fault_sensitive  # relies on the older snapshot being intact
+def _tear_newest(root, intact):
+    """Cut the log half-way through what follows its first ``intact`` bytes."""
+    os.truncate(root / "t" / LOG_NAME, (intact + _log_size(root)) // 2)
+
+
+@pytest.mark.fault_sensitive  # relies on the older save being intact
 def test_latest_snapshot_skips_a_torn_newest(tmp_path):
     engine = _engine()
     engine.handle(_arrival(1, now=10.0))
-    snapshot_tenant(engine, tmp_path, keep=4)
-    older_count = engine.decision_count
+    snapshot_tenant(engine, tmp_path)
+    older_count, older_size = engine.decision_count, _log_size(tmp_path)
     engine.handle(_arrival(2, now=20.0))
-    newest = snapshot_tenant(engine, tmp_path, keep=4)
-    torn = newest.read_bytes()
-    newest.write_bytes(torn[: len(torn) // 2])
+    snapshot_tenant(engine, tmp_path)
+    _tear_newest(tmp_path, older_size)
 
     recovered = latest_tenant_snapshot(tmp_path, "t")
     assert recovered is not None
     assert recovered.decision_count == older_count
-
-
-def _tear(path):
-    raw = path.read_bytes()
-    path.write_bytes(raw[: len(raw) // 2])
+    assert _log_size(tmp_path) == older_size
 
 
 @pytest.mark.fault_sensitive  # relies on which saves are intact
-def test_restore_deletes_the_torn_newer_snapshot_so_rotation_keeps_a_good_one(
+def test_a_save_after_restoring_past_a_torn_frame_follows_the_good_one(
     tmp_path,
 ):
-    """A known-torn file must not count toward ``keep``: it sorts newest
-    for as long as the restored tenant's decision count is below its own,
-    and rotation would drop the good snapshots in its favour."""
+    """Restore cuts a torn newer frame away, so the restored tenant's next
+    save lands right after the frame it was restored from — and a tear of
+    that one still leaves the tenant its first save."""
     engine = _engine()
     engine.handle(_arrival(1, now=10.0))
-    snapshot_tenant(engine, tmp_path, keep=2)  # decision 1, good
+    snapshot_tenant(engine, tmp_path)  # decision 1, good
+    first = _log_size(tmp_path)
     for i in range(2, 8):
         engine.handle(_arrival(i, now=10.0 * i))
-    _tear(snapshot_tenant(engine, tmp_path, keep=2))  # decision 7, torn
+    with injected_faults(FaultPlan.parse("seed=1,service.snapshot=1.0")):
+        with pytest.raises(OSError, match="short write"):
+            snapshot_tenant(engine, tmp_path)  # decision 7, torn
+    assert _log_size(tmp_path) > first
 
     engine = restore_tenant(tmp_path, "t")
     assert engine.decision_count == 1
-    assert [p.name for p in sorted((tmp_path / "t").glob("snap-*.pkl"))] == [
-        "snap-000000000001.pkl"
-    ]
+    assert _log_size(tmp_path) == first
     for i in (2, 3):
         engine.handle(_arrival(i, now=10.0 * i))
-    newest = snapshot_tenant(engine, tmp_path, keep=2)  # decision 3
-    assert [p.name for p in sorted((tmp_path / "t").glob("snap-*.pkl"))] == [
-        "snap-000000000001.pkl", "snap-000000000003.pkl",
-    ]
-    _tear(newest)  # one more tear still leaves the tenant its first snapshot
+    snapshot_tenant(engine, tmp_path)  # decision 3
+    assert restore_tenant(tmp_path, "t").decision_count == 3
+    _tear_newest(tmp_path, first)
     assert restore_tenant(tmp_path, "t").decision_count == 1
 
 
@@ -306,7 +312,7 @@ def _without(record, key):
     return {k: v for k, v in record.items() if k != key}
 
 
-@pytest.mark.fault_sensitive  # relies on the older snapshot being intact
+@pytest.mark.fault_sensitive  # relies on the older save being intact
 @pytest.mark.parametrize(
     "misshape",
     [
@@ -322,22 +328,27 @@ def _without(record, key):
         ),
     ],
 )
-def test_latest_snapshot_skips_a_wrong_shaped_newest(tmp_path, caplog, misshape):
-    """Checksum-valid, wrong shape: skipped like a torn file (``TypeError``
-    / ``KeyError`` from explicit checks, not ``assert``), older one restored."""
+def test_latest_snapshot_skips_a_wrong_shaped_newest(
+    tmp_path, caplog, monkeypatch, misshape
+):
+    """Checksum-valid, wrong shape: skipped like a torn frame (``TypeError``
+    / ``KeyError`` from explicit checks, not ``assert``), older one
+    restored and the wrong one cut away."""
     engine = _engine()
     engine.handle(_arrival(1, now=10.0))
-    snapshot_tenant(engine, tmp_path, keep=4)
+    snapshot_tenant(engine, tmp_path)
+    older_size = _log_size(tmp_path)
     engine.handle(_arrival(2, now=20.0))
-    wrong = tmp_path / "t" / "snap-000000000002.pkl"
-    atomic_write_bytes(wrong, dump_snapshot(misshape(engine.snapshot_record())))
+    wrong = misshape(engine.snapshot_record())
+    monkeypatch.setattr(engine, "snapshot_record", lambda: wrong)
+    snapshot_tenant(engine, tmp_path)
 
     with caplog.at_level(logging.WARNING, logger="repro.service.recovery"):
         recovered = latest_tenant_snapshot(tmp_path, "t")
     assert recovered is not None and recovered.decision_count == 1
     (record,) = caplog.records
     assert "skipping unusable tenant snapshot" in record.getMessage()
-    assert not wrong.exists()
+    assert _log_size(tmp_path) == older_size
 
 
 def test_restore_tenant_without_snapshots_raises(tmp_path):
@@ -358,6 +369,7 @@ def test_tenant_id_hygiene_and_listing(tmp_path):
         )
     engine = _engine()
     engine.handle(_arrival(1, now=1.0))
-    snapshot_tenant(engine, tmp_path)
+    with faults_suppressed():  # the subject is the listing, not a torn save
+        snapshot_tenant(engine, tmp_path)
     assert list_tenants(tmp_path) == ["t"]
     assert list_tenants(tmp_path / "missing") == []

@@ -1,19 +1,20 @@
 """Snapshots that cost what changed (``repro.service.recovery``).
 
-A tenant's persisted state is a bounded *live snapshot* plus an
-append-only *finished-job log* (``docs/service.md``, "Recovery
-guarantees").  The properties held here:
+A tenant's persisted state is one append-only log; each save appends one
+checksummed frame of the jobs finished since the previous save and the
+bounded *live record* (``docs/service.md``, "Recovery guarantees").  The
+properties held here:
 
 - snapshot then restore is the uninterrupted engine, at every cut point
   of a trace and on both runtime sources, and stays so to the end of it;
-- what a save writes is a function of live state and of the jobs finished
-  since the previous save — not of the tenant's age;
-- a log that is torn, short or ahead of its snapshots never yields a wrong
-  tenant: restore takes the newest snapshot the intact prefix covers and
-  cuts everything newer away, idempotently;
-- a failed append does not poison the next one;
-- the envelope refuses what is not an intact snapshot, and what earlier
-  releases wrote still restores.
+- what a save appends is a function of live state and of the jobs
+  finished since the previous save — not of the tenant's age;
+- a log that is torn or short never yields a wrong tenant: restore takes
+  the newest save whose frame is in the intact prefix and cuts
+  everything newer away, idempotently;
+- a failed save does not poison the next one;
+- a frame that is not intact ends the log, and a record that does not
+  rebuild is skipped for an older one.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import asyncio
 import copy
 import logging
+import os
 import tempfile
 from functools import lru_cache
 from pathlib import Path
@@ -34,14 +36,9 @@ from repro.cli import parse_policy
 from repro.service.api import DecisionRequest, JobSpec
 from repro.service.recovery import (
     LOG_NAME,
-    MAGIC,
-    SNAPSHOT_GLOB,
-    CorruptCheckpoint,
     SnapshotWriter,
-    dump_snapshot,
     latest_tenant_snapshot,
     list_tenants,
-    parse_snapshot,
     restore_tenant,
     snapshot_tenant,
 )
@@ -137,14 +134,16 @@ def test_restore_at_every_cut_is_the_uninterrupted_engine(cut, runtime_source):
 def test_a_snapshot_with_the_old_dataclass_events_is_skipped_with_a_warning(
     tmp_path, parent_format_events, caplog
 ):
-    """A live snapshot written before ``Event`` became a tuple holds a
-    heap of dataclass instances; it is skipped like any other unusable
-    snapshot and the tenant starts over — no ``TypeError`` escapes."""
+    """A live record whose event heap holds the dataclass instances of
+    releases before ``Event`` became a tuple does not unpickle; it is
+    skipped like any other unusable record and the tenant starts over —
+    no ``TypeError`` escapes."""
     engine = _tenant(SLICE)
     for request in _requests(SLICE)[:20]:
         engine.handle(request)
     assert len(engine.loop_state.events) > 0  # queued FINISH events, old format
-    snapshot_tenant(engine, tmp_path)
+    with faults_suppressed():  # the subject is the record, not a torn save
+        snapshot_tenant(engine, tmp_path)
     parent_format_events()  # back to the real class
     with caplog.at_level(logging.WARNING):
         assert latest_tenant_snapshot(tmp_path, "t") is None
@@ -154,28 +153,30 @@ def test_a_snapshot_with_the_old_dataclass_events_is_skipped_with_a_warning(
 
 
 def test_a_snapshot_written_before_batch_checkpoints_were_retired_restores(
-    tmp_path,
+    tmp_path, monkeypatch
 ):
     """Until batch checkpoints were retired, ``LoopState`` had a
     ``saved_at`` field and ``Simulation`` a ``checkpoint`` attribute, so
-    every tenant snapshot written before then pickles both.  They unpickle
-    as plain attributes nothing reads: such a snapshot restores, and the
-    tenant goes on deciding exactly like the uninterrupted one."""
-    assert MAGIC == b"REPRO-CKPT-1\n"  # the on-disk tag did not move
+    every live record of then pickled both.  Attributes this version no
+    longer has unpickle as plain attributes nothing reads: such a record
+    restores, and the tenant goes on deciding exactly like the
+    uninterrupted one."""
     requests = _requests(SLICE)
     cut = len(requests) // 2
     original = _tenant(SLICE)
     for request in requests[:cut]:
         original.handle(request)
-    path = snapshot_tenant(original, tmp_path)
 
     record = original.snapshot_record()  # its "state" is already a copy
     record["state"].saved_at = original.decision_count
     record["simulation"] = copy.copy(record["simulation"])
     record["simulation"].checkpoint = None
-    raw = dump_snapshot(record)
+    monkeypatch.setattr(original, "snapshot_record", lambda: record)
+    with faults_suppressed():  # the subject is the record, not a torn save
+        path = snapshot_tenant(original, tmp_path)
+    monkeypatch.undo()
+    raw = path.read_bytes()
     assert b"saved_at" in raw and b"checkpoint" in raw
-    path.write_bytes(raw)
 
     restored = restore_tenant(tmp_path, "t")
     assert restored.loop_state.saved_at == original.decision_count
@@ -188,16 +189,19 @@ def test_a_snapshot_written_before_batch_checkpoints_were_retired_restores(
 
 
 # ----------------------------------------------------------------------
-# (2) what a save writes follows live state, not the tenant's age
+# (2) what a save appends follows live state, not the tenant's age
 # ----------------------------------------------------------------------
+#: Bytes of one save's live record.
 SNAPSHOT_BYTES_MAX = 16 * 1024
-#: Log bytes per finished job in one frame, frame overhead included (a
-#: frame of one job is ~290 bytes, each further job ~90; measured 93 per
-#: job over this replay).
+#: Bytes per job finished since the previous save, the frame's header and
+#: checksum included (measured 93 per job over this replay; the record
+#: beside them is 1.7-3.9 KB).
 LOG_BYTES_PER_JOB_MAX = 512
 
 
 def test_snapshot_size_follows_live_state_not_history(tmp_path):
+    """One save appends at most a bounded record plus a bounded amount per
+    job finished since the previous save."""
     engine = _tenant(1.0)
     writer = SnapshotWriter(tmp_path / "t")
     log_path = tmp_path / "t" / LOG_NAME
@@ -207,21 +211,21 @@ def test_snapshot_size_follows_live_state_not_history(tmp_path):
         if engine.decision_count - saved_at < 64:
             continue
         saved_at = engine.decision_count
-        snapshot = writer.save(engine, keep=2)
+        with faults_suppressed():  # the subject is the size, not a torn save
+            assert writer.save(engine) == log_path
         saves += 1
-        assert snapshot.stat().st_size <= SNAPSHOT_BYTES_MAX
         appended = log_path.stat().st_size - log_bytes
         finished = len(engine.completed_jobs) - logged
-        assert appended <= LOG_BYTES_PER_JOB_MAX * finished
+        assert appended <= SNAPSHOT_BYTES_MAX + LOG_BYTES_PER_JOB_MAX * finished
         log_bytes += appended
         logged += finished
         assert (writer.count, writer.offset) == (logged, log_bytes)
     writer.close()
-    assert saves > 50 and logged > 2000  # the parent's blob here: 196 KB
+    assert saves > 50 and logged > 2000  # the whole-tenant blob here: 196 KB
 
 
 # ----------------------------------------------------------------------
-# (3) a torn or short log: the newest snapshot the intact prefix covers
+# (3) a torn or short log: the newest save the intact prefix holds
 # ----------------------------------------------------------------------
 def _arrival(job_id, now, runtime):
     return DecisionRequest(
@@ -231,7 +235,7 @@ def _arrival(job_id, now, runtime):
 
 
 def _three_saves(root):
-    """Saves after 1, 2 and 3 jobs finished (one log frame each, keep=4);
+    """Saves after 1, 2 and 3 jobs finished (one frame each, all intact);
     returns the engine and the log's size after each save."""
     engine = TenantEngine("t", fcfs_backfill(), cluster_config=small_cluster(4))
     sizes = []
@@ -239,13 +243,10 @@ def _three_saves(root):
         engine.handle(_arrival(i, now=100.0 * i, runtime=10.0))
         engine.handle(DecisionRequest(tenant="t", now=100.0 * i + 50.0))
         assert len(engine.completed_jobs) == i
-        snapshot_tenant(engine, root, keep=4)
+        with faults_suppressed():
+            snapshot_tenant(engine, root)
         sizes.append((Path(root) / "t" / LOG_NAME).stat().st_size)
     return engine, sizes
-
-
-def _snapshot_names(root):
-    return [p.name for p in sorted((Path(root) / "t").glob(SNAPSHOT_GLOB))]
 
 
 @pytest.mark.fault_sensitive  # needs every save intact
@@ -264,32 +265,32 @@ def test_restore_takes_the_newest_snapshot_the_log_covers(
 ):
     _, sizes = _three_saves(tmp_path)
     log_path = tmp_path / "t" / LOG_NAME
-    log_path.write_bytes(log_path.read_bytes()[: keep_bytes(sizes)])
-    before = _snapshot_names(tmp_path)
-    assert len(before) == 3
+    cut = keep_bytes(sizes)
+    log_path.write_bytes(log_path.read_bytes()[:cut])
 
     restored = latest_tenant_snapshot(tmp_path, "t")
     if expect_finished is None:
         assert restored is None
-        assert _snapshot_names(tmp_path) == before  # left as found
+        assert log_path.stat().st_size == cut  # left as found
         return
     assert [j.job_id for j in restored.completed_jobs] == list(
         range(1, expect_finished + 1)
     )
-    # Cut back to the restored snapshot: the log ends on its frame, the
-    # snapshots that counted more are gone.
+    # Cut back to the restored save: the log ends on its frame.
     assert log_path.stat().st_size == sizes[expect_finished - 1]
-    assert _snapshot_names(tmp_path) == before[:expect_finished]
 
 
 @pytest.mark.fault_sensitive
-def test_missing_log_covers_only_a_snapshot_that_counts_nothing(tmp_path):
+def test_a_save_that_finished_nothing_restores_with_nothing_finished(tmp_path):
+    """A frame of no jobs carries the record alone, and is restored as
+    one: a tenant with a job running and nothing finished."""
     engine = TenantEngine("t", fcfs_backfill(), cluster_config=small_cluster(4))
     engine.handle(_arrival(1, now=10.0, runtime=1000.0))
-    snapshot_tenant(engine, tmp_path, keep=4)  # nothing finished yet
+    snapshot_tenant(engine, tmp_path)  # nothing finished yet
+    first = (tmp_path / "t" / LOG_NAME).stat().st_size
     engine.handle(DecisionRequest(tenant="t", now=2000.0))
-    snapshot_tenant(engine, tmp_path, keep=4)
-    (tmp_path / "t" / LOG_NAME).unlink()
+    snapshot_tenant(engine, tmp_path)
+    os.truncate(tmp_path / "t" / LOG_NAME, first)
     restored = latest_tenant_snapshot(tmp_path, "t")
     assert restored is not None
     assert restored.completed_jobs == [] and restored.running_count == 1
@@ -307,21 +308,20 @@ def test_restoring_twice_without_a_save_truncates_once_and_duplicates_nothing(
     engine = _tenant(SLICE)
     for request in requests[:a]:
         engine.handle(request)
-    snapshot_tenant(engine, tmp_path, keep=4)
+    snapshot_tenant(engine, tmp_path)
     at_a = (tmp_path / "t" / LOG_NAME).stat().st_size
     for request in requests[a:b]:
         engine.handle(request)
-    # The save at b gets its frame into the log, then its snapshot is torn.
+    # The save at b gets half its frame into the log, then fails.
     with injected_faults(FaultPlan.parse("seed=1,service.snapshot=1.0")):
-        snapshot_tenant(engine, tmp_path, keep=4)
+        with pytest.raises(OSError, match="short write"):
+            snapshot_tenant(engine, tmp_path)
     assert (tmp_path / "t" / LOG_NAME).stat().st_size > at_a
-    assert len(_snapshot_names(tmp_path)) == 2
 
     lives = []
     for _ in range(2):  # crash, restore, run on without saving, crash again
         restored = restore_tenant(tmp_path, "t")
         assert (tmp_path / "t" / LOG_NAME).stat().st_size == at_a
-        assert len(_snapshot_names(tmp_path)) == 1
         for request in requests[a:]:
             restored.handle(request)
         lives.append(restored)
@@ -335,7 +335,7 @@ def test_restoring_twice_without_a_save_truncates_once_and_duplicates_nothing(
 
 
 # ----------------------------------------------------------------------
-# (5) a failed append does not poison the next one
+# (5) a failed save does not poison the next one
 # ----------------------------------------------------------------------
 class _TornWrite:
     """A log file whose next write puts half the bytes down, then fails."""
@@ -391,38 +391,61 @@ def test_a_torn_append_is_logged_answered_and_overwritten_by_the_next(
 
 
 # ----------------------------------------------------------------------
-# (6) the log is not a snapshot, and the envelope takes only a snapshot
+# (6) a frame that is not intact ends the log
 # ----------------------------------------------------------------------
-def test_parse_snapshot_rejects_bad_magic():
-    with pytest.raises(CorruptCheckpoint, match="bad magic"):
-        parse_snapshot(b"not a snapshot at all", origin="snap-000000000001.pkl")
+def _damage(path, at, replacement):
+    raw = bytearray(path.read_bytes())
+    raw[at : at + len(replacement)] = replacement
+    path.write_bytes(bytes(raw))
 
 
-def test_parse_snapshot_rejects_flipped_bytes():
-    engine = _tenant(SLICE)
-    for request in _requests(SLICE)[:20]:
-        engine.handle(request)
-    raw = bytearray(dump_snapshot(engine.snapshot_record()))
-    assert parse_snapshot(bytes(raw)).keys() == engine.snapshot_record().keys()
-    raw[-1] ^= 0xFF
-    with pytest.raises(CorruptCheckpoint, match="checksum mismatch"):
-        parse_snapshot(bytes(raw))
+def test_a_frame_with_bad_magic_ends_the_intact_prefix(tmp_path):
+    _, sizes = _three_saves(tmp_path)
+    log_path = tmp_path / "t" / LOG_NAME
+    _damage(log_path, sizes[0], b"FJL1")  # the second frame's magic
+    restored = restore_tenant(tmp_path, "t")
+    assert [j.job_id for j in restored.completed_jobs] == [1]
+    assert log_path.stat().st_size == sizes[0]
 
 
-def test_listing_and_snapshot_glob_do_not_see_the_log(tmp_path):
+def test_a_flipped_byte_ends_the_intact_prefix(tmp_path):
+    _, sizes = _three_saves(tmp_path)
+    log_path = tmp_path / "t" / LOG_NAME
+    _damage(log_path, sizes[2] - 1, bytes([log_path.read_bytes()[-1] ^ 0xFF]))
+    restored = restore_tenant(tmp_path, "t")
+    assert [j.job_id for j in restored.completed_jobs] == [1, 2]
+    assert log_path.stat().st_size == sizes[1]
+
+
+def test_a_frame_that_does_not_follow_its_predecessor_ends_the_log(
+    tmp_path, caplog
+):
+    """An intact frame replayed at the wrong place (here the second one,
+    twice) starts at a job the log has already passed: it is not part of
+    the log, so it is cut away without a warning about a bad record."""
+    _, sizes = _three_saves(tmp_path)
+    log_path = tmp_path / "t" / LOG_NAME
+    raw = log_path.read_bytes()
+    log_path.write_bytes(raw[: sizes[1]] + raw[sizes[0] : sizes[1]])
+    with caplog.at_level(logging.WARNING, logger="repro.service.recovery"):
+        restored = restore_tenant(tmp_path, "t")
+    assert [j.job_id for j in restored.completed_jobs] == [1, 2]
+    assert log_path.stat().st_size == sizes[1]
+    assert caplog.records == []
+
+
+def test_listing_sees_a_tenant_once_its_log_holds_a_save(tmp_path):
     engine = TenantEngine("t", fcfs_backfill(), cluster_config=small_cluster(4))
     SnapshotWriter(tmp_path / "t").close()
     assert (tmp_path / "t" / LOG_NAME).exists()
-    assert list_tenants(tmp_path) == []  # a log alone restores nothing
+    assert list_tenants(tmp_path) == []  # an empty log restores nothing
     assert latest_tenant_snapshot(tmp_path, "t") is None
     engine.handle(_arrival(1, now=1.0, runtime=5.0))
     engine.handle(DecisionRequest(tenant="t", now=50.0))
-    snapshot = snapshot_tenant(engine, tmp_path)
+    with faults_suppressed():
+        assert snapshot_tenant(engine, tmp_path) == tmp_path / "t" / LOG_NAME
     assert list_tenants(tmp_path) == ["t"]
-    assert list((tmp_path / "t").glob(SNAPSHOT_GLOB)) == [snapshot]
-    assert {p.name for p in sorted((tmp_path / "t").iterdir())} == {
-        LOG_NAME, snapshot.name,
-    }
+    assert [p.name for p in sorted((tmp_path / "t").iterdir())] == [LOG_NAME]
 
 
 # ----------------------------------------------------------------------
@@ -430,9 +453,8 @@ def test_listing_and_snapshot_glob_do_not_see_the_log(tmp_path):
 # ----------------------------------------------------------------------
 @pytest.mark.fault_sensitive
 def test_a_tenant_that_starts_fresh_drops_the_earlier_life(tmp_path):
-    """A snapshot of one life must never be completed from the log of
-    another: not resuming empties the log and removes the old snapshots
-    (which would also sort newer than the new life's and win rotation)."""
+    """A record of one life must never be completed from the jobs of
+    another: not resuming empties the log."""
     _three_saves(tmp_path)
 
     async def second_life():
@@ -443,7 +465,6 @@ def test_a_tenant_that_starts_fresh_drops_the_earlier_life(tmp_path):
         )
         engine = service.register_tenant("t", resume=False)
         assert engine.decision_count == 0
-        assert _snapshot_names(tmp_path) == []
         assert (tmp_path / "t" / LOG_NAME).stat().st_size == 0
         await service.submit(_arrival(7, now=5.0, runtime=1.0))
         await service.submit(_arrival(8, now=9.0, runtime=1.0))
