@@ -30,7 +30,7 @@
  * engine): custom evaluators and the runtime sanitizer (needs
  * per-mutation Python checks).
  *
- * Two shortcuts differ between the languages, both invisible in results:
+ * Three shortcuts differ between the languages, all invisible in results:
  *
  *   - python has, and C omits, place_run_fold's suffix-min frontier: a
  *     pure scan shortcut over segments the plain walk rejects anyway.
@@ -44,7 +44,16 @@
  *     every one of them landing exactly, re-folds that chain's cached
  *     starts instead of placing them.  It skips half of the placements
  *     on batch_L100k's recorded calls (docs/performance.md, "Chains that
- *     repeat"); memory is per search and capped.
+ *     repeat"); memory is per search and capped;
+ *   - C has, and python omits, the subtree entries of the same memo
+ *     (ck_memo_walked), under count_dominated: a DFS node with children
+ *     whose state — the chain key plus the child-window state st — was
+ *     walked to completion earlier in the search, from a partial (exc,
+ *     slow) componentwise no greater than its own, is counted (ck_count),
+ *     not walked.  That walk left every leaf below it no better than the
+ *     incumbent, which only falls, and each level of the fold is monotone
+ *     in its starting accumulator, so no leaf below this node can win
+ *     (docs/performance.md, "Subtrees that repeat").
  *
  * Two shortcuts are shared with python, both invisible in results and
  * both under count_dominated (no job submitted after now):
@@ -101,19 +110,21 @@ typedef struct {
     Py_ssize_t d;
 } AnyRec;
 
-/* A chain memo entry (ck_memo_find): its key is the profile length m,
- * the depth d (0 marks an empty slot) and the path's d DFS placements,
- * words [at, at + 2d) of memo_words; the chain's first len starts follow
- * them. */
+/* A memo entry (ck_memo_find): its key is the profile length m, the depth
+ * d (0 marks an empty slot), the child-window state st (MEMO_CHAIN for a
+ * chain) and the path's d DFS placements, words [at, at + 2d) of
+ * memo_words.  A chain's first len starts follow them; a walked subtree's
+ * partial (exc, slow) does, len 2. */
 typedef struct {
     uint64_t hash;
     Py_ssize_t m;
     Py_ssize_t d;
+    Py_ssize_t st;
     uint32_t at;
     uint32_t len;
 } MemoSlot;
 
-/* A memo word: the key's jobs, then their starts and the chain's. */
+/* A memo word: the key's jobs, then their starts and the entry's. */
 typedef union {
     Py_ssize_t job;
     double start;
@@ -127,7 +138,6 @@ typedef struct {
     double *t;
     long *f;
     Py_ssize_t m;
-    long capacity;
     double eps;
     UndoFrame *undo;
     Py_ssize_t undo_n;
@@ -150,9 +160,9 @@ typedef struct {
     unsigned char *placed;
     double *jstart; /* a placed job's DFS start */
 
-    /* The chain memo: the path's key (a commutative sum of ck_pair_hash
-     * over its DFS placements) and count of inexact snaps, and a table
-     * allocated at the first chain that can use it (ck_memo_find). */
+    /* The memo: the path's key (a commutative sum of ck_pair_hash over
+     * its DFS placements) and count of inexact snaps, and a table
+     * allocated at its first lookup (ck_memo_find). */
     uint64_t key;
     Py_ssize_t inexact;
     MemoSlot *memo;
@@ -161,7 +171,7 @@ typedef struct {
     MemoWord *memo_words;
     size_t memo_words_n;
     size_t memo_words_cap;
-    int memo_off; /* allocation failed: chains run as without a memo */
+    int memo_off; /* allocation failed: the search runs without one */
 
     /* path / best */
     Py_ssize_t *path_i;
@@ -439,11 +449,15 @@ ck_prune_child(Search *s, double exc, double slow, Py_ssize_t left)
 /* of placement: so the set of (job, start) pairs, with the profile     */
 /* length and the depth, is an exact key (tests/test_profile_properties */
 /* .py).  With one inexact snap on the path, the order can matter, and  */
-/* such a path neither looks up nor stores.                             */
+/* such a path neither looks up nor stores.  The same key with the     */
+/* child-window state st names a DFS node's subtree: its walk is the   */
+/* same from any path to that state, up to the partial sums it starts  */
+/* from (ck_memo_walked).                                              */
 /* ------------------------------------------------------------------ */
 #define MEMO_MIN_SLOTS 64
 #define MEMO_MAX_SLOTS 8192
 #define MEMO_MAX_WORDS 65536 /* 512 KB of keys and starts */
+#define MEMO_CHAIN (-1)      /* st of a chain's entry: no DFS node has it */
 
 static inline uint64_t
 ck_mix(uint64_t x)
@@ -488,24 +502,27 @@ ck_memo_init(Search *s)
     return 0;
 }
 
-/* The slot of the chain about to run at depth d: its entry, or the empty
- * slot a miss fills; NULL when the path has under two DFS placements or
- * an inexact snap, or the search has no memo. */
+/* The slot of the chain (st == MEMO_CHAIN) or DFS node about to run at
+ * depth d: its entry, or the empty slot a miss fills; NULL when the path
+ * has under two DFS placements or an inexact snap, or the search has no
+ * memo.  The slot is only good until the next store: storing can grow the
+ * table, and a walk in progress stores. */
 static MemoSlot *
-ck_memo_find(Search *s, Py_ssize_t d, uint64_t *hash)
+ck_memo_find(Search *s, Py_ssize_t d, Py_ssize_t st, uint64_t *hash)
 {
     if (d < 2 || s->inexact || s->memo_off)
         return NULL;
     if (s->memo == NULL && ck_memo_init(s) < 0)
         return NULL;
     const uint64_t h = ck_mix(s->key + (uint64_t)s->m * 0xD6E8FEB86659FD93u
+                              + (uint64_t)st * 0x9E3779B97F4A7C15u
                               + (uint64_t)d);
     *hash = h;
     for (size_t k = h & s->memo_mask;; k = (k + 1) & s->memo_mask) {
         MemoSlot *e = &s->memo[k];
         if (e->d == 0)
             return e;
-        if (e->hash != h || e->d != d || e->m != s->m)
+        if (e->hash != h || e->d != d || e->st != st || e->m != s->m)
             continue;
         /* The same d pairs: each stored job is placed at its start. */
         const MemoWord *w = s->memo_words + e->at;
@@ -540,12 +557,13 @@ ck_memo_grow(Search *s)
     return 0;
 }
 
-/* Record the len starts a placed chain got at path_s[d..d+len) in slot
- * e (empty on a miss; a hit whose starts ran out gets the longer list).
- * A full memo records nothing and keeps answering. */
+/* Record in slot e (empty on a miss) the path's d pairs and the len
+ * words of tail: the starts a placed chain got (a hit whose starts ran
+ * out gets the longer list) or a walked subtree's partial sums.  A full
+ * memo records nothing and keeps answering. */
 static void
 ck_memo_store(Search *s, MemoSlot *e, uint64_t h, Py_ssize_t d,
-              Py_ssize_t len)
+              Py_ssize_t st, const double *tail, Py_ssize_t len)
 {
     const size_t slots = s->memo_mask + 1;
     if (e->d == 0 && 2 * (s->memo_used + 1) > slots)
@@ -569,17 +587,45 @@ ck_memo_store(Search *s, MemoSlot *e, uint64_t h, Py_ssize_t d,
         w[d + q].start = s->path_s[q];
     }
     for (Py_ssize_t q = 0; q < len; q++)
-        w[2 * d + q].start = s->path_s[d + q];
+        w[2 * d + q].start = tail[q];
     if (e->d == 0)
         s->memo_used++;
     e->hash = h;
     e->m = s->m;
     e->d = d;
+    e->st = st;
     e->at = (uint32_t)s->memo_words_n;
     e->len = (uint32_t)len;
     s->memo_words_n += need;
     if (2 * s->memo_used >= slots && slots < MEMO_MAX_SLOTS)
         ck_memo_grow(s); /* on failure the table stops at this load */
+}
+
+/* A DFS node at depth d in window state st has walked all its children
+ * from partial sums (exc, slow): record them, unless its entry already
+ * holds a pair componentwise no greater (ck_dfs walked anyway because
+ * this pair is not above it: it is lower, or the two are incomparable
+ * and the first stays).  ck_dfs found slot k of hash h before the walk,
+ * with the table at `mask`; the walk stored only entries deeper than d.
+ * So unless the table grew, slot k still holds the node's entry or is
+ * empty, or a deeper entry took it and the slot is found again. */
+static void
+ck_memo_walked(Search *s, size_t k, size_t mask, uint64_t h, Py_ssize_t d,
+               Py_ssize_t st, double exc, double slow)
+{
+    MemoSlot *e = &s->memo[k];
+    if (mask != s->memo_mask || (e->d != 0 && e->d != d))
+        e = ck_memo_find(s, d, st, &h);
+    const double acc[2] = {exc, slow};
+    if (e->d == 0) {
+        ck_memo_store(s, e, h, d, st, acc, 2);
+        return;
+    }
+    MemoWord *w = s->memo_words + e->at + 2 * d;
+    if (exc <= w[0].start && slow <= w[1].start) {
+        w[0].start = exc;
+        w[1].start = slow;
+    }
 }
 
 /* ------------------------------------------------------------------ */
@@ -609,7 +655,7 @@ ck_chain(Search *s, Py_ssize_t m, double exc, double slow, Py_ssize_t d)
     }
     const Py_ssize_t m0 = s->m;
     uint64_t h = 0;
-    MemoSlot *slot = m > 0 ? ck_memo_find(s, d, &h) : NULL;
+    MemoSlot *slot = m > 0 ? ck_memo_find(s, d, MEMO_CHAIN, &h) : NULL;
     const double *cached =
         slot && slot->d ? &s->memo_words[slot->at + 2 * d].start : NULL;
     const Py_ssize_t have = cached ? (Py_ssize_t)slot->len : 0;
@@ -677,7 +723,7 @@ done:
         memcpy(s->f, s->ck_f, (size_t)m0 * sizeof(long));
         s->m = m0;
         if (slot != NULL)
-            ck_memo_store(s, slot, h, d, p - d);
+            ck_memo_store(s, slot, h, d, MEMO_CHAIN, s->path_s + d, p - d);
     }
     return rc;
 }
@@ -756,7 +802,9 @@ ck_wait_bound(const Search *s, double exc)
 
 /* ------------------------------------------------------------------ */
 /* The DFS proper (_dfs): a node not below the cut is counted, and so  */
-/* is a node with children whose wait bound is above the cut.          */
+/* is a node with children whose wait bound is above the cut, or whose */
+/* state the memo holds as walked from partial sums no greater than    */
+/* its own (the header's third shortcut; both under count_dominated).  */
 /* ------------------------------------------------------------------ */
 static int
 ck_dfs(Search *s, const int lds, Py_ssize_t m, Py_ssize_t st, double exc,
@@ -767,8 +815,25 @@ ck_dfs(Search *s, const int lds, Py_ssize_t m, Py_ssize_t st, double exc,
     Py_ssize_t lo, st0;
     if (ck_rule(lds, m, st, &lo, &st0))
         return ck_chain(s, m, exc, slow, d);
-    if (s->count_dominated && lo < m && ck_wait_bound(s, exc) > s->cut_exc)
-        return ck_count(s, lds, m, st);
+    /* The memo slot of a walk to record, and the table's mask then: a
+     * slot index, not a pointer, for the walk can grow the table. */
+    size_t memo_k = SIZE_MAX;
+    size_t memo_mask = 0;
+    uint64_t h = 0;
+    if (s->count_dominated && lo < m) {
+        if (ck_wait_bound(s, exc) > s->cut_exc)
+            return ck_count(s, lds, m, st);
+        const MemoSlot *e = ck_memo_find(s, d, st, &h);
+        if (e != NULL) {
+            if (e->d != 0) {
+                const MemoWord *w = s->memo_words + e->at + 2 * d;
+                if (exc >= w[0].start && slow >= w[1].start)
+                    return ck_count(s, lds, m, st);
+            }
+            memo_k = (size_t)(e - s->memo);
+            memo_mask = s->memo_mask;
+        }
+    }
     Py_ssize_t *nxt = s->nxt;
     Py_ssize_t *prv = s->prv;
     unsigned char *placed = s->placed;
@@ -808,6 +873,8 @@ ck_dfs(Search *s, const int lds, Py_ssize_t m, Py_ssize_t st, double exc,
             return rc;
         i = ni;
     }
+    if (memo_k != SIZE_MAX)
+        ck_memo_walked(s, memo_k, memo_mask, h, d, st, exc, slow);
     return CK_OK;
 }
 
@@ -919,7 +986,7 @@ ck_submit_order(const void *a, const void *b)
 
 static int
 ck_init(Search *s, int lds, long long node_limit, int prune,
-        int record_anytime, long capacity, double eps,
+        int record_anytime, double eps,
         PyObject *times, PyObject *frees, PyObject *submit, PyObject *jnodes,
         PyObject *runtime, PyObject *denom, double now, double omega)
 {
@@ -965,7 +1032,6 @@ ck_init(Search *s, int lds, long long node_limit, int prune,
     }
     s->nxt[n] = n > 0 ? 0 : n;
     s->prv[n] = n > 0 ? n - 1 : n;
-    s->capacity = capacity;
     s->eps = eps;
     s->now = now;
     s->omega = omega;
@@ -1044,16 +1110,15 @@ ck_run_search_py(PyObject *Py_UNUSED(self), PyObject *args)
 {
     int lds, prune, record_anytime;
     long long node_limit;
-    long capacity;
     double eps, now, omega;
     PyObject *times, *frees, *submit, *jnodes, *runtime, *denom;
-    if (!PyArg_ParseTuple(args, "iLiildOOOOOOdd", &lds, &node_limit, &prune,
-                          &record_anytime, &capacity, &eps, &times, &frees,
-                          &submit, &jnodes, &runtime, &denom, &now, &omega))
+    if (!PyArg_ParseTuple(args, "iLiidOOOOOOdd", &lds, &node_limit, &prune,
+                          &record_anytime, &eps, &times, &frees, &submit,
+                          &jnodes, &runtime, &denom, &now, &omega))
         return NULL;
     Search s;
-    if (ck_init(&s, lds, node_limit, prune, record_anytime, capacity, eps, times,
-                frees, submit, jnodes, runtime, denom, now, omega) < 0)
+    if (ck_init(&s, lds, node_limit, prune, record_anytime, eps, times, frees,
+                submit, jnodes, runtime, denom, now, omega) < 0)
         return NULL;
     int rc;
     Py_BEGIN_ALLOW_THREADS
@@ -1090,8 +1155,8 @@ ck_run_search_py(PyObject *Py_UNUSED(self), PyObject *args)
 static PyMethodDef ck_methods[] = {
     {"run_search", ck_run_search_py, METH_VARARGS,
      "Full delta-kernel search; mirrors _FastSearchRun.run() bit-for-bit.\n"
-     "(lds, node_limit, prune, record_anytime, capacity, eps, times, frees,\n"
-     " submit, nodes, runtime, denom, now, omega) ->\n"
+     "(lds, node_limit, prune, record_anytime, eps, times, frees, submit,\n"
+     " nodes, runtime, denom, now, omega) ->\n"
      "(best_exc, best_slow, best_d, best_idx, best_starts, nodes_visited,\n"
      " leaves_evaluated, iterations_started, limit_hit,\n"
      " improved_after_first, anytime|None)"},

@@ -126,7 +126,6 @@ def run_kernel(
         -1 if node_limit is None else node_limit,
         1 if prune else 0,
         1 if record_anytime else 0,
-        profile.capacity,
         TIME_EPS,
         profile.times,  # C copies both lists and writes to neither
         profile.free,

@@ -130,19 +130,19 @@ def test_malformed_profiles_and_oversized_jobs_route_to_python():
 @pytest.mark.parametrize(
     "field,value,error",
     [
-        (6, [], ValueError),  # an empty profile
-        (7, [8], ValueError),  # fewer free counts than times
-        (9, [1, 2], ValueError),  # a job column of the wrong length
-        (6, [0.0, "x"], TypeError),  # a time that is not a number
-        (10, [None], TypeError),  # a runtime that is not a number
-        (8, (0.0,), TypeError),  # a tuple, not a list
+        (5, [], ValueError),  # an empty profile
+        (6, [8], ValueError),  # fewer free counts than times
+        (8, [1, 2], ValueError),  # a job column of the wrong length
+        (5, [0.0, "x"], TypeError),  # a time that is not a number
+        (9, [None], TypeError),  # a runtime that is not a number
+        (7, (0.0,), TypeError),  # a tuple, not a list
     ],
 )
 def test_run_search_refuses_malformed_arrays(field, value, error):
     """``ck_init`` parses the profile straight into the search's arena;
     every way a hand-made call can be malformed is a Python exception,
     not a read past an array (the ASan CI step runs this too)."""
-    args = [0, 10, 0, 0, 8, 1e-9, [0.0, 60.0], [4, 8], [0.0], [2], [30.0], [1.0],
+    args = [0, 10, 0, 0, 1e-9, [0.0, 60.0], [4, 8], [0.0], [2], [30.0], [1.0],
             0.0, 60.0]
     args[field] = value
     with pytest.raises(error):

@@ -18,16 +18,24 @@ every producer:
 compared through ``struct.pack`` so ``-0.0 != +0.0`` and NaN payloads
 would be caught.  ``place_run_fold`` is additionally pinned to sequential
 ``place()`` calls: same starts, same breakpoints, same free counts.
+
+One more property is about the fold alone: it is monotone per component
+in its starting accumulator, the fact the compiled kernel's subtree
+entries rest on (``docs/performance.md``, "Subtrees that repeat"), and a
+lexicographic compare of two accumulators does not carry through it.
 """
 
 from __future__ import annotations
 
+import math
 import struct
+from types import SimpleNamespace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.profile import AvailabilityProfile
+from repro.core.search import _index_strategy
 from repro.util.timeunits import MINUTE
 
 
@@ -152,6 +160,79 @@ def test_place_run_variants_bit_equal_sequential_place(case):
     fused.rollback(ck)
     # Rollback restored the pre-run profile exactly.
     assert fused.segments() == fresh().segments()
+
+
+def engine_fold(omega: float, waits: list[float], denoms: list[float]):
+    """The fast engine's two-level ``fold`` (which ``_ckernel.c``
+    transcribes operation for operation) over jobs submitted at 0.0, so
+    job ``i`` started at ``waits[i]`` waits exactly that long."""
+    problem = SimpleNamespace(evaluator=None, omega=omega)
+    arrays = SimpleNamespace(submit=[0.0] * len(waits), denom=denoms)
+    _, fold, _, _ = _index_strategy(problem, arrays)  # type: ignore[arg-type]
+
+    def run(acc: tuple[float, float]) -> tuple[float, float]:
+        for i, wait in enumerate(waits):
+            acc = fold(acc, i, wait)
+        return acc
+
+    return run
+
+
+#: Partial sums from nothing to far past a month's backlog.
+accumulators = st.floats(min_value=0.0, max_value=1.0e12)
+
+
+@st.composite
+def ordered(draw: st.DrawFn) -> tuple[float, float]:
+    """``lo <= hi``: equal, one ulp apart, or anywhere above."""
+    lo = draw(accumulators)
+    hi = draw(
+        st.one_of(
+            st.just(lo),
+            st.just(math.nextafter(lo, math.inf)),
+            st.floats(min_value=lo, max_value=2.0e12),
+        )
+    )
+    return lo, hi
+
+
+@given(
+    exc=ordered(),
+    slow=ordered(),
+    omega=seconds,
+    terms=st.lists(
+        st.tuples(seconds, st.floats(min_value=MINUTE, max_value=3.0e7)),
+        max_size=40,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_the_fold_is_monotone_per_component_in_its_start(exc, slow, omega, terms):
+    """Folding the same terms from ``(a, b)`` and from ``(a', b')`` with
+    ``a <= a'`` and ``b <= b'`` gives ``exc <= exc'`` and ``slow <=
+    slow'``, each level on its own (level-1 terms added only when
+    positive).  Every step is one IEEE addition of the same term, and
+    round-to-nearest is monotone, so this holds term by term; it is what
+    lets the kernel count a DFS node whose partial sums are componentwise
+    no smaller than those of a finished walk of the same subtree."""
+    run = engine_fold(omega, [w for w, _ in terms], [d for _, d in terms])
+    lo = run((exc[0], slow[0]))
+    hi = run((exc[1], slow[1]))
+    assert lo[0] <= hi[0]
+    assert lo[1] <= hi[1]
+
+
+def test_a_lexicographic_compare_is_not_enough():
+    """Why the kernel compares partial sums componentwise: two paths to one
+    state can round level 1 an ulp apart.  ``(100 + 1 ulp, 5)`` is
+    lexicographically above ``(100, 10)``, yet after one job waiting 1e6 s
+    the ulp is absorbed and the first is below: a subtree walked from
+    ``(100, 10)`` says nothing about its leaves from ``(100 + 1 ulp, 5)``."""
+    run = engine_fold(0.0, [1.0e6], [MINUTE])
+    walked = (100.0, 10.0)
+    later = (math.nextafter(100.0, math.inf), 5.0)
+    assert later > walked
+    assert run(later)[0] == run(walked)[0]
+    assert run(later) < run(walked)
 
 
 def test_engine_totals_bit_equal_on_bench_decision():
